@@ -6,7 +6,7 @@ use acdgc_bench::serialization_heap;
 use acdgc_heap::{Heap, HeapRef};
 use acdgc_model::{ObjId, ProcId, RefId, SimTime};
 use acdgc_remoting::RemotingTables;
-use acdgc_snapshot::{summarize, IncrementalSummarizer, SccEngine};
+use acdgc_snapshot::{summarize, SccEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -89,24 +89,6 @@ fn bench_summarize(c: &mut Criterion) {
             BenchmarkId::new("10k_objs_by_scion_count", scions),
             &scions,
             |b, _| b.iter(|| black_box(summarize(&heap, &tables, 1, SimTime(0)))),
-        );
-    }
-    // The lazy/incremental regime of §4: re-summarizing after a quiet
-    // period (only invocation counters moved) skips every per-scion BFS.
-    for &scions in &[10usize, 100] {
-        let (heap, tables) = scion_heavy_heap(10_000, scions);
-        let mut inc = IncrementalSummarizer::new(ProcId(0));
-        inc.summarize(&heap, &tables, 1, SimTime(0));
-        let mut version = 1;
-        group.bench_with_input(
-            BenchmarkId::new("incremental_quiet_resummarize", scions),
-            &scions,
-            |b, _| {
-                b.iter(|| {
-                    version += 1;
-                    black_box(inc.summarize(&heap, &tables, version, SimTime(version)))
-                })
-            },
         );
     }
     // Engine vs reference on the scion-heavy topologies that motivate the

@@ -20,32 +20,6 @@ pub enum IntegrationMode {
     WeakRefMonitor,
 }
 
-/// Which graph-summarization implementation a process runs at snapshot
-/// time. Both produce identical `SummarizedGraph`s (property-tested);
-/// they differ only in cost.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SummarizerKind {
-    /// Single-pass engine: one Tarjan SCC condensation of the local heap
-    /// followed by bottom-up bitset propagation of reachable-stub sets —
-    /// O(V + E + S·W/64) for S scions over a W-stub universe.
-    SccEngine,
-    /// The paper's literal formulation: one breadth-first traversal per
-    /// scion — O(S·(V + E)). Kept as the reference oracle and for
-    /// ablation-style comparisons.
-    Reference,
-    /// Per-snapshot cost-model dispatch between the two: cheap graph
-    /// statistics (scion count S, stub universe width W, live objects V,
-    /// reference-field count E — all maintained incrementally, read in
-    /// O(1)) pick the reference BFS when S is small enough that per-scion
-    /// traversal undercuts a whole-heap condensation, and the engine
-    /// otherwise. The engine run additionally inherits reachable-stub
-    /// sets by reference along out-degree ≤ 1 condensation chains instead
-    /// of OR-ing full-width bitsets, which removes the engine's only
-    /// losing case (many fully disjoint scion chains). Output is exactly
-    /// equal to both on every input.
-    Adaptive,
-}
-
 /// Which event families a trace records. Defaults to everything; narrowing
 /// the filter shrinks ring-buffer pressure on long runs where only one
 /// family matters (e.g. detection forensics).
@@ -370,25 +344,10 @@ pub struct GcConfig {
     /// (the paper's DGC-extended remoting). Disabled only by the Table 1
     /// baseline ("original Rotor") measurement.
     pub instrument_remoting: bool,
-    /// Summarization implementation used at snapshot time.
-    pub summarizer: SummarizerKind,
-    /// Run the snapshot stage of a GC round over all processes in
-    /// parallel. Sound because summarization only reads process-local
-    /// state; the published summaries are identical to the sequential
-    /// order's, so simulation results stay deterministic.
-    pub parallel_snapshots: bool,
-    /// Run the LGC and candidate-scan stages of a GC round over all
-    /// processes in parallel too. Each stage is split into a pure
-    /// per-process compute step (closure tracing, sweeping, dead-stub
-    /// discovery, candidate picking) that fans out across threads, and a
-    /// sequential apply step (metrics, network sends, detection
-    /// initiation) executed in process-index order — so metrics ledgers
-    /// and simulation results are bit-identical with this flag on or off.
-    pub parallel_gc_phases: bool,
     /// Capacity of each inter-process channel in the threaded runtime.
     /// A full channel drops the (loss-tolerant) GC message rather than
     /// blocking a worker that may hold its own process lock; drops are
-    /// surfaced in `ThreadedStats`.
+    /// counted per kind in the process `Metrics` (`nss_dropped`, …).
     pub channel_capacity: usize,
     /// Threaded runtime: number of consecutive *quiet* sweeps (no frees,
     /// no stub deaths, no sends, no receipts, no pending retries) a worker
@@ -431,9 +390,6 @@ impl Default for GcConfig {
             nongrowth_slack: 8,
             eager_combine: false,
             instrument_remoting: true,
-            summarizer: SummarizerKind::Adaptive,
-            parallel_snapshots: true,
-            parallel_gc_phases: true,
             channel_capacity: 1_024,
             quiet_sweeps: 16,
             nss_retry_sweeps: 8,

@@ -27,8 +27,8 @@ pub mod time;
 
 pub use bitset::BitSet;
 pub use config::{
-    GcConfig, IntegrationMode, MutatorConfig, NetConfig, SamplingConfig, SummarizerKind,
-    TraceConfig, TraceFilter, WatchdogConfig,
+    GcConfig, IntegrationMode, MutatorConfig, NetConfig, SamplingConfig, TraceConfig, TraceFilter,
+    WatchdogConfig,
 };
 pub use error::ModelError;
 pub use ids::{DetectionId, IdAllocator, ObjId, ProcId, RefId, Slot};

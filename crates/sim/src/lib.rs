@@ -37,6 +37,7 @@ pub mod metrics;
 pub mod oracle;
 pub mod process;
 pub mod scenarios;
+pub mod step;
 pub mod system;
 pub mod threaded;
 pub mod workload;
@@ -45,5 +46,6 @@ pub use messages::{InvokeSpec, SysMessage};
 pub use metrics::Metrics;
 pub use oracle::{global_live, global_live_procs, live_count_by_proc, MutOp, ShadowGraph};
 pub use process::Process;
+pub use step::{Credit, Outbox, Step};
 pub use system::System;
 pub use threaded::{merged_metrics, ReportHook, SweepHook, ThreadedOptions, ThreadedRun};

@@ -4,7 +4,7 @@
 use crate::metrics::Metrics;
 use acdgc_dcda::{scan_candidates, scan_candidates_observed, CandidateScan, CandidateState};
 use acdgc_heap::Heap;
-use acdgc_model::{GcConfig, ProcId, SimTime, SummarizerKind};
+use acdgc_model::{GcConfig, ProcId, SimTime};
 use acdgc_obs::ProcTrace;
 use acdgc_remoting::RemotingTables;
 use acdgc_snapshot::{SccEngine, SummarizedGraph};
@@ -30,9 +30,8 @@ pub struct Process {
     /// `cfg.trace.enabled`; runtimes link all processes to one shared
     /// sequence counter so the collected view is totally ordered.
     pub obs: ProcTrace,
-    /// This process's share of the system counters. The runtimes keep the
-    /// merged [`Metrics`] too; per-process attribution is what skewed
-    /// workloads need.
+    /// This process's share of the system counters: every protocol step
+    /// (see [`crate::step`]) counts here.
     pub metrics: Metrics,
     /// Next scheduled LGC time (periodic mode).
     pub next_lgc: SimTime,
@@ -78,36 +77,30 @@ impl Process {
         self.summary_version
     }
 
-    /// Re-summarize the heap and publish the result, using the configured
-    /// summarizer implementation, then prune candidate state against the
-    /// fresh summary. Touches only this process — safe to run for many
-    /// processes in parallel (each process traces into its own ring).
-    pub fn refresh_summary(&mut self, kind: SummarizerKind, now: SimTime) {
+    /// Re-summarize the heap (adaptive dispatch between the reference BFS
+    /// and the SCC engine) and publish the result, then prune candidate
+    /// state against the fresh summary. Touches only this process and
+    /// counts into its own ledger — safe to run for many processes in
+    /// parallel (each process traces into its own ring); a driver with a
+    /// merged ledger mirrors [`Process::count_snapshot`] afterwards.
+    pub fn refresh_summary(&mut self, now: SimTime) {
         let version = self.next_summary_version();
-        self.summary = match kind {
-            SummarizerKind::SccEngine => self.engine.summarize_observed(
-                &self.heap,
-                &self.tables,
-                version,
-                now,
-                &mut self.obs,
-            ),
-            SummarizerKind::Reference => acdgc_snapshot::summarize_observed(
-                &self.heap,
-                &self.tables,
-                version,
-                now,
-                &mut self.obs,
-            ),
-            SummarizerKind::Adaptive => self.engine.summarize_adaptive_observed(
-                &self.heap,
-                &self.tables,
-                version,
-                now,
-                &mut self.obs,
-            ),
-        };
+        self.summary = self.engine.summarize_adaptive_observed(
+            &self.heap,
+            &self.tables,
+            version,
+            now,
+            &mut self.obs,
+        );
         self.candidates.retain_known(&self.summary);
+        Self::count_snapshot(&mut self.metrics, &self.summary);
+    }
+
+    /// Count one published summary into a ledger.
+    pub fn count_snapshot(m: &mut Metrics, summary: &SummarizedGraph) {
+        m.snapshots += 1;
+        m.summary_scions += summary.scions.len() as u64;
+        m.summary_stubs += summary.stubs.len() as u64;
     }
 
     /// Candidate scan over the published summary: which scions to start

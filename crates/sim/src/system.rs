@@ -4,18 +4,15 @@ use crate::messages::{InvokeSpec, SysMessage};
 use crate::metrics::Metrics;
 use crate::oracle;
 use crate::process::Process;
-use acdgc_dcda::{Cdm, Outcome, TerminateReason};
-use acdgc_heap::{lgc, HeapRef};
+use crate::step::{Credit, LgcWork, Outbox, Step};
+use acdgc_dcda::Cdm;
+use acdgc_heap::HeapRef;
 use acdgc_model::{
-    GcConfig, IdAllocator, IntegrationMode, ModelError, NetConfig, ObjId, ProcId, RefId,
-    SimDuration, SimTime, Slot,
+    GcConfig, IdAllocator, ModelError, NetConfig, ObjId, ProcId, RefId, SimDuration, SimTime,
 };
 use acdgc_net::{Envelope, MessageClass, NetStats, Network};
-use acdgc_obs::{Event, Phase, Sample, Sampler, Trace};
-use acdgc_remoting::{
-    apply_new_set_stubs_observed, build_new_set_stubs, ExportedRef, InvokePayload, NewSetStubs,
-    ReplyPayload,
-};
+use acdgc_obs::{Event, Sample, Sampler, Trace};
+use acdgc_remoting::{ExportedRef, InvokePayload, NewSetStubs, ReplyPayload};
 use rayon::prelude::*;
 use rustc_hash::FxHashSet;
 
@@ -253,7 +250,6 @@ impl System {
     /// * neither — mint a fresh pair.
     fn ensure_pair(&mut self, holder: ProcId, target: ObjId) -> RefId {
         let now = self.clock;
-        let dbg = std::env::var_os("ACDGC_DEBUG_UNSAFE").is_some();
         let stub_side = self.procs[holder.index()]
             .tables
             .stub_for_target(target)
@@ -294,12 +290,6 @@ impl System {
                 // The stub is being re-created after dying: a NewSetStubs
                 // without it may still be in flight — refresh the scion's
                 // horizon so that stale set cannot delete it.
-                if dbg {
-                    eprintln!(
-                        "t={:?} re-establish stub {r:?} at {holder} target {target:?}",
-                        self.clock
-                    );
-                }
                 let scion_ic = self.procs[target.proc.index()]
                     .tables
                     .scion(r)
@@ -537,28 +527,43 @@ impl System {
 
     // --- GC phases --------------------------------------------------------------
 
+    /// Run `f` as one protocol step at `p`: the process, plus a [`Step`]
+    /// whose ledger mirrors every count into the merged `self.metrics` and
+    /// whose outbox sends through the seeded network.
+    fn step_at<R>(
+        &mut self,
+        p: ProcId,
+        f: impl FnOnce(&mut Process, &mut Step<'_, SimOutbox<'_>>) -> R,
+    ) -> R {
+        let mut out = SimOutbox {
+            net: &mut self.net,
+            now: self.clock,
+        };
+        let mut cx = Step {
+            cfg: &self.cfg,
+            now: self.clock,
+            merged: Some(&mut self.metrics),
+            out: &mut out,
+        };
+        f(&mut self.procs[p.index()], &mut cx)
+    }
+
     /// Run one local collection at `p` and broadcast `NewSetStubs`.
     pub fn run_lgc(&mut self, p: ProcId) {
-        let now = self.clock;
         let oracle_live = self.check_safety.then(|| oracle::global_live(&*self));
         let num_procs = self.procs.len();
-        let work = lgc_compute(
-            &mut self.procs[p.index()],
-            &self.cfg,
-            num_procs,
-            now,
-            oracle_live.as_ref(),
-        );
-        self.lgc_apply(p, work, oracle_live.as_ref());
+        let work =
+            self.procs[p.index()].lgc_step(&self.cfg, num_procs, self.clock, oracle_live.as_ref());
+        self.lgc_apply(p, work);
     }
 
     /// Run one local collection at *every* process. The compute stage
-    /// (`lgc_compute`) touches only process-local state, so with
-    /// `parallel_gc_phases` it fans out across threads; the apply stage
-    /// (`Self::lgc_apply`) consumes shared state (metrics ledgers, the
-    /// seeded network RNG) and runs sequentially in process-index order —
-    /// the exact order the sequential path produces, so simulation results
-    /// and metrics are bit-identical with parallelism on or off.
+    /// ([`Process::lgc_step`]) touches only process-local state, so it
+    /// fans out across threads; the apply stage (`Self::lgc_apply`)
+    /// consumes shared state (the merged ledger, the seeded network RNG)
+    /// and runs sequentially in process-index order — the exact order
+    /// [`System::run_lgc`] per process produces, so results and metrics
+    /// are bit-identical to driving the processes one by one.
     ///
     /// One oracle serves the whole sweep: a sound LGC frees only
     /// globally-unreachable objects, and dead-stub handling only touches
@@ -571,74 +576,30 @@ impl System {
         let works: Vec<LgcWork> = {
             let cfg = &self.cfg;
             let live = oracle_live.as_ref();
-            if cfg.parallel_gc_phases && num_procs > 1 {
-                self.procs
-                    .par_iter_mut()
-                    .map(|proc| lgc_compute(proc, cfg, num_procs, now, live))
-            } else {
-                self.procs
-                    .iter_mut()
-                    .map(|proc| lgc_compute(proc, cfg, num_procs, now, live))
-                    .collect()
-            }
+            fan_out(&mut self.procs, |proc| {
+                proc.lgc_step(cfg, num_procs, now, live)
+            })
         };
         for (i, work) in works.into_iter().enumerate() {
-            self.lgc_apply(ProcId(i as u16), work, oracle_live.as_ref());
+            self.lgc_apply(ProcId(i as u16), work);
         }
     }
 
-    /// Apply stage of a local collection: merged/per-process counters, the
-    /// safety-audit dump, and the `NewSetStubs` sends. Every effect here
-    /// reaches shared state, so callers invoke it sequentially in
-    /// process-index order.
-    fn lgc_apply(&mut self, p: ProcId, work: LgcWork, oracle_live: Option<&FxHashSet<ObjId>>) {
+    /// Apply stage of a local collection: the merged ledger and the
+    /// `NewSetStubs` sends. Every effect here reaches shared state, so
+    /// callers invoke it sequentially in process-index order.
+    fn lgc_apply(&mut self, p: ProcId, work: LgcWork) {
+        work.count_into(&mut self.metrics);
+        self.send_nss(p, work.nss);
+    }
+
+    /// Put `p`'s reference-listing broadcast on the wire, in peer order.
+    fn send_nss(&mut self, p: ProcId, msgs: Vec<(ProcId, NewSetStubs)>) {
         let now = self.clock;
-        let LgcWork {
-            freed,
-            unsafe_freed,
-            targets,
-            nss,
-        } = work;
-        self.bump(p, |m| {
-            m.lgc_runs += 1;
-            m.objects_reclaimed += freed;
-        });
-        for freed in &unsafe_freed {
-            self.bump(p, |m| m.unsafe_frees += 1);
-            if std::env::var_os("ACDGC_DEBUG_UNSAFE").is_some() {
-                eprintln!("UNSAFE FREE at {p}: {freed:?}; scion targets were {targets:?}");
-                let live = oracle_live.expect("unsafe frees imply an oracle was computed");
-                for q in &self.procs {
-                    for stub in q.tables.stubs() {
-                        if stub.target == *freed {
-                            eprintln!(
-                                "  stub at {}: {:?} pair {:?} condemned={}",
-                                q.proc(),
-                                stub.ref_id,
-                                stub.target,
-                                stub.condemned
-                            );
-                        }
-                    }
-                    for (slot, rec) in q.heap.iter() {
-                        for r in rec.remote_refs() {
-                            if q.tables.stub(r).map(|s| s.target) == Some(*freed) {
-                                eprintln!(
-                                    "  held by {:?}#{} via {:?} (holder live={})",
-                                    q.proc(),
-                                    slot,
-                                    r,
-                                    live.contains(&q.heap.id_of_slot(slot).unwrap())
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for (dest, m) in nss {
+        for (dest, m) in msgs {
             self.bump(p, |mm| mm.nss_sent += 1);
-            self.procs[p.index()].obs.record(
+            let proc = &mut self.procs[p.index()];
+            proc.obs.record(
                 now,
                 Event::NssSent {
                     to: dest,
@@ -647,94 +608,39 @@ impl System {
                     retry: false,
                 },
             );
-            let lc = self.procs[p.index()].obs.clock_value();
-            let size = m.size_bytes();
-            self.net
-                .send_clocked(now, p, dest, MessageClass::Gc, size, lc, SysMessage::Nss(m));
+            SimOutbox {
+                net: &mut self.net,
+                now,
+            }
+            .send_gc(proc, dest, SysMessage::Nss(m));
         }
     }
 
     /// The OBIWAN monitor pass: reclaim condemned stubs at `p` and send the
     /// corrected stub sets.
     pub fn run_monitor(&mut self, p: ProcId) {
-        if self.cfg.integration != IntegrationMode::WeakRefMonitor {
-            return;
-        }
-        let now = self.clock;
-        self.bump(p, |m| m.monitor_passes += 1);
-        let removed = self.procs[p.index()].tables.monitor_pass();
-        if removed.is_empty() {
-            return;
-        }
-        let peers: Vec<ProcId> = (0..self.procs.len() as u16)
-            .map(ProcId)
-            .filter(|&q| q != p)
-            .collect();
-        let msgs = build_new_set_stubs(&mut self.procs[p.index()].tables, &peers, now);
-        for (dest, m) in msgs {
-            self.bump(p, |m| m.nss_sent += 1);
-            self.procs[p.index()].obs.record(
-                now,
-                Event::NssSent {
-                    to: dest,
-                    seq: m.seq,
-                    live_refs: m.live_refs.len() as u32,
-                    retry: false,
-                },
-            );
-            let lc = self.procs[p.index()].obs.clock_value();
-            let size = m.size_bytes();
-            self.net
-                .send_clocked(now, p, dest, MessageClass::Gc, size, lc, SysMessage::Nss(m));
-        }
+        let num_procs = self.procs.len();
+        let msgs = self.step_at(p, |proc, cx| proc.monitor_step(cx, num_procs));
+        self.send_nss(p, msgs);
     }
 
     /// Snapshot + summarize `p`, publishing a new summary atomically.
     pub fn take_snapshot(&mut self, p: ProcId) {
-        let now = self.clock;
-        let kind = self.cfg.summarizer;
         let proc = &mut self.procs[p.index()];
-        proc.refresh_summary(kind, now);
-        let (scions, stubs) = (
-            proc.summary.scions.len() as u64,
-            proc.summary.stubs.len() as u64,
-        );
-        self.bump(p, |m| {
-            m.snapshots += 1;
-            m.summary_scions += scions;
-            m.summary_stubs += stubs;
-        });
+        proc.refresh_summary(self.clock);
+        Process::count_snapshot(&mut self.metrics, &proc.summary);
     }
 
     /// Snapshot + summarize every process. Summarization reads only
-    /// process-local state, so with `parallel_snapshots` the per-process
-    /// work fans out across threads; published summaries (and therefore
-    /// simulation results) are identical either way. Metrics are
-    /// accumulated sequentially afterwards to keep them deterministic.
+    /// process-local state, so the per-process work fans out across
+    /// threads; published summaries (and therefore simulation results) are
+    /// identical either way. The merged ledger is folded sequentially
+    /// afterwards to keep it deterministic.
     pub fn snapshot_all(&mut self) {
         let now = self.clock;
-        let kind = self.cfg.summarizer;
-        let refresh = |proc: &mut Process| {
-            proc.refresh_summary(kind, now);
-            (
-                proc.summary.scions.len() as u64,
-                proc.summary.stubs.len() as u64,
-            )
-        };
-        // Summary sizes come back with each compute result instead of
-        // being re-read through `self.procs` afterwards; one sequential
-        // fold attributes them.
-        let counts: Vec<(u64, u64)> = if self.cfg.parallel_snapshots && self.procs.len() > 1 {
-            self.procs.par_iter_mut().map(refresh)
-        } else {
-            self.procs.iter_mut().map(refresh).collect()
-        };
-        for (i, (scions, stubs)) in counts.into_iter().enumerate() {
-            self.bump(ProcId(i as u16), |m| {
-                m.snapshots += 1;
-                m.summary_scions += scions;
-                m.summary_stubs += stubs;
-            });
+        fan_out(&mut self.procs, |proc| proc.refresh_summary(now));
+        for proc in &self.procs {
+            Process::count_snapshot(&mut self.metrics, &proc.summary);
         }
     }
 
@@ -749,25 +655,14 @@ impl System {
 
     /// Candidate scan at every process, then detection initiations. The
     /// scan reads only process-local state (the published summary plus the
-    /// process's heuristic ledger), so under `parallel_gc_phases` it fans
-    /// out across threads; initiation consumes shared state (the detection
-    /// id allocator, the seeded network) and runs sequentially in
-    /// process-index order — bit-identical with parallelism on or off.
+    /// process's heuristic ledger), so it fans out across threads;
+    /// initiation consumes shared state (the detection id allocator, the
+    /// seeded network) and runs sequentially in process-index order —
+    /// bit-identical to [`System::run_scan`] per process.
     pub fn scan_all(&mut self) {
         let now = self.clock;
-        let picked: Vec<Vec<RefId>> = {
-            let cfg = &self.cfg;
-            if cfg.parallel_gc_phases && self.procs.len() > 1 {
-                self.procs
-                    .par_iter_mut()
-                    .map(|proc| proc.scan(now, cfg).picked)
-            } else {
-                self.procs
-                    .iter_mut()
-                    .map(|proc| proc.scan(now, cfg).picked)
-                    .collect()
-            }
-        };
+        let cfg = &self.cfg;
+        let picked = fan_out(&mut self.procs, |proc| proc.scan(now, cfg).picked);
         for (i, scions) in picked.into_iter().enumerate() {
             for scion in scions {
                 self.initiate_detection(ProcId(i as u16), scion);
@@ -778,189 +673,19 @@ impl System {
     /// Start one detection from `scion` at `p` (used by scans and directly
     /// by tests that pick their own candidates).
     pub fn initiate_detection(&mut self, p: ProcId, scion: RefId) {
-        let now = self.clock;
-        let proc = &self.procs[p.index()];
-        let Some(summary_scion) = proc.summary.scion(scion) else {
-            self.bump(p, |m| m.detections_dropped_no_scion += 1);
-            return;
+        let mut out = SimOutbox {
+            net: &mut self.net,
+            now: self.clock,
         };
-        let cdm = Cdm::initiate(self.ids.next_detection_id(), p, scion, summary_scion.ic);
-        let id = cdm.detection_id;
-        let sw = proc.obs.stopwatch();
-        let outcome = acdgc_dcda::initiate(&proc.summary, cdm, scion, &self.cfg);
-        self.bump(p, |m| m.detections_started += 1);
-        self.procs[p.index()]
-            .obs
-            .record(now, Event::DetectionStarted { id, scion });
-        self.handle_outcome(p, id, 0, outcome);
-        self.procs[p.index()].obs.lap(Phase::CdmHandling, sw);
-    }
-
-    /// Apply one processing step's [`Outcome`] at `p`: counters, trace
-    /// events and the resulting traffic. `id` and `hop` identify the step
-    /// (`hop` 0 for initiations, the arriving CDM's hop count otherwise).
-    fn handle_outcome(
-        &mut self,
-        p: ProcId,
-        id: acdgc_model::DetectionId,
-        hop: u32,
-        outcome: Outcome,
-    ) {
-        let now = self.clock;
-        match outcome {
-            Outcome::Forwarded {
-                out: list,
-                branches_pruned_local,
-                branches_no_new_info,
-                // Starvation feeds the credit scheme, which only the
-                // threaded runtime runs (the sequential walk needs no
-                // termination detection — it never races a mutator).
-                branches_starved: _,
-            } => {
-                self.bump(p, |m| {
-                    m.branches_pruned_local += u64::from(branches_pruned_local);
-                    m.branches_no_new_info += u64::from(branches_no_new_info);
-                });
-                self.procs[p.index()].obs.record(
-                    now,
-                    Event::CdmForwarded {
-                        id,
-                        hop,
-                        branches: list.len() as u32,
-                        pruned_local: branches_pruned_local,
-                        pruned_no_new_info: branches_no_new_info,
-                    },
-                );
-                for ob in list {
-                    let size = 8 + ob.cdm.size_bytes();
-                    self.bump(p, |m| {
-                        m.cdms_sent += 1;
-                        m.max_cdm_bytes = m.max_cdm_bytes.max(size as u64);
-                    });
-                    self.procs[p.index()].obs.record(
-                        now,
-                        Event::CdmSent {
-                            id,
-                            to: ob.dest,
-                            via: ob.via,
-                            // Hop depth at which the receiver will process
-                            // it (the detector increments on delivery).
-                            hop: ob.cdm.hops + 1,
-                            sources: ob.cdm.source.len() as u32,
-                            targets: ob.cdm.target.len() as u32,
-                            bytes: size as u32,
-                        },
-                    );
-                    let lc = self.procs[p.index()].obs.clock_value();
-                    self.net.send_clocked(
-                        now,
-                        p,
-                        ob.dest,
-                        MessageClass::Gc,
-                        size,
-                        lc,
-                        SysMessage::Cdm {
-                            via: ob.via,
-                            cdm: ob.cdm,
-                        },
-                    );
-                }
-            }
-            Outcome::CycleFound { delete } => {
-                self.bump(p, |m| m.cycles_detected += 1);
-                self.procs[p.index()].obs.record(
-                    now,
-                    Event::CycleDetected {
-                        id,
-                        hop,
-                        scions: delete.len() as u32,
-                    },
-                );
-                for (owner, scion, incarnation, ic) in delete {
-                    if owner == p {
-                        self.delete_proven_scion(p, scion, incarnation, ic);
-                    } else {
-                        let msg = SysMessage::DeleteScion {
-                            scion,
-                            incarnation,
-                            ic,
-                        };
-                        let size = msg.size_bytes();
-                        let lc = self.procs[p.index()].obs.clock_value();
-                        self.net
-                            .send_clocked(now, p, owner, MessageClass::Gc, size, lc, msg);
-                    }
-                }
-            }
-            Outcome::DroppedNoScion => {
-                self.bump(p, |m| m.detections_dropped_no_scion += 1);
-                self.procs[p.index()].obs.record(
-                    now,
-                    Event::DetectionDropped {
-                        id,
-                        hop,
-                        reason: acdgc_obs::DropReason::NoScion,
-                    },
-                );
-            }
-            Outcome::AbortedIcMismatch {
-                ref_id,
-                source_ic,
-                target_ic,
-            } => {
-                self.bump(p, |m| m.detections_aborted_ic += 1);
-                self.procs[p.index()].obs.record(
-                    now,
-                    Event::DetectionAborted {
-                        id,
-                        hop,
-                        ref_id,
-                        source_ic,
-                        target_ic,
-                    },
-                );
-            }
-            Outcome::DroppedHopCap => {
-                self.bump(p, |m| m.detections_dropped_hops += 1);
-                self.procs[p.index()].obs.record(
-                    now,
-                    Event::DetectionDropped {
-                        id,
-                        hop,
-                        reason: acdgc_obs::DropReason::HopCap,
-                    },
-                );
-            }
-            Outcome::Terminated(reason) => {
-                let (field, obs_reason): (fn(&mut Metrics) -> &mut u64, _) = match reason {
-                    TerminateReason::NoStubs => (
-                        |m| &mut m.detections_terminated_no_stubs,
-                        acdgc_obs::TermReason::NoStubs,
-                    ),
-                    TerminateReason::AllStubsLocallyReachable => (
-                        |m| &mut m.detections_terminated_local,
-                        acdgc_obs::TermReason::AllStubsLocallyReachable,
-                    ),
-                    TerminateReason::NoNewInformation => (
-                        |m| &mut m.detections_terminated_no_new_info,
-                        acdgc_obs::TermReason::NoNewInformation,
-                    ),
-                    TerminateReason::BudgetExhausted => (
-                        |m| &mut m.detections_terminated_budget,
-                        acdgc_obs::TermReason::BudgetExhausted,
-                    ),
-                };
-                self.bump(p, |m| *field(m) += 1);
-                self.procs[p.index()].obs.record(
-                    now,
-                    Event::DetectionTerminated {
-                        id,
-                        hop,
-                        reason: obs_reason,
-                    },
-                );
-            }
-        }
+        let mut cx = Step {
+            cfg: &self.cfg,
+            now: self.clock,
+            merged: Some(&mut self.metrics),
+            out: &mut out,
+        };
+        let ids = &mut self.ids;
+        let deleted = self.procs[p.index()].initiate(&mut cx, scion, || ids.next_detection_id());
+        self.audit_scion_deletes(p, deleted);
     }
 
     // --- message dispatch ----------------------------------------------------------
@@ -978,112 +703,43 @@ impl System {
                 receiver,
             } => self.dispatch_invoke(env.src, dst, payload, reply_exports, receiver),
             SysMessage::Reply { payload, receiver } => self.dispatch_reply(dst, payload, receiver),
-            SysMessage::Nss(nss) => {
-                let now = self.clock;
-                let proc = &mut self.procs[dst.index()];
-                let applied =
-                    apply_new_set_stubs_observed(&mut proc.tables, &nss, now, &mut proc.obs);
-                if applied.stale {
-                    self.bump(dst, |m| m.nss_stale += 1);
-                } else {
-                    let removed = applied.removed.len() as u64;
-                    self.bump(dst, |m| {
-                        m.nss_applied += 1;
-                        m.scions_reclaimed_acyclic += removed;
-                    });
-                    if std::env::var_os("ACDGC_DEBUG_UNSAFE").is_some() {
-                        for sc in &applied.removed {
-                            eprintln!(
-                                "t={:?} NSS from {} removed scion {:?} target {:?} (created {:?})",
-                                self.clock, nss.from, sc.ref_id, sc.target, sc.created_at
-                            );
-                        }
-                    }
-                }
-            }
+            SysMessage::Nss(nss) => self.step_at(dst, |proc, cx| proc.on_nss(cx, &nss)),
             SysMessage::Cdm { via, cdm } => {
-                let now = self.clock;
-                let id = cdm.detection_id;
-                // This processing step's hop depth (deliver increments the
-                // wire value before expanding).
-                let hop = cdm.hops + 1;
-                let (sources, targets) = (cdm.source.len() as u32, cdm.target.len() as u32);
-                let bytes = (8 + cdm.size_bytes()) as u32;
-                self.bump(dst, |m| m.cdms_delivered += 1);
-                self.procs[dst.index()].obs.record(
-                    now,
-                    Event::CdmDelivered {
-                        id,
-                        via,
-                        hop,
-                        sources,
-                        targets,
-                        bytes,
-                    },
-                );
-                let sw = self.procs[dst.index()].obs.stopwatch();
-                let outcome =
-                    acdgc_dcda::deliver(&self.procs[dst.index()].summary, cdm, via, &self.cfg);
-                self.handle_outcome(dst, id, hop, outcome);
-                self.procs[dst.index()].obs.lap(Phase::CdmHandling, sw);
+                let deleted = self.step_at(dst, |proc, cx| proc.on_cdm(cx, via, cdm));
+                self.audit_scion_deletes(dst, deleted);
             }
             SysMessage::DeleteScion {
                 scion,
                 incarnation,
                 ic,
             } => {
-                self.delete_proven_scion(dst, scion, incarnation, ic);
+                let holder = self.step_at(dst, |proc, cx| {
+                    proc.on_delete_scion(cx, scion, incarnation, ic)
+                });
+                self.audit_scion_deletes(dst, holder.map(|h| (scion, h)));
             }
         }
     }
 
-    /// Apply a cycle verdict to one scion this process owns: delete it
-    /// unless an invocation/import is in flight (pinned — with the counter
-    /// barrier on, a verdict over an active reference cannot happen; the
-    /// pin guard keeps even the unsafe ablations structurally sound).
-    fn delete_proven_scion(&mut self, p: ProcId, scion: RefId, incarnation: u32, ic: u64) {
-        // ABA guard: the verdict proved a specific incarnation garbage; a
-        // newer incarnation under the same id is a different, possibly
-        // live reference. Lazy IC barrier: the verdict also witnessed a
-        // specific invocation counter — a counter that has moved since
-        // means the mutator used (re-exported or invoked through) the
-        // reference after the walk, so the verdict is stale. The counter
-        // re-check is part of the barrier, so the A1 ablation disables it
-        // too (and stays demonstrably unsafe).
-        let barrier = self.cfg.ic_barrier;
-        if self.procs[p.index()]
-            .tables
-            .scion(scion)
-            .is_none_or(|s| s.incarnation != incarnation || (barrier && s.ic != ic))
-        {
+    /// Oracle audit of the scions a step just deleted at `p` on a cycle
+    /// verdict. A deletion is unsafe iff the *reference* is still live:
+    /// some oracle-live object at the holding process still holds it. (The
+    /// target being live through other paths does not make deleting a dead
+    /// reference's scion unsafe.) The oracle reads heaps and stubs only,
+    /// so judging after the deletion sees what judging before it would.
+    fn audit_scion_deletes(
+        &mut self,
+        p: ProcId,
+        deleted: impl IntoIterator<Item = (RefId, ProcId)>,
+    ) {
+        if !self.check_safety {
             return;
         }
-        if self.check_safety {
-            // A scion deletion is unsafe iff the *reference* is still
-            // live: some oracle-live object at the holding process still
-            // holds it. (The target being live through other paths does
-            // not make deleting a dead reference's scion unsafe.)
-            let holder = self.procs[p.index()]
-                .tables
-                .scion(scion)
-                .map(|s| s.from_proc);
-            if let Some(holder) = holder {
-                let live = oracle::global_live(&*self);
-                if oracle::ref_is_live(&*self, holder, scion, &live) {
-                    self.bump(p, |m| m.unsafe_scion_deletes += 1);
-                }
+        for (scion, holder) in deleted {
+            let live = oracle::global_live(&*self);
+            if oracle::ref_is_live(&*self, holder, scion, &live) {
+                self.bump(p, |m| m.unsafe_scion_deletes += 1);
             }
-        }
-        let now = self.clock;
-        let proc = &mut self.procs[p.index()];
-        let pinned = proc.tables.scion(scion).is_some_and(|s| s.pinned > 0);
-        if !pinned {
-            if proc.tables.remove_scion(scion).is_some() {
-                proc.obs
-                    .record(now, Event::ScionDeleted { scion, incarnation });
-                self.bump(p, |m| m.scions_deleted_by_dcda += 1);
-            }
-            self.procs[p.index()].summary.scions.remove(&scion);
         }
     }
 
@@ -1395,75 +1051,61 @@ impl System {
     }
 }
 
-/// Everything one local collection produces *before* any shared state is
-/// touched: `lgc_compute` fills it (possibly on a worker thread),
-/// [`System::lgc_apply`] drains it on the simulation thread.
-struct LgcWork {
-    /// Objects reclaimed by the sweep.
-    freed: u64,
-    /// Freed handles the oracle considered live — the safety audit; empty
-    /// in safe configurations and when `check_safety` is off.
-    unsafe_freed: Vec<ObjId>,
-    /// Scion-target slots at collection time, kept for the unsafe dump.
-    targets: Vec<Slot>,
-    /// Reference-listing messages built from the surviving stub table,
-    /// not yet sent.
-    nss: Vec<(ProcId, NewSetStubs)>,
+/// The simulator's outbox: every message goes through the seeded network,
+/// which draws loss, duplication and latency per send in call order.
+struct SimOutbox<'a> {
+    net: &'a mut Network<SysMessage>,
+    now: SimTime,
 }
 
-/// Compute stage of a local collection at one process: trace + sweep the
-/// heap, audit against the oracle, handle stub death per integration mode,
-/// and build (but do not send) the `NewSetStubs` broadcast. Touches only
-/// `proc`, so many processes can run this concurrently.
-fn lgc_compute(
-    proc: &mut Process,
-    cfg: &GcConfig,
-    num_procs: usize,
-    now: SimTime,
-    oracle_live: Option<&FxHashSet<ObjId>>,
-) -> LgcWork {
-    let targets = proc.tables.scion_target_slots();
-    let result = lgc::collect_observed(&mut proc.heap, &targets, now, &mut proc.obs);
-    let freed = result.sweep.freed.len() as u64;
-    let unsafe_freed = match oracle_live {
-        Some(live) => result
-            .sweep
-            .freed
-            .iter()
-            .copied()
-            .filter(|f| live.contains(f))
-            .collect(),
-        None => Vec::new(),
-    };
+impl SimOutbox<'_> {
+    fn send_gc(&mut self, from: &Process, dest: ProcId, msg: SysMessage) {
+        let (size, lamport) = (msg.size_bytes(), from.obs.clock_value());
+        self.net.send_clocked(
+            self.now,
+            from.proc(),
+            dest,
+            MessageClass::Gc,
+            size,
+            lamport,
+            msg,
+        );
+    }
+}
 
-    // Stub-death handling per integration mode.
-    let dead = result
-        .mark
-        .dead_stubs_among(proc.tables.stubs().map(|s| s.ref_id));
-    match cfg.integration {
-        IntegrationMode::VmIntegrated => {
-            proc.tables.remove_dead_stubs(&dead);
-        }
-        IntegrationMode::WeakRefMonitor => {
-            proc.tables.condemn_stubs(&dead);
-            for &live_ref in &result.mark.live_stubs {
-                proc.tables.pardon_stub(live_ref);
-            }
-        }
+impl Outbox for SimOutbox<'_> {
+    fn send_cdm(&mut self, from: &Process, dest: ProcId, via: RefId, cdm: Cdm) {
+        self.send_gc(from, dest, SysMessage::Cdm { via, cdm });
     }
 
-    // Reference listing: the surviving stub sets, one message per peer.
-    let p = proc.proc();
-    let peers: Vec<ProcId> = (0..num_procs as u16)
-        .map(ProcId)
-        .filter(|&q| q != p)
-        .collect();
-    let nss = build_new_set_stubs(&mut proc.tables, &peers, now);
-    LgcWork {
-        freed,
-        unsafe_freed,
-        targets,
-        nss,
+    fn send_delete_scion(
+        &mut self,
+        from: &Process,
+        owner: ProcId,
+        scion: RefId,
+        incarnation: u32,
+        ic: u64,
+    ) {
+        let msg = SysMessage::DeleteScion {
+            scion,
+            incarnation,
+            ic,
+        };
+        self.send_gc(from, owner, msg);
+    }
+
+    /// Credit feeds termination detection, which only a runtime racing a
+    /// live mutator needs; the sequential walk sends no echoes.
+    fn settle_credit(&mut self, _from: &mut Process, _credit: Credit) {}
+}
+
+/// Run `f` over every process — on worker threads when there is more than
+/// one — and collect the results in process-index order.
+fn fan_out<R: Send>(procs: &mut [Process], f: impl Fn(&mut Process) -> R + Sync + Send) -> Vec<R> {
+    if procs.len() > 1 {
+        procs.par_iter_mut().map(f)
+    } else {
+        procs.iter_mut().map(f).collect()
     }
 }
 
@@ -1648,7 +1290,7 @@ mod tests {
         let mut sys = System::new(
             4,
             GcConfig {
-                integration: IntegrationMode::WeakRefMonitor,
+                integration: acdgc_model::IntegrationMode::WeakRefMonitor,
                 ..GcConfig::manual()
             },
             NetConfig::instant(),

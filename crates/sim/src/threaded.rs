@@ -85,20 +85,18 @@
 use crate::metrics::Metrics;
 use crate::oracle::MutOp;
 use crate::process::Process;
-use acdgc_dcda::{Cdm, Outcome, TerminateReason};
-use acdgc_heap::{lgc, HeapRef};
+use crate::step::{Credit, Outbox, Step};
+use acdgc_dcda::Cdm;
+use acdgc_heap::HeapRef;
 use acdgc_model::rng::component_rng;
 use acdgc_model::{
-    DetectionId, GcConfig, IntegrationMode, MutatorConfig, NetConfig, ObjId, ProcId, RefId,
-    SimTime, WatchdogConfig,
+    DetectionId, GcConfig, MutatorConfig, NetConfig, ObjId, ProcId, RefId, SimTime, WatchdogConfig,
 };
 use acdgc_obs::health::{
     HealthReason, HealthReport, Heartbeat, Heartbeats, WorkerHealth, WorkerStage,
 };
-use acdgc_obs::{
-    DropReason, Event, LamportClock, MutatorOpKind, Phase, Sample, Sampler, TermReason,
-};
-use acdgc_remoting::{apply_new_set_stubs_observed, build_new_set_stubs, NewSetStubs};
+use acdgc_obs::{Event, LamportClock, MutatorOpKind, Sample, Sampler};
+use acdgc_remoting::NewSetStubs;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -161,70 +159,6 @@ struct ThreadEnvelope {
     /// acks, and scion deletes are already idempotent by construction.
     tag: u64,
     msg: ThreadMsg,
-}
-
-/// Counters shared across the threads.
-#[derive(Debug, Default)]
-pub struct ThreadedStats {
-    /// Local mark-sweep collections run across all workers.
-    pub lgc_runs: AtomicU64,
-    /// Graph summarizations published.
-    pub snapshots: AtomicU64,
-    /// CDM messages handed to peer inboxes (pre-fault-injection).
-    pub cdms_sent: AtomicU64,
-    /// Distributed cycles found (one per matched CDM, before deletion).
-    pub cycles_detected: AtomicU64,
-    /// Scions deleted on a cycle verdict.
-    pub scions_deleted: AtomicU64,
-    /// Objects reclaimed by LGC over the whole run.
-    pub objects_reclaimed: AtomicU64,
-    /// GC messages lost per kind: injected by the seeded fault model, or
-    /// dropped because a peer's bounded inbox was full (or the peer was
-    /// gone). Dropping instead of blocking keeps a worker that holds its
-    /// own process lock from deadlocking on a slow peer; the algorithm
-    /// tolerates arbitrary GC-message loss, so drops only delay
-    /// reclamation.
-    pub nss_dropped: AtomicU64,
-    /// CDM and credit-echo messages lost (see [`ThreadedStats::nss_dropped`]).
-    pub cdms_dropped: AtomicU64,
-    /// `DeleteScion` messages lost (see [`ThreadedStats::nss_dropped`]).
-    pub deletes_dropped: AtomicU64,
-    /// NSS acks lost (see [`ThreadedStats::nss_dropped`]).
-    pub acks_dropped: AtomicU64,
-    /// Losses charged to the seeded injector specifically (also counted in
-    /// the per-kind counters above).
-    pub faults_injected: AtomicU64,
-    /// Duplicate deliveries injected by the seeded fault model.
-    pub duplicates_injected: AtomicU64,
-    /// `NewSetStubs` retransmissions (unacknowledged past the retry
-    /// window).
-    pub nss_retries: AtomicU64,
-    /// Quiescence votes cast / rescinded across the run.
-    pub votes_cast: AtomicU64,
-    /// Votes withdrawn on new receive or mutation activity.
-    pub votes_rescinded: AtomicU64,
-    /// 1 if the run ended because every worker held its quiescence vote
-    /// with all channels provably empty; 0 if the deadline backstop fired.
-    pub stopped_by_quiescence: AtomicU64,
-    /// Concurrent-mutator operations applied (all kinds; skips excluded).
-    pub mutator_ops: AtomicU64,
-    /// Mutator ops abandoned because a precondition failed under the lock
-    /// (e.g. a stale edge whose stub a collector already removed). Bounded
-    /// interference, not an error.
-    pub mutator_skips: AtomicU64,
-    /// Invocations that found their target scion missing although the
-    /// holder-side stub was just observed live. The mutator only invokes
-    /// along live-holder edges, so any nonzero value means a collector
-    /// deleted a reference that was still reachable — a safety violation.
-    pub mutator_missing_scions: AtomicU64,
-}
-
-impl ThreadedStats {
-    /// Whether the run terminated through the quiescence protocol rather
-    /// than the wall-clock deadline backstop.
-    pub fn quiescent(&self) -> bool {
-        self.stopped_by_quiescence.load(Ordering::SeqCst) == 1
-    }
 }
 
 /// Shared state of the termination protocol. All counters are monotone
@@ -335,52 +269,6 @@ impl Quiescence {
     }
 }
 
-/// Run the GC stack concurrently over pre-built processes until the system
-/// reaches distributed quiescence (every worker votes "nothing left to
-/// do"; see module docs) or `deadline` elapses as a backstop. No faults
-/// are injected. Returns the processes and the shared stats.
-///
-/// `procs` should come from a [`crate::System`] whose topology was built
-/// sequentially — see `tests/threaded_collection.rs` at the workspace
-/// root.
-pub fn run_concurrent_collection(
-    procs: Vec<Process>,
-    cfg: GcConfig,
-    deadline: Duration,
-) -> (Vec<Process>, Arc<ThreadedStats>) {
-    let reliable = NetConfig {
-        gc_drop_probability: 0.0,
-        gc_duplicate_probability: 0.0,
-        ..NetConfig::instant()
-    };
-    run_concurrent_collection_with_faults(procs, cfg, reliable, 0, deadline)
-}
-
-/// [`run_concurrent_collection`] with a seeded fault injector on the send
-/// path. `net.gc_drop_probability` / `gc_duplicate_probability` apply to
-/// every message (all threaded traffic is GC class); the latency fields
-/// are ignored — channel scheduling is the latency. Same `seed`, same
-/// injected fault decisions per worker send sequence.
-pub fn run_concurrent_collection_with_faults(
-    procs: Vec<Process>,
-    cfg: GcConfig,
-    net: NetConfig,
-    seed: u64,
-    deadline: Duration,
-) -> (Vec<Process>, Arc<ThreadedStats>) {
-    let run = run_concurrent_collection_observed(
-        procs,
-        cfg,
-        ThreadedOptions {
-            net,
-            seed,
-            deadline,
-            ..ThreadedOptions::default()
-        },
-    );
-    (run.procs, run.stats)
-}
-
 /// A hook the runtime calls at the end of every worker loop iteration:
 /// `(worker, sweep, voted)`. It runs in the same iteration as a vote cast
 /// — before the next stop-flag check — so tests and examples can inject
@@ -425,17 +313,20 @@ impl Default for ThreadedOptions {
     }
 }
 
-/// What a threaded run returns: the final processes, the legacy shared
-/// stats, every [`HealthReport`] the watchdog produced (stall reports
-/// in emission order, then exactly one terminal report — quiescent or
-/// deadline — when `cfg.watchdog.enabled`), and the telemetry samples
-/// the monitor thread recorded during healthy operation (empty unless
+/// What a threaded run returns: the final processes (every counter is in
+/// their ledgers — fold them with [`merged_metrics`]), how the run ended,
+/// every [`HealthReport`] the watchdog produced (stall reports in emission
+/// order, then exactly one terminal report — quiescent or deadline — when
+/// `cfg.watchdog.enabled`), and the telemetry samples the monitor thread
+/// recorded during healthy operation (empty unless
 /// `cfg.sampling.enabled`), ready for `Trace::with_samples`.
 pub struct ThreadedRun {
     /// The final processes, unwrapped from their mutex cells.
     pub procs: Vec<Process>,
-    /// Legacy shared counters (see [`ThreadedStats`]).
-    pub stats: Arc<ThreadedStats>,
+    /// Whether the run ended because every worker held its quiescence
+    /// vote with all channels provably empty (see the module docs), rather
+    /// than by the wall-clock deadline backstop.
+    pub quiescent: bool,
     /// Watchdog reports in emission order (empty unless enabled).
     pub health: Vec<HealthReport>,
     /// Telemetry samples recorded by the monitor thread.
@@ -447,9 +338,18 @@ pub struct ThreadedRun {
     pub mutation_log: Vec<MutOp>,
 }
 
-/// The full-fidelity entry point: [`run_concurrent_collection_with_faults`]
-/// plus the runtime health subsystem — per-worker heartbeat slots, a
-/// watchdog monitor thread detecting stalls against
+/// Run the GC stack concurrently over pre-built processes until the system
+/// reaches distributed quiescence (every worker votes "nothing left to
+/// do"; see module docs) or `opts.deadline` elapses as a backstop.
+///
+/// `procs` should come from a [`crate::System`] whose topology was built
+/// sequentially — see `tests/threaded_collection.rs` at the workspace
+/// root. `opts.net`'s `gc_drop_probability` / `gc_duplicate_probability`
+/// drive a seeded fault injector on the send path (every threaded message
+/// is GC class; the latency fields are ignored — channel scheduling is the
+/// latency): same `opts.seed`, same injected fault decisions per worker
+/// send sequence. The runtime health subsystem rides along: per-worker
+/// heartbeat slots, a watchdog monitor thread detecting stalls against
 /// [`GcConfig`]'s `watchdog` thresholds, and [`HealthReport`] snapshots
 /// that expose each worker's *pending* (not yet flushed) event tail.
 pub fn run_concurrent_collection_observed(
@@ -466,7 +366,7 @@ pub fn run_concurrent_collection_observed(
     } = opts;
     let mut procs = procs;
     let n = procs.len();
-    let stats = Arc::new(ThreadedStats::default());
+    let cfg = Arc::new(cfg);
     let mutator_threads = if cfg.mutator.enabled {
         cfg.mutator.threads.min(n)
     } else {
@@ -542,10 +442,9 @@ pub fn run_concurrent_collection_observed(
             trace_on: cfg.trace.enabled,
             lamport_on,
             clock: clocks[i].clone(),
-            cfg: cfg.clone(),
+            cfg: Arc::clone(&cfg),
             net: net.clone(),
             rng: component_rng(seed, &format!("threaded-faults-{i}")),
-            stats: Arc::clone(&stats),
             quiescence: Arc::clone(&quiescence),
             detection_ids: Arc::clone(&detection_ids),
             nss_out: FxHashMap::default(),
@@ -584,7 +483,6 @@ pub fn run_concurrent_collection_observed(
             rng: component_rng(seed, &format!("mutator-{k}")),
             ref_ids: Arc::clone(&ref_ids),
             log: Arc::clone(&mutation_log),
-            stats: Arc::clone(&stats),
             quiescence: Arc::clone(&quiescence),
             owned: Vec::new(),
             edges: Vec::new(),
@@ -607,7 +505,6 @@ pub fn run_concurrent_collection_observed(
             start,
             reports: Arc::clone(&reports),
             on_report: on_report.clone(),
-            stats: Arc::clone(&stats),
             sampler: Arc::clone(&sampler),
         };
         thread::spawn(move || monitor(mctx))
@@ -625,8 +522,11 @@ pub fn run_concurrent_collection_observed(
 
     // Terminal report: every worker has exited (tails flushed, locks
     // free), so this snapshot is exact rather than best-effort.
+    // Only the worker that proved global quiescence raises the stop flag;
+    // a deadline exit leaves it down.
+    let quiescent = quiescence.stop.load(Ordering::SeqCst);
     if cfg.watchdog.enabled && n > 0 {
-        let reason = if stats.quiescent() {
+        let reason = if quiescent {
             HealthReason::Quiescent
         } else {
             HealthReason::Deadline
@@ -653,7 +553,7 @@ pub fn run_concurrent_collection_observed(
     let mutation_log = std::mem::take(&mut *mutation_log.lock());
     ThreadedRun {
         procs,
-        stats,
+        quiescent,
         health,
         samples,
         mutation_log,
@@ -680,7 +580,6 @@ struct MonitorCtx {
     start: Instant,
     reports: Arc<Mutex<Vec<HealthReport>>>,
     on_report: Option<ReportHook>,
-    stats: Arc<ThreadedStats>,
     sampler: Arc<Mutex<Sampler>>,
 }
 
@@ -779,11 +678,9 @@ impl SamplingState {
     /// `try_lock` (a worker mid-sweep keeps its lock; we carry the last
     /// known values rather than block — counters stay monotone because
     /// the carried value is an earlier read of a monotone ledger).
-    /// Global counters come from the lock-free [`ThreadedStats`] /
-    /// [`Quiescence`] atomics. `scions_reclaimed` is `scions_deleted`
-    /// globally (the shared stats do not split out the acyclic layer)
-    /// but includes both layers per process, mirroring the sequential
-    /// runtime.
+    /// The global row is the sum of the per-worker rows (a max for
+    /// `max_backoff_attempt`); its in-flight and vote gauges come from
+    /// the lock-free [`Quiescence`] atomics.
     fn sample_tick(&mut self, ctx: &MonitorCtx, now_us: u64, polls: u64, beats: &[Heartbeat]) {
         // Dedup by beat: if no worker advanced since the last recorded
         // sample, the system is idle and a new row would duplicate the
@@ -809,13 +706,6 @@ impl SamplingState {
                 .load(Ordering::SeqCst)
                 .saturating_sub(ctx.quiescence.drained.load(Ordering::SeqCst)),
             votes_held: ctx.quiescence.votes.load(Ordering::SeqCst),
-            lgc_runs: ctx.stats.lgc_runs.load(Ordering::Relaxed),
-            snapshots: ctx.stats.snapshots.load(Ordering::Relaxed),
-            cdms_sent: ctx.stats.cdms_sent.load(Ordering::Relaxed),
-            cycles_detected: ctx.stats.cycles_detected.load(Ordering::Relaxed),
-            objects_reclaimed: ctx.stats.objects_reclaimed.load(Ordering::Relaxed),
-            scions_reclaimed: ctx.stats.scions_deleted.load(Ordering::Relaxed),
-            mutator_ops: ctx.stats.mutator_ops.load(Ordering::Relaxed),
             ..Sample::default()
         };
         let per_proc: Vec<Sample> = beats
@@ -857,6 +747,13 @@ impl SamplingState {
             global.max_backoff_attempt = global.max_backoff_attempt.max(s.max_backoff_attempt);
             global.inbox_depth += s.inbox_depth;
             global.pinned_scions += s.pinned_scions;
+            global.lgc_runs += s.lgc_runs;
+            global.snapshots += s.snapshots;
+            global.cdms_sent += s.cdms_sent;
+            global.cycles_detected += s.cycles_detected;
+            global.objects_reclaimed += s.objects_reclaimed;
+            global.scions_reclaimed += s.scions_reclaimed;
+            global.mutator_ops += s.mutator_ops;
         }
         ctx.sampler.lock().record(global, &per_proc);
     }
@@ -935,18 +832,17 @@ struct WorkerCtx {
     /// the tail, read (not ticked) when piggybacking on a send, folded
     /// forward (`witness`) on every receive.
     clock: LamportClock,
-    cfg: GcConfig,
+    cfg: Arc<GcConfig>,
     net: NetConfig,
     rng: SmallRng,
-    stats: Arc<ThreadedStats>,
     quiescence: Arc<Quiescence>,
     detection_ids: Arc<AtomicU64>,
     nss_out: FxHashMap<ProcId, NssOutbound>,
-    /// This worker's metrics accumulator: counted lock-free on the hot
-    /// path, folded into the process ledger at sweep boundaries (and once
-    /// after the final drain) by [`WorkerCtx::flush_into`]. Mirrors the
-    /// [`ThreadedStats`] counters so sequential and threaded runs emit
-    /// comparable `Metrics`.
+    /// What this worker counts while it does *not* hold the process lock
+    /// (send-path losses, votes, NSS retries, credit bookkeeping); folded
+    /// into the process ledger at sweep boundaries (and once after the
+    /// final drain) by [`WorkerCtx::flush_into`]. Protocol steps count
+    /// into the process ledger directly.
     local: Metrics,
     /// Shared heartbeat slots: this worker publishes into slot
     /// `me.index()`, reads nothing. The watchdog monitor reads all slots.
@@ -1091,19 +987,8 @@ impl WorkerCtx {
         }
     }
 
-    fn drop_counter(&self, kind: MsgKind) -> &AtomicU64 {
-        match kind {
-            MsgKind::Nss => &self.stats.nss_dropped,
-            MsgKind::Ack => &self.stats.acks_dropped,
-            MsgKind::Cdm | MsgKind::Credit => &self.stats.cdms_dropped,
-            MsgKind::Delete => &self.stats.deletes_dropped,
-        }
-    }
-
-    /// Count one loss in the per-kind shared counter *and* the worker's
-    /// local `Metrics` mirror.
+    /// Count one loss per kind.
     fn count_drop(&mut self, kind: MsgKind) {
-        self.drop_counter(kind).fetch_add(1, Ordering::Relaxed);
         match kind {
             MsgKind::Nss => self.local.nss_dropped += 1,
             MsgKind::Ack => self.local.acks_dropped += 1,
@@ -1136,7 +1021,6 @@ impl WorkerCtx {
             .rng
             .gen_bool(self.net.gc_drop_probability.clamp(0.0, 1.0))
         {
-            self.stats.faults_injected.fetch_add(1, Ordering::Relaxed);
             self.local.faults_injected += 1;
             self.count_drop(kind);
             return;
@@ -1145,9 +1029,6 @@ impl WorkerCtx {
             .rng
             .gen_bool(self.net.gc_duplicate_probability.clamp(0.0, 1.0))
         {
-            self.stats
-                .duplicates_injected
-                .fetch_add(1, Ordering::Relaxed);
             self.local.duplicates_injected += 1;
             2
         } else {
@@ -1208,7 +1089,6 @@ impl WorkerCtx {
                 // by a rescind" to rule out hidden activity.
                 self.quiescence.votes.fetch_sub(1, Ordering::SeqCst);
                 self.quiescence.rescinds.fetch_add(1, Ordering::SeqCst);
-                self.stats.votes_rescinded.fetch_add(1, Ordering::Relaxed);
                 self.local.votes_rescinded += 1;
                 let sweep = self.round;
                 self.trace(Event::VoteRescinded { sweep });
@@ -1225,32 +1105,14 @@ impl WorkerCtx {
                 self.local.cdms_deduped += 1;
                 continue;
             }
-            let now = self.now();
             match msg {
                 ThreadMsg::Nss(nss) => {
-                    let (from, seq) = (nss.from, nss.seq);
-                    {
-                        let mut guard = cell.lock();
-                        let p = &mut *guard;
-                        // Flush the pending tail first so direct records
-                        // below land after (in seq) the earlier-stamped
-                        // buffered events — keeps per-process stamps
-                        // monotone in ring order.
-                        self.flush_into(p);
-                        let applied =
-                            apply_new_set_stubs_observed(&mut p.tables, &nss, now, &mut p.obs);
-                        if applied.stale {
-                            self.local.nss_stale += 1;
-                        } else {
-                            self.local.nss_applied += 1;
-                            self.local.scions_reclaimed_acyclic += applied.removed.len() as u64;
-                        }
-                    }
+                    self.step_under_lock(cell, |p, cx| p.on_nss(cx, &nss));
                     if mode == DrainMode::Live {
                         // Ack even stale sequences: the receiver already
                         // holds fresher information, so the sender may
                         // stop retrying this transmission.
-                        let me = self.me;
+                        let (me, from, seq) = (self.me, nss.from, nss.seq);
                         self.trace(Event::NssAcked { to: from, seq });
                         self.send(from, ThreadMsg::NssAck { from: me, seq }, MsgKind::Ack);
                     }
@@ -1262,283 +1124,50 @@ impl WorkerCtx {
                         }
                     }
                 }
+                // After the stop flag no peers remain to continue a walk
+                // or settle its credit; the loss is counted like any other
+                // dropped CDM so the ledgers cannot silently diverge.
+                ThreadMsg::Cdm { .. } | ThreadMsg::DetectionCredit { .. }
+                    if mode == DrainMode::Final =>
+                {
+                    self.local.cdms_dropped += 1;
+                }
                 ThreadMsg::Cdm { via, cdm } => {
-                    if mode == DrainMode::Final {
-                        // No peers remain to continue the walk; the loss
-                        // is counted like any other dropped CDM so the
-                        // ledgers cannot silently diverge.
-                        self.stats.cdms_dropped.fetch_add(1, Ordering::Relaxed);
-                        self.local.cdms_dropped += 1;
-                    } else {
-                        let id = cdm.detection_id;
-                        // This processing step's hop depth (deliver
-                        // increments the wire value before expanding).
-                        let hop = cdm.hops + 1;
-                        let initiator = cdm.initiator;
-                        let credit = cdm.credit;
-                        let delivered = Event::CdmDelivered {
-                            id,
-                            via,
-                            hop,
-                            sources: cdm.source.len() as u32,
-                            targets: cdm.target.len() as u32,
-                            bytes: (8 + cdm.size_bytes()) as u32,
-                        };
-                        let mut guard = cell.lock();
-                        let p = &mut *guard;
-                        self.flush_into(p);
-                        self.local.cdms_delivered += 1;
-                        p.obs.record(now, delivered);
-                        let sw = p.obs.stopwatch();
-                        let outcome = acdgc_dcda::deliver(&p.summary, cdm, via, &self.cfg);
-                        self.handle_outcome(p, id, hop, initiator, credit, outcome);
-                        p.obs.lap(Phase::CdmHandling, sw);
-                    }
+                    self.step_under_lock(cell, |p, cx| p.on_cdm(cx, via, cdm));
                 }
                 ThreadMsg::DetectionCredit { id, credit, clean } => {
-                    if mode == DrainMode::Final {
-                        // Like a late CDM: no walk remains to settle.
-                        self.stats.cdms_dropped.fetch_add(1, Ordering::Relaxed);
-                        self.local.cdms_dropped += 1;
-                    } else {
-                        let mut guard = cell.lock();
-                        let p = &mut *guard;
-                        self.flush_into(p);
-                        self.apply_credit(p, id, credit, clean);
-                    }
-                }
-                ThreadMsg::DeleteScion(r, inc, ic) => {
-                    let barrier = self.cfg.ic_barrier;
                     let mut guard = cell.lock();
                     self.flush_into(&mut guard);
-                    delete_scion(
-                        &mut guard,
-                        r,
-                        inc,
-                        ic,
-                        barrier,
-                        now,
-                        &self.stats,
-                        &mut self.local,
-                    );
+                    self.apply_credit(&mut guard, id, credit, clean);
+                }
+                ThreadMsg::DeleteScion(r, inc, ic) => {
+                    self.step_under_lock(cell, |p, cx| p.on_delete_scion(cx, r, inc, ic));
                 }
             }
         }
         drained
     }
 
-    /// Act on a detection outcome while holding the process lock. Counts
-    /// into both ledgers ([`ThreadedStats`] for back-compat, the local
-    /// [`Metrics`] mirror for parity with the sequential runtime) and
-    /// records the same lifecycle events the sequential
-    /// `System::handle_outcome` does. `initiator` and `credit` are the
-    /// values the just-expanded CDM carried on the wire; every terminal
-    /// outcome echoes that credit home (see
-    /// [`ThreadMsg::DetectionCredit`]), with `clean = true` only for the
-    /// two outcomes that *prove* the walked structure live.
-    fn handle_outcome(
+    /// Run one protocol step on this worker's process: take the lock,
+    /// flush the pending tail first (so the step's direct records land
+    /// after — in seq — the earlier-stamped buffered events, keeping
+    /// per-process stamps monotone in ring order), then step with this
+    /// worker as the outbox.
+    fn step_under_lock<R>(
         &mut self,
-        p: &mut Process,
-        id: DetectionId,
-        hop: u32,
-        initiator: ProcId,
-        credit: u64,
-        outcome: Outcome,
-    ) {
-        let now = self.now();
-        match outcome {
-            Outcome::Forwarded {
-                out: list,
-                branches_pruned_local,
-                branches_no_new_info,
-                branches_starved,
-            } => {
-                self.local.branches_pruned_local += u64::from(branches_pruned_local);
-                self.local.branches_no_new_info += u64::from(branches_no_new_info);
-                // The forwarded branches carry the credit onward; nothing
-                // settles here. Slack-pruned branches are harmless (their
-                // pairs were already in the algebra, so an ancestor walked
-                // past them), but a budget-starved branch carried *new*
-                // territory that was cut unexplored — mark the walk
-                // incomplete with a zero-credit unclean echo (credit
-                // itself is conserved in the survivors).
-                if branches_starved > 0 {
-                    self.settle_credit(p, id, initiator, 0, false);
-                }
-                p.obs.record(
-                    now,
-                    Event::CdmForwarded {
-                        id,
-                        hop,
-                        branches: list.len() as u32,
-                        pruned_local: branches_pruned_local,
-                        pruned_no_new_info: branches_no_new_info,
-                    },
-                );
-                for ob in list {
-                    let size = 8 + ob.cdm.size_bytes();
-                    self.stats.cdms_sent.fetch_add(1, Ordering::Relaxed);
-                    self.local.cdms_sent += 1;
-                    self.local.max_cdm_bytes = self.local.max_cdm_bytes.max(size as u64);
-                    p.obs.record(
-                        now,
-                        Event::CdmSent {
-                            id,
-                            to: ob.dest,
-                            via: ob.via,
-                            // Hop depth at which the receiver will process
-                            // it (the detector increments on delivery).
-                            hop: ob.cdm.hops + 1,
-                            sources: ob.cdm.source.len() as u32,
-                            targets: ob.cdm.target.len() as u32,
-                            bytes: size as u32,
-                        },
-                    );
-                    self.send(
-                        ob.dest,
-                        ThreadMsg::Cdm {
-                            via: ob.via,
-                            cdm: ob.cdm,
-                        },
-                        MsgKind::Cdm,
-                    );
-                }
-            }
-            Outcome::CycleFound { delete } => {
-                // The derivation dies here (credit must go home), but a
-                // cycle verdict is the opposite of a liveness proof:
-                // unclean, so a concurrent sibling branch can never
-                // launder it into a "proven live" suppression.
-                self.settle_credit(p, id, initiator, credit, false);
-                self.stats.cycles_detected.fetch_add(1, Ordering::Relaxed);
-                self.local.cycles_detected += 1;
-                p.obs.record(
-                    now,
-                    Event::CycleDetected {
-                        id,
-                        hop,
-                        scions: delete.len() as u32,
-                    },
-                );
-                let me = self.me;
-                let barrier = self.cfg.ic_barrier;
-                for (owner, r, inc, ic) in delete {
-                    if owner == me {
-                        delete_scion(p, r, inc, ic, barrier, now, &self.stats, &mut self.local);
-                    } else {
-                        self.send(owner, ThreadMsg::DeleteScion(r, inc, ic), MsgKind::Delete);
-                    }
-                }
-            }
-            Outcome::DroppedNoScion => {
-                self.settle_credit(p, id, initiator, credit, false);
-                self.local.detections_dropped_no_scion += 1;
-                p.obs.record(
-                    now,
-                    Event::DetectionDropped {
-                        id,
-                        hop,
-                        reason: DropReason::NoScion,
-                    },
-                );
-            }
-            Outcome::AbortedIcMismatch {
-                ref_id,
-                source_ic,
-                target_ic,
-            } => {
-                self.settle_credit(p, id, initiator, credit, false);
-                self.local.detections_aborted_ic += 1;
-                p.obs.record(
-                    now,
-                    Event::DetectionAborted {
-                        id,
-                        hop,
-                        ref_id,
-                        source_ic,
-                        target_ic,
-                    },
-                );
-            }
-            Outcome::DroppedHopCap => {
-                self.settle_credit(p, id, initiator, credit, false);
-                self.local.detections_dropped_hops += 1;
-                p.obs.record(
-                    now,
-                    Event::DetectionDropped {
-                        id,
-                        hop,
-                        reason: DropReason::HopCap,
-                    },
-                );
-            }
-            Outcome::Terminated(reason) => {
-                // Clean means "re-running this leaf on unchanged state
-                // reproduces the same non-cycle conclusion": NoStubs and
-                // AllStubsLocallyReachable are conclusive, and a
-                // NoNewInformation terminal only re-crossed pairs an
-                // ancestor branch already explored past. BudgetExhausted
-                // is the exception — a retry may start from a different
-                // candidate of the same structure and get further, so it
-                // must not be laundered into a verdict.
-                let clean = !matches!(reason, TerminateReason::BudgetExhausted);
-                self.settle_credit(p, id, initiator, credit, clean);
-                let (field, obs_reason): (fn(&mut Metrics) -> &mut u64, _) = match reason {
-                    TerminateReason::NoStubs => (
-                        |m| &mut m.detections_terminated_no_stubs,
-                        TermReason::NoStubs,
-                    ),
-                    TerminateReason::AllStubsLocallyReachable => (
-                        |m| &mut m.detections_terminated_local,
-                        TermReason::AllStubsLocallyReachable,
-                    ),
-                    TerminateReason::NoNewInformation => (
-                        |m| &mut m.detections_terminated_no_new_info,
-                        TermReason::NoNewInformation,
-                    ),
-                    TerminateReason::BudgetExhausted => (
-                        |m| &mut m.detections_terminated_budget,
-                        TermReason::BudgetExhausted,
-                    ),
-                };
-                *field(&mut self.local) += 1;
-                p.obs.record(
-                    now,
-                    Event::DetectionTerminated {
-                        id,
-                        hop,
-                        reason: obs_reason,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Route a dying derivation's credit back to its initiator: applied
-    /// directly when the initiator is this worker (the common case for
-    /// outcomes produced at initiation time), echoed over the wire
-    /// otherwise. The echo rides the same lossy channel as every other GC
-    /// message — a lost echo just means the initiator never recovers full
-    /// credit and the candidate retries after its backoff, exactly the
-    /// status quo.
-    fn settle_credit(
-        &mut self,
-        p: &mut Process,
-        id: DetectionId,
-        initiator: ProcId,
-        credit: u64,
-        clean: bool,
-    ) {
-        if initiator == self.me {
-            self.apply_credit(p, id, credit, clean);
-        } else {
-            self.local.liveness_echoes += 1;
-            self.send(
-                initiator,
-                ThreadMsg::DetectionCredit { id, credit, clean },
-                MsgKind::Credit,
-            );
-        }
+        cell: &Mutex<Process>,
+        f: impl FnOnce(&mut Process, &mut Step<'_, WorkerCtx>) -> R,
+    ) -> R {
+        let mut guard = cell.lock();
+        self.flush_into(&mut guard);
+        let cfg = Arc::clone(&self.cfg);
+        let mut cx = Step {
+            cfg: &cfg,
+            now: self.now(),
+            merged: None,
+            out: self,
+        };
+        f(&mut guard, &mut cx)
     }
 
     /// Initiator side of the weight-throwing scheme: fold an echo into
@@ -1570,47 +1199,33 @@ impl WorkerCtx {
     /// or produced any activity — including *pending* work (unacked NSS,
     /// backing-off candidates), which must hold off the quiescence vote.
     fn sweep(&mut self, cell: &Arc<Mutex<Process>>, start: Instant) -> bool {
-        let mut active = false;
         let t = SimTime(start.elapsed().as_micros() as u64 + 1);
+        let cfg = Arc::clone(&self.cfg);
+        let num_procs = self.txs.len();
         let mut guard = cell.lock();
         let p = &mut *guard;
         // Sweep boundary: fold the lock-free accumulations from the drain
         // and send paths into the process while we hold the lock anyway.
         self.flush_into(p);
 
-        let targets = p.tables.scion_target_slots();
-        let result = lgc::collect_observed(&mut p.heap, &targets, t, &mut p.obs);
-        self.stats
-            .objects_reclaimed
-            .fetch_add(result.sweep.freed.len() as u64, Ordering::Relaxed);
-        self.stats.lgc_runs.fetch_add(1, Ordering::Relaxed);
-        self.local.lgc_runs += 1;
-        self.local.objects_reclaimed += result.sweep.freed.len() as u64;
-        active |= !result.sweep.freed.is_empty();
-
-        let dead: Vec<RefId> = p
-            .tables
-            .stubs()
-            .filter(|s| !result.mark.live_stubs.contains(&s.ref_id))
-            .map(|s| s.ref_id)
-            .collect();
-        active |= !dead.is_empty();
-        match self.cfg.integration {
-            IntegrationMode::VmIntegrated => {
-                p.tables.remove_dead_stubs(&dead);
-            }
-            IntegrationMode::WeakRefMonitor => {
-                p.tables.condemn_stubs(&dead);
-                p.tables.monitor_pass();
-                self.local.monitor_passes += 1;
-            }
-        }
-
-        let peers: Vec<ProcId> = (0..self.txs.len() as u16)
-            .map(ProcId)
-            .filter(|&q| q != self.me)
-            .collect();
-        for (dest, m) in build_new_set_stubs(&mut p.tables, &peers, t) {
+        let work = p.lgc_step(&cfg, num_procs, t, None);
+        let mut active = work.freed > 0 || work.dead_stubs > 0;
+        let mut cx = Step {
+            cfg: &cfg,
+            now: t,
+            merged: None,
+            out: self,
+        };
+        // No separate monitor thread here: condemned stubs are reclaimed
+        // in the same sweep, and the corrected sets (built under the same
+        // lock, later sequence numbers) supersede the LGC's.
+        let corrected = p.monitor_step(&mut cx, num_procs);
+        let nss = if corrected.is_empty() {
+            work.nss
+        } else {
+            corrected
+        };
+        for (dest, m) in nss {
             active |= self.offer_nss(dest, m);
         }
         // The offers traced NssSent into the tail (pre-stamped); fold them
@@ -1625,70 +1240,62 @@ impl WorkerCtx {
         // since been unpinned without a refresh is retroactively dead.
         let deferred = p.tables.sweep_deferred_nss();
         if !deferred.is_empty() {
-            self.local.scions_reclaimed_acyclic += deferred.len() as u64;
+            p.metrics.scions_reclaimed_acyclic += deferred.len() as u64;
             active = true;
         }
 
-        p.refresh_summary(self.cfg.summarizer, t);
-        self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
-        self.local.snapshots += 1;
-        self.local.summary_scions += p.summary.scions.len() as u64;
-        self.local.summary_stubs += p.summary.stubs.len() as u64;
+        p.refresh_summary(t);
 
         // Advance the candidate table's mutation epoch before scanning:
         // any mutator activity since the last sweep invalidates earlier
         // proven-live suppressions (the structure may have changed shape),
         // and stale verdicts still in flight die on the epoch check.
         p.candidates.set_epoch(self.last_mutation_seen);
-        let scan = p.scan(t, &self.cfg);
+        let scan = p.scan(t, &cfg);
         // Deferred candidates are scheduled retries: quiescence now would
         // abandon them, and with message loss a retry may be the only
         // thing standing between a garbage cycle and a leak.
         active |= scan.work_pending();
         for scion in scan.picked {
-            let Some(s) = p.summary.scion(scion) else {
-                continue;
+            let id = DetectionId(self.detection_ids.fetch_add(1, Ordering::Relaxed));
+            self.open_credit(id, scion);
+            let mut cx = Step {
+                cfg: &cfg,
+                now: t,
+                merged: None,
+                out: self,
             };
-            let cdm = Cdm::initiate(
-                DetectionId(self.detection_ids.fetch_add(1, Ordering::Relaxed)),
-                self.me,
-                scion,
-                s.ic,
-            );
-            let id = cdm.detection_id;
-            // Open the weight-throwing ledger entry for this detection.
-            // Any older entry for the same scion is superseded — its
-            // late echoes will miss the ledger and be ignored.
-            self.outstanding.retain(|_, o| o.scion != scion);
-            if self.outstanding.len() >= OUTSTANDING_CAP {
-                // Forget the oldest half; those candidates just lose a
-                // potential suppression and retry after backoff.
-                let mut ids: Vec<DetectionId> = self.outstanding.keys().copied().collect();
-                ids.sort_unstable_by_key(|d| d.0);
-                for stale in ids.into_iter().take(OUTSTANDING_CAP / 2) {
-                    self.outstanding.remove(&stale);
-                }
-            }
-            self.outstanding.insert(
-                id,
-                Outstanding {
-                    scion,
-                    epoch: self.last_mutation_seen,
-                    credit: acdgc_dcda::FULL_CREDIT,
-                    clean: true,
-                },
-            );
-            self.local.detections_started += 1;
-            p.obs.record(t, Event::DetectionStarted { id, scion });
-            let sw = p.obs.stopwatch();
-            let outcome = acdgc_dcda::initiate(&p.summary, cdm, scion, &self.cfg);
-            self.handle_outcome(p, id, 0, self.me, acdgc_dcda::FULL_CREDIT, outcome);
-            p.obs.lap(Phase::CdmHandling, sw);
+            p.initiate(&mut cx, scion, || id);
         }
         // Fold this sweep's tail (events recorded on the send path while
         // the lock was held) before releasing.
         self.flush_into(p);
         active
+    }
+
+    /// Open the weight-throwing ledger entry for a detection about to
+    /// start from `scion`. Any older entry for the same scion is
+    /// superseded — its late echoes will miss the ledger and be ignored.
+    fn open_credit(&mut self, id: DetectionId, scion: RefId) {
+        self.outstanding.retain(|_, o| o.scion != scion);
+        if self.outstanding.len() >= OUTSTANDING_CAP {
+            // Forget the oldest half; those candidates just lose a
+            // potential suppression and retry after backoff.
+            let mut ids: Vec<DetectionId> = self.outstanding.keys().copied().collect();
+            ids.sort_unstable_by_key(|d| d.0);
+            for stale in ids.into_iter().take(OUTSTANDING_CAP / 2) {
+                self.outstanding.remove(&stale);
+            }
+        }
+        self.outstanding.insert(
+            id,
+            Outstanding {
+                scion,
+                epoch: self.last_mutation_seen,
+                credit: acdgc_dcda::FULL_CREDIT,
+                clean: true,
+            },
+        );
     }
 
     /// Decide whether `m` (this sweep's live set towards `dest`) needs the
@@ -1731,7 +1338,6 @@ impl WorkerCtx {
         match action {
             Action::Transmit { retry } => {
                 if retry {
-                    self.stats.nss_retries.fetch_add(1, Ordering::Relaxed);
                     self.local.nss_retries += 1;
                 }
                 self.local.nss_sent += 1;
@@ -1750,45 +1356,42 @@ impl WorkerCtx {
     }
 }
 
-/// Delete `r`'s scion if it still matches the witnessed incarnation and is
-/// unpinned; counts into `scions_deleted` (and the worker's local
-/// `Metrics`) and records the [`Event::ScionDeleted`] forensic event. One
-/// implementation for the CycleFound, DeleteScion, and final-drain paths
-/// so the ledgers cannot diverge between them.
-#[allow(clippy::too_many_arguments)]
-fn delete_scion(
-    p: &mut Process,
-    r: RefId,
-    inc: u32,
-    ic: u64,
-    ic_barrier: bool,
-    now: SimTime,
-    stats: &ThreadedStats,
-    local: &mut Metrics,
-) -> bool {
-    // Three deletion guards: the pin (an export/invocation is in flight
-    // right now), the incarnation (ABA — a recreated scion under the same
-    // id is a different reference), and the lazy IC barrier (the counter
-    // moved since the verdict witnessed it, so a mutator used the
-    // reference after the walk and the verdict is stale).
-    if p.tables
-        .scion(r)
-        .is_some_and(|s| s.pinned == 0 && s.incarnation == inc && (!ic_barrier || s.ic == ic))
-        && p.tables.remove_scion(r).is_some()
-    {
-        stats.scions_deleted.fetch_add(1, Ordering::Relaxed);
-        local.scions_deleted_by_dcda += 1;
-        p.obs.record(
-            now,
-            Event::ScionDeleted {
-                scion: r,
-                incarnation: inc,
-            },
-        );
-        p.summary.scions.remove(&r);
-        true
-    } else {
-        false
+/// The threaded outbox: traffic goes through [`WorkerCtx::send`] (seeded
+/// fault injector, bounded inboxes, dedup tags), credit to the initiator's
+/// [`Outstanding`] ledger — applied directly when the initiator is this
+/// worker (the common case for outcomes produced at initiation time),
+/// echoed over the wire otherwise. The echo rides the same lossy channel
+/// as every other GC message — a lost echo just means the initiator never
+/// recovers full credit and the candidate retries after its backoff.
+impl Outbox for WorkerCtx {
+    fn send_cdm(&mut self, _from: &Process, dest: ProcId, via: RefId, cdm: Cdm) {
+        self.send(dest, ThreadMsg::Cdm { via, cdm }, MsgKind::Cdm);
+    }
+
+    fn send_delete_scion(
+        &mut self,
+        _from: &Process,
+        owner: ProcId,
+        scion: RefId,
+        incarnation: u32,
+        ic: u64,
+    ) {
+        let msg = ThreadMsg::DeleteScion(scion, incarnation, ic);
+        self.send(owner, msg, MsgKind::Delete);
+    }
+
+    fn settle_credit(&mut self, from: &mut Process, c: Credit) {
+        if c.initiator == self.me {
+            self.apply_credit(from, c.id, c.credit, c.clean);
+        } else {
+            self.local.liveness_echoes += 1;
+            let msg = ThreadMsg::DetectionCredit {
+                id: c.id,
+                credit: c.credit,
+                clean: c.clean,
+            };
+            self.send(c.initiator, msg, MsgKind::Credit);
+        }
     }
 }
 
@@ -1846,7 +1449,6 @@ fn worker(
                 ctx.voted = false;
                 ctx.quiescence.votes.fetch_sub(1, Ordering::SeqCst);
                 ctx.quiescence.rescinds.fetch_add(1, Ordering::SeqCst);
-                ctx.stats.votes_rescinded.fetch_add(1, Ordering::Relaxed);
                 ctx.local.votes_rescinded += 1;
                 ctx.trace(Event::VoteRescinded { sweep: ctx.round });
             }
@@ -1869,7 +1471,6 @@ fn worker(
             if ctx.quiet_streak >= ctx.cfg.quiet_sweeps.max(1) {
                 ctx.voted = true;
                 ctx.quiescence.votes.fetch_add(1, Ordering::SeqCst);
-                ctx.stats.votes_cast.fetch_add(1, Ordering::Relaxed);
                 ctx.local.votes_cast += 1;
                 let sweep = ctx.round;
                 ctx.trace(Event::VoteCast { sweep });
@@ -1877,7 +1478,6 @@ fn worker(
                     .beat(now_us(start), ctx.round, WorkerStage::Voted, true);
             }
         } else if ctx.quiescence.globally_quiet() {
-            ctx.stats.stopped_by_quiescence.store(1, Ordering::SeqCst);
             ctx.quiescence.stop.store(true, Ordering::SeqCst);
             break;
         }
@@ -1928,7 +1528,6 @@ struct MutatorCtx {
     ref_ids: Arc<AtomicU64>,
     /// Append-only log of every structural mutation, for shadow replay.
     log: Arc<Mutex<Vec<MutOp>>>,
-    stats: Arc<ThreadedStats>,
     quiescence: Arc<Quiescence>,
     /// Objects this thread allocated; every entry is currently rooted.
     owned: Vec<ObjId>,
@@ -2077,9 +1676,7 @@ impl MutatorCtx {
                     // A live stub with no scion means the collector
                     // deleted a reference the mutator still holds — never
                     // legal. Count it (stress tests assert zero) and skip.
-                    self.stats
-                        .mutator_missing_scions
-                        .fetch_add(1, Ordering::Relaxed);
+                    gb.metrics.invoke_on_missing_scion += 1;
                     ga.metrics.mutator_ops_skipped += 1;
                     return false;
                 }
@@ -2174,7 +1771,6 @@ impl MutatorCtx {
                     // treat a miss as a stale edge and retire it.
                     ga.metrics.mutator_ops_skipped += 1;
                     drop(ga);
-                    self.stats.mutator_skips.fetch_add(1, Ordering::Relaxed);
                     self.edges.swap_remove(ei);
                     return false;
                 }
@@ -2187,9 +1783,7 @@ impl MutatorCtx {
             if gb.tables.pin_scion(r).is_err() {
                 // Stub alive, scion gone: the collector deleted a live
                 // reference. Never legal — stress tests assert zero.
-                self.stats
-                    .mutator_missing_scions
-                    .fetch_add(1, Ordering::Relaxed);
+                gb.metrics.invoke_on_missing_scion += 1;
                 gb.metrics.mutator_ops_skipped += 1;
                 return false;
             }
@@ -2291,7 +1885,6 @@ fn mutator(mut ctx: MutatorCtx, start: Instant, deadline: Duration) {
             ctx.quiescence
                 .mutation_events
                 .fetch_add(1, Ordering::SeqCst);
-            ctx.stats.mutator_ops.fetch_add(1, Ordering::Relaxed);
         }
         if !pace.is_zero() {
             thread::sleep(pace);

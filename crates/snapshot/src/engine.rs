@@ -138,10 +138,6 @@ pub struct SccEngine {
     root_stub_bits: BitSet,
     // --- adaptive dispatch -------------------------------------------------
     dispatch: DispatchStats,
-    /// The retained condensation (`comp_of`/`reach_of`/`pool`/`stub_ids`)
-    /// reflects the heap as of the last engine-path run; false until the
-    /// first run and after a reference-path dispatch.
-    condensation_cached: bool,
 }
 
 impl SccEngine {
@@ -167,9 +163,7 @@ impl SccEngine {
     /// Engine run with aliased propagation: components with no direct
     /// stubs and out-degree ≤ 1 inherit their successor's reach set by
     /// reference. Identical output, strictly less bitset work; used by
-    /// the adaptive dispatch and the incremental summarizer's full
-    /// passes (it leaves the condensation cached for
-    /// [`SccEngine::cached_stubs_from`]).
+    /// the adaptive dispatch.
     pub fn summarize_condensed(
         &mut self,
         heap: &Heap,
@@ -186,7 +180,6 @@ impl SccEngine {
         self.run_tarjan(heap);
         self.mark_root_components(heap);
         self.propagate_reach(heap, alias);
-        self.condensation_cached = true;
     }
 
     /// Dispatch between the reference BFS and the (aliased) engine from
@@ -209,11 +202,20 @@ impl SccEngine {
         version: u64,
         taken_at: SimTime,
     ) -> SummarizedGraph {
-        match self.choose_path(heap, tables) {
-            SummarizePath::Reference => {
-                self.condensation_cached = false;
-                crate::summary::summarize(heap, tables, version, taken_at)
-            }
+        let path = self.choose_path(heap, tables);
+        self.summarize_via(path, heap, tables, version, taken_at)
+    }
+
+    fn summarize_via(
+        &mut self,
+        path: SummarizePath,
+        heap: &Heap,
+        tables: &RemotingTables,
+        version: u64,
+        taken_at: SimTime,
+    ) -> SummarizedGraph {
+        match path {
+            SummarizePath::Reference => crate::summary::summarize(heap, tables, version, taken_at),
             SummarizePath::Engine => self.summarize_condensed(heap, tables, version, taken_at),
         }
     }
@@ -252,23 +254,6 @@ impl SccEngine {
         self.dispatch
     }
 
-    /// [`SccEngine::summarize`] bracketed by
-    /// [`acdgc_obs::Phase::SummarizeEngine`] start/end events and its
-    /// duration histogram.
-    pub fn summarize_observed(
-        &mut self,
-        heap: &Heap,
-        tables: &RemotingTables,
-        version: u64,
-        taken_at: SimTime,
-        obs: &mut acdgc_obs::ProcTrace,
-    ) -> SummarizedGraph {
-        let started = obs.begin(taken_at, acdgc_obs::Phase::SummarizeEngine);
-        let summary = self.summarize(heap, tables, version, taken_at);
-        obs.end(taken_at, acdgc_obs::Phase::SummarizeEngine, started);
-        summary
-    }
-
     /// [`SccEngine::summarize_adaptive`] bracketed by the phase matching
     /// the path actually taken ([`acdgc_obs::Phase::SummarizeReference`]
     /// or [`acdgc_obs::Phase::SummarizeEngine`]), so traces attribute the
@@ -287,40 +272,9 @@ impl SccEngine {
             SummarizePath::Engine => acdgc_obs::Phase::SummarizeEngine,
         };
         let started = obs.begin(taken_at, phase);
-        let summary = match path {
-            SummarizePath::Reference => {
-                self.condensation_cached = false;
-                crate::summary::summarize(heap, tables, version, taken_at)
-            }
-            SummarizePath::Engine => self.summarize_condensed(heap, tables, version, taken_at),
-        };
+        let summary = self.summarize_via(path, heap, tables, version, taken_at);
         obs.end(taken_at, phase, started);
         summary
-    }
-
-    /// Reachable table stubs cached for the object in `slot` by the last
-    /// engine-path run, decoded in ascending `RefId` order and filtered
-    /// against the *current* stub table. `None` when no condensation is
-    /// cached or the slot was not part of it (e.g. allocated since) —
-    /// callers must fall back to a traversal. Only valid while the heap
-    /// graph is unchanged since that run: stub additions always come with
-    /// a holder edge (a graph change), so filtering handles removals and
-    /// the caller's dirty tracking handles everything else.
-    pub fn cached_stubs_from(&self, slot: Slot, tables: &RemotingTables) -> Option<Vec<RefId>> {
-        if !self.condensation_cached {
-            return None;
-        }
-        let c = *self.comp_of.get(slot as usize)?;
-        if c == UNVISITED {
-            return None;
-        }
-        let set = &self.pool[self.reach_of[c as usize] as usize];
-        Some(
-            set.iter()
-                .map(|bit| self.stub_ids[bit])
-                .filter(|r| tables.stub(*r).is_some())
-                .collect(),
-        )
     }
 
     /// Reset all scratch (keeping allocations) and index the stub table.
@@ -626,7 +580,7 @@ impl SccEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::summaries_equivalent;
+    use crate::summary::summaries_equivalent;
     use crate::summary::summarize;
     use acdgc_model::{ObjId, ProcId};
 
@@ -891,33 +845,5 @@ mod tests {
             &s,
             &summarize(&heap, &tables, 1, SimTime(0))
         ));
-    }
-
-    #[test]
-    fn cached_stubs_follow_engine_runs_and_reference_invalidates() {
-        let (heap, tables) = chain_world(3, 4);
-        let mut engine = SccEngine::new();
-        assert_eq!(
-            engine.cached_stubs_from(0, &tables),
-            None,
-            "no condensation before the first run"
-        );
-        engine.summarize_condensed(&heap, &tables, 1, SimTime(0));
-        // Chain 0 starts at slot 0 and reaches exactly its own stub.
-        assert_eq!(
-            engine.cached_stubs_from(0, &tables),
-            Some(vec![RefId(3)]),
-            "chain head reaches its chain's stub"
-        );
-        assert_eq!(
-            engine.cached_stubs_from(999, &tables),
-            None,
-            "slots outside the condensation force the caller's fallback"
-        );
-        // A reference-path dispatch leaves no valid condensation behind.
-        let (small_heap, small_tables) = chain_world(2, 100);
-        engine.summarize_adaptive(&small_heap, &small_tables, 2, SimTime(1));
-        assert_eq!(engine.last_dispatch().path, SummarizePath::Reference);
-        assert_eq!(engine.cached_stubs_from(0, &small_tables), None);
     }
 }

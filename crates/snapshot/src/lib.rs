@@ -24,18 +24,14 @@
 //! [`engine`]). [`SccEngine::summarize_adaptive`] dispatches between the
 //! two per snapshot from O(1) graph statistics (and runs the engine with
 //! chain-aliased propagation), so neither implementation's worst case is
-//! ever paid; [`incremental::IncrementalSummarizer`] layers dirty
-//! tracking on top and resolves dirty scions from the engine's cached
-//! condensation between full passes.
+//! ever paid.
 
 pub mod capture;
 pub mod codec;
 pub mod engine;
-pub mod incremental;
 pub mod summary;
 
 pub use capture::{capture, capture_observed, SnapObject, SnapshotData};
 pub use codec::{CodecError, CompactCodec, SnapshotCodec, VerboseCodec};
 pub use engine::{DispatchStats, SccEngine, SummarizePath};
-pub use incremental::{summaries_equivalent, DirtyTracker, IncrementalSummarizer};
-pub use summary::{summarize, summarize_observed, ScionSummary, StubSummary, SummarizedGraph};
+pub use summary::{summaries_equivalent, summarize, ScionSummary, StubSummary, SummarizedGraph};

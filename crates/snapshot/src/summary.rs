@@ -83,6 +83,15 @@ impl SummarizedGraph {
     }
 }
 
+/// Compare two summaries for semantic equality, ignoring version/time.
+pub fn summaries_equivalent(a: &SummarizedGraph, b: &SummarizedGraph) -> bool {
+    if a.proc != b.proc || a.scions.len() != b.scions.len() || a.stubs.len() != b.stubs.len() {
+        return false;
+    }
+    a.scions.iter().all(|(r, s)| b.scion(*r) == Some(s))
+        && a.stubs.iter().all(|(r, s)| b.stub(*r) == Some(s))
+}
+
 /// Summarize the current heap + remoting state of a process.
 ///
 /// The result is equivalent to summarizing a serialized snapshot taken at
@@ -164,21 +173,6 @@ pub fn summarize(
         scions,
         stubs,
     }
-}
-
-/// [`summarize`] bracketed by [`acdgc_obs::Phase::SummarizeReference`]
-/// start/end events and its duration histogram.
-pub fn summarize_observed(
-    heap: &Heap,
-    tables: &RemotingTables,
-    version: u64,
-    taken_at: SimTime,
-    obs: &mut acdgc_obs::ProcTrace,
-) -> SummarizedGraph {
-    let started = obs.begin(taken_at, acdgc_obs::Phase::SummarizeReference);
-    let summary = summarize(heap, tables, version, taken_at);
-    obs.end(taken_at, acdgc_obs::Phase::SummarizeReference, started);
-    summary
 }
 
 #[cfg(test)]

@@ -5,10 +5,7 @@
 use acdgc_heap::{Heap, HeapRef};
 use acdgc_model::{ObjId, ProcId, RefId, SimTime};
 use acdgc_remoting::RemotingTables;
-use acdgc_snapshot::{
-    capture, summaries_equivalent, summarize, CompactCodec, IncrementalSummarizer, SnapshotCodec,
-    VerboseCodec,
-};
+use acdgc_snapshot::{capture, summarize, CompactCodec, SnapshotCodec, VerboseCodec};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -100,29 +97,6 @@ proptest! {
         let compact_image = CompactCodec.encode(&decoded);
         let final_snap = CompactCodec.decode(&compact_image).unwrap();
         prop_assert_eq!(final_snap, snap);
-    }
-
-    /// The incremental summarizer with an all-dirty tracker equals the
-    /// full summarizer on arbitrary worlds.
-    #[test]
-    fn incremental_first_pass_equals_full(recipe in world_recipe()) {
-        let (heap, tables) = build(&recipe);
-        let mut inc = IncrementalSummarizer::new(ProcId(0));
-        let i = inc.summarize(&heap, &tables, 1, SimTime(0));
-        let f = summarize(&heap, &tables, 1, SimTime(0));
-        prop_assert!(summaries_equivalent(&i, &f));
-    }
-
-    /// Clean re-summarization (no mutator events) equals the full
-    /// summarizer on arbitrary worlds.
-    #[test]
-    fn incremental_clean_pass_equals_full(recipe in world_recipe()) {
-        let (heap, tables) = build(&recipe);
-        let mut inc = IncrementalSummarizer::new(ProcId(0));
-        inc.summarize(&heap, &tables, 1, SimTime(0));
-        let i = inc.summarize(&heap, &tables, 2, SimTime(1));
-        let f = summarize(&heap, &tables, 2, SimTime(1));
-        prop_assert!(summaries_equivalent(&i, &f));
     }
 
     /// Summaries computed from a decoded snapshot match summaries computed

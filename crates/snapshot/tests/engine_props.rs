@@ -1,6 +1,6 @@
-//! Property tests: the single-pass SCC engine, the reference per-scion
-//! summarizer and the incremental summarizer all agree — on arbitrary
-//! static worlds and across arbitrary mutation sequences (edge edits,
+//! Property tests: the single-pass SCC engine (dense and aliased), the
+//! adaptive dispatcher and the reference per-scion summarizer all agree —
+//! on arbitrary static worlds and across arbitrary mutation sequences (edge edits,
 //! root flips, local collections, stub/scion churn, scion re-incarnation,
 //! invocations). The engine's output is checked for *exact* equality with
 //! the reference (same maps, same sorted vectors, same incarnation and
@@ -9,9 +9,7 @@
 use acdgc_heap::{lgc, Heap, HeapRef};
 use acdgc_model::{ObjId, ProcId, RefId, SimTime};
 use acdgc_remoting::RemotingTables;
-use acdgc_snapshot::{
-    summaries_equivalent, summarize, IncrementalSummarizer, SccEngine, SummarizePath,
-};
+use acdgc_snapshot::{summarize, SccEngine, SummarizePath};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -82,9 +80,8 @@ fn build(recipe: &WorldRecipe) -> World {
     }
 }
 
-/// Apply one mutation, mirroring the dirty-tracking hooks the process
-/// runtime would fire for it.
-fn apply(world: &mut World, inc: &mut IncrementalSummarizer, op: (u8, usize, usize)) {
+/// Apply one mutation.
+fn apply(world: &mut World, op: (u8, usize, usize)) {
     let (kind, a, b) = op;
     let n = world.heap.slot_upper_bound().max(1);
     let sa = (a % n) as u32;
@@ -97,7 +94,6 @@ fn apply(world: &mut World, inc: &mut IncrementalSummarizer, op: (u8, usize, usi
                 (world.heap.id_of_slot(sa), world.heap.id_of_slot(to_slot))
             {
                 world.heap.add_ref(from, HeapRef::Local(to.slot)).unwrap();
-                inc.tracker().graph_changed();
             }
         }
         1 => {
@@ -106,7 +102,6 @@ fn apply(world: &mut World, inc: &mut IncrementalSummarizer, op: (u8, usize, usi
                 let refs = world.heap.get(from).unwrap().refs.clone();
                 if !refs.is_empty() {
                     world.heap.remove_ref(from, refs[b % refs.len()]).unwrap();
-                    inc.tracker().graph_changed();
                 }
             }
         }
@@ -125,7 +120,6 @@ fn apply(world: &mut World, inc: &mut IncrementalSummarizer, op: (u8, usize, usi
             let targets = world.tables.scion_target_slots();
             let result = lgc::collect(&mut world.heap, &targets);
             world.tables.remove_dead_stubs(&result.sweep.dead_stubs);
-            inc.tracker().graph_changed();
         }
         5 => {
             // New stub held by an existing object.
@@ -138,7 +132,6 @@ fn apply(world: &mut World, inc: &mut IncrementalSummarizer, op: (u8, usize, usi
                     now,
                 );
                 world.heap.add_ref(holder, HeapRef::Remote(r)).unwrap();
-                inc.tracker().graph_changed();
             }
         }
         6 => {
@@ -149,7 +142,6 @@ fn apply(world: &mut World, inc: &mut IncrementalSummarizer, op: (u8, usize, usi
                     let r = RefId(world.next_ref);
                     world.next_ref += 1;
                     world.tables.add_scion(r, target, from, now);
-                    inc.tracker().scion_created(r);
                 }
             }
         }
@@ -163,7 +155,6 @@ fn apply(world: &mut World, inc: &mut IncrementalSummarizer, op: (u8, usize, usi
                 if b % 2 == 0 {
                     if let Some(target) = world.heap.id_of_slot(old.target.slot) {
                         world.tables.add_scion(r, target, old.from_proc, now);
-                        inc.tracker().scion_created(r);
                     }
                 }
             }
@@ -174,21 +165,15 @@ fn apply(world: &mut World, inc: &mut IncrementalSummarizer, op: (u8, usize, usi
             if !ids.is_empty() {
                 let r = ids[a % ids.len()];
                 world.tables.record_receive_through_scion(r, now).unwrap();
-                inc.tracker().scion_invoked(r);
             }
         }
     }
     world.clock += 1;
 }
 
-/// The three summarizers agree on the current world state; the engine is
-/// held to exact output equality with the reference.
-fn check(
-    world: &World,
-    engine: &mut SccEngine,
-    inc: &mut IncrementalSummarizer,
-    version: u64,
-) -> Result<(), TestCaseError> {
+/// The summarizers agree on the current world state; the engine is held
+/// to exact output equality with the reference.
+fn check(world: &World, engine: &mut SccEngine, version: u64) -> Result<(), TestCaseError> {
     let t = SimTime(world.clock);
     let reference = summarize(&world.heap, &world.tables, version, t);
     let by_engine = engine.summarize(&world.heap, &world.tables, version, t);
@@ -202,31 +187,23 @@ fn check(
     let by_adaptive = engine.summarize_adaptive(&world.heap, &world.tables, version, t);
     prop_assert_eq!(&by_adaptive.scions, &reference.scions);
     prop_assert_eq!(&by_adaptive.stubs, &reference.stubs);
-    let by_inc = inc.summarize(&world.heap, &world.tables, version, t);
-    prop_assert!(
-        summaries_equivalent(&by_inc, &reference),
-        "incremental diverged:\n  inc: {:?}\n  ref: {:?}",
-        by_inc,
-        reference
-    );
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Static worlds: one-shot agreement of all three implementations.
+    /// Static worlds: one-shot agreement of all implementations.
     #[test]
     fn engine_matches_reference_on_static_worlds(recipe in world_recipe()) {
         let world = build(&recipe);
         let mut engine = SccEngine::new();
-        let mut inc = IncrementalSummarizer::new(ProcId(0));
-        check(&world, &mut engine, &mut inc, 1)?;
+        check(&world, &mut engine, 1)?;
     }
 
     /// Mutation sequences: after every mutation the persistent engine
-    /// (scratch reuse path) and the incremental summarizer (dirty-set
-    /// path) both still match a from-scratch reference summarization.
+    /// (scratch reuse path) still matches a from-scratch reference
+    /// summarization.
     #[test]
     fn summarizers_agree_across_mutation_sequences(
         recipe in world_recipe(),
@@ -234,13 +211,12 @@ proptest! {
     ) {
         let mut world = build(&recipe);
         let mut engine = SccEngine::new();
-        let mut inc = IncrementalSummarizer::new(ProcId(0));
         let mut version = 1;
-        check(&world, &mut engine, &mut inc, version)?;
+        check(&world, &mut engine, version)?;
         for op in ops {
-            apply(&mut world, &mut inc, op);
+            apply(&mut world, op);
             version += 1;
-            check(&world, &mut engine, &mut inc, version)?;
+            check(&world, &mut engine, version)?;
         }
     }
 
@@ -303,16 +279,14 @@ proptest! {
     }
 
     /// Clean re-summarizations (no mutator events between snapshots) keep
-    /// all three implementations in agreement — the incremental
-    /// summarizer's closure-reuse path against the engine's scratch-reuse
+    /// the implementations in agreement through the engine's scratch-reuse
     /// path.
     #[test]
     fn repeated_clean_snapshots_stay_in_agreement(recipe in world_recipe()) {
         let world = build(&recipe);
         let mut engine = SccEngine::new();
-        let mut inc = IncrementalSummarizer::new(ProcId(0));
         for version in 1..4u64 {
-            check(&world, &mut engine, &mut inc, version)?;
+            check(&world, &mut engine, version)?;
         }
     }
 }

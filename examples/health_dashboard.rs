@@ -80,7 +80,7 @@ fn main() {
     let live: usize = run.procs.iter().map(|p| p.heap.stats().live_objects).sum();
     println!(
         "== run finished: quiescent={}, live={live} ==",
-        run.stats.quiescent()
+        run.quiescent
     );
     let stalls = run
         .health

@@ -7,8 +7,7 @@
 //! (defaults: 0.3, 7)
 
 use acdgc::model::{GcConfig, NetConfig, ProcId, SimDuration};
-use acdgc::sim::{scenarios, threaded, System};
-use std::sync::atomic::Ordering::Relaxed;
+use acdgc::sim::{merged_metrics, scenarios, threaded, System, ThreadedOptions};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -46,19 +45,23 @@ fn main() {
         ..NetConfig::instant()
     };
     let t0 = Instant::now();
-    let (procs, stats) = threaded::run_concurrent_collection_with_faults(
+    let run = threaded::run_concurrent_collection_observed(
         sys.into_procs(),
         cfg,
-        net,
-        seed,
-        Duration::from_secs(60),
+        ThreadedOptions {
+            net,
+            seed,
+            deadline: Duration::from_secs(60),
+            ..ThreadedOptions::default()
+        },
     );
-    let live: usize = procs.iter().map(|p| p.heap.stats().live_objects).sum();
+    let stats = merged_metrics(&run.procs);
+    let live: usize = run.procs.iter().map(|p| p.heap.stats().live_objects).sum();
 
     println!(
         "\nrun ended after {:?} — {}",
         t0.elapsed(),
-        if stats.quiescent() {
+        if run.quiescent {
             "distributed quiescence (every worker voted, channels provably empty)"
         } else {
             "deadline backstop (extreme loss: reclamation delayed past the window)"
@@ -67,34 +70,29 @@ fn main() {
     println!(
         "reclaimed {}/{garbage} objects, {} cycles detected",
         garbage - live,
-        stats.cycles_detected.load(Relaxed)
+        stats.cycles_detected
     );
     println!(
         "faults injected: {} dropped, {} duplicated  |  inbox-overflow losses on top",
-        stats.faults_injected.load(Relaxed),
-        stats.duplicates_injected.load(Relaxed)
+        stats.faults_injected, stats.duplicates_injected
     );
     println!(
         "losses by kind: nss={} cdm={} delete={} ack={}",
-        stats.nss_dropped.load(Relaxed),
-        stats.cdms_dropped.load(Relaxed),
-        stats.deletes_dropped.load(Relaxed),
-        stats.acks_dropped.load(Relaxed)
+        stats.nss_dropped, stats.cdms_dropped, stats.deletes_dropped, stats.acks_dropped
     );
     println!(
         "recovery: {} NSS retransmissions, exponential candidate backoff on CDM walks",
-        stats.nss_retries.load(Relaxed)
+        stats.nss_retries
     );
     println!(
         "termination protocol: {} votes cast, {} rescinded",
-        stats.votes_cast.load(Relaxed),
-        stats.votes_rescinded.load(Relaxed)
+        stats.votes_cast, stats.votes_rescinded
     );
     // The protocol's invariant: a quiescent stop means nothing was left.
     // (Under extreme loss the run may instead end at the deadline with
     // garbage remaining — loss only *delays* reclamation; retries would
     // finish it given a longer window.)
-    if stats.quiescent() {
+    if run.quiescent {
         assert_eq!(
             live, 0,
             "quiescence declared with garbage remaining — premature vote"

@@ -141,7 +141,7 @@ fn main() {
     }
     println!(
         "[quiescent={}, {} health report(s)]",
-        run.stats.quiescent(),
+        run.quiescent,
         run.health.len()
     );
 }

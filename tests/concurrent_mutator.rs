@@ -31,7 +31,6 @@ use acdgc::obs::{HealthReport, Sample, Trace};
 use acdgc::sim::{global_live_procs, scenarios, threaded, Process, ShadowGraph, System};
 use acdgc::sim::{ThreadedOptions, ThreadedRun};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// Threaded config tuned like the stress suite (tight backoff, causal
@@ -129,14 +128,15 @@ fn run_cell(name: &str, seed: u64, mutator: MutatorConfig, net: NetConfig) -> Th
     check!(
         run,
         name,
-        run.stats.quiescent(),
+        run.quiescent,
         "{name}: run must end quiescent, not by deadline"
     );
 
     // Safety tripwire wired into the mutator itself: a pin or invoke that
     // found its scion missing means the collector deleted a live
     // reference out from under a running mutator.
-    let missing = run.stats.mutator_missing_scions.load(Ordering::Relaxed);
+    let m = threaded::merged_metrics(&run.procs);
+    let missing = m.invoke_on_missing_scion;
     check!(
         run,
         name,
@@ -174,11 +174,10 @@ fn run_cell(name: &str, seed: u64, mutator: MutatorConfig, net: NetConfig) -> Th
     );
 
     // The mutator must actually have run and destroyed structure.
-    let m = threaded::merged_metrics(&run.procs);
     check!(
         run,
         name,
-        m.mutator_ops() > 0 && run.stats.mutator_ops.load(Ordering::Relaxed) > 0,
+        m.mutator_ops() > 0,
         "{name}: mutator never performed an operation"
     );
     check!(
@@ -264,7 +263,7 @@ fn mutator_matrix_with_injected_faults() {
         check!(
             run,
             &name,
-            run.stats.faults_injected.load(Ordering::Relaxed) > 0,
+            threaded::merged_metrics(&run.procs).faults_injected > 0,
             "{name}: fault injector never fired"
         );
     }

@@ -72,7 +72,7 @@ fn stalled_worker_is_named_with_its_pending_tail() {
         },
     );
 
-    assert!(run.stats.quiescent(), "run must still end via quiescence");
+    assert!(run.quiescent, "run must still end via quiescence");
     let stall = run
         .health
         .iter()
@@ -138,7 +138,7 @@ fn deadline_backstop_produces_a_deadline_report() {
             ..ThreadedOptions::default()
         },
     );
-    assert!(!run.stats.quiescent());
+    assert!(!run.quiescent);
     let terminal = run.health.last().expect("terminal report");
     assert_eq!(terminal.reason, HealthReason::Deadline);
     assert!(terminal
@@ -155,7 +155,7 @@ fn healthy_run_emits_exactly_one_quiescent_report() {
         watchdog_cfg(),
         ThreadedOptions::default(),
     );
-    assert!(run.stats.quiescent());
+    assert!(run.quiescent);
     assert_eq!(run.health.len(), 1, "no stalls: terminal report only");
     assert_eq!(run.health[0].reason, HealthReason::Quiescent);
     // Round trip through the JSONL form.
@@ -180,7 +180,7 @@ fn watchdog_can_be_disabled() {
         cfg,
         ThreadedOptions::default(),
     );
-    assert!(run.stats.quiescent());
+    assert!(run.quiescent);
     assert!(run.health.is_empty(), "disabled watchdog reports nothing");
 }
 
@@ -225,7 +225,7 @@ fn sampler_records_bounded_validated_series_with_watchdog_off() {
             ..ThreadedOptions::default()
         },
     );
-    assert!(run.stats.quiescent());
+    assert!(run.quiescent);
     assert!(run.health.is_empty(), "watchdog off: no health reports");
     assert!(!run.samples.is_empty(), "sampler recorded during the run");
 
@@ -249,7 +249,10 @@ fn sampler_records_bounded_validated_series_with_watchdog_off() {
     // not zeros.
     let (_, global) = series.iter().find(|(p, _)| p.is_none()).unwrap();
     let last = global.last().unwrap().0;
-    assert!(last.lgc_runs > 0, "counters flowed from ThreadedStats");
+    assert!(
+        last.lgc_runs > 0,
+        "counters flowed from the per-process ledgers"
+    );
 }
 
 #[test]

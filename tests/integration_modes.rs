@@ -109,28 +109,49 @@ fn condemned_stub_resurrected_by_reimport_survives() {
 
 #[test]
 fn parallel_phases_are_observationally_identical() {
-    // The fan-out in gc_round (LGC, snapshot, candidate scan) splits each
-    // phase into parallel per-process compute and a sequential apply in
+    // gc_round fans each phase (LGC, snapshot, candidate scan) out into
+    // parallel per-process compute plus a sequential apply in
     // process-index order, so network sends, detection ids and metric
-    // bumps happen in exactly the sequence the sequential code produced.
-    // Same seed + same workload with the flags on and off must therefore
-    // agree on *every* counter, merged and per process — not just on the
-    // final object counts.
-    let run = |parallel: bool| {
-        let mut sys = System::new(
-            4,
-            GcConfig {
-                parallel_snapshots: parallel,
-                parallel_gc_phases: parallel,
-                ..GcConfig::manual()
-            },
-            NetConfig::default(),
-            74,
-        );
+    // bumps must happen in exactly the sequence of the same round driven
+    // by hand, one process at a time, through the public phase calls.
+    // Same seed + same workload must therefore agree on *every* counter,
+    // merged and per process — not just on the final object counts.
+    fn by_hand(sys: &mut System) {
+        let procs: Vec<ProcId> = (0..sys.num_procs() as u16).map(ProcId).collect();
+        sys.advance(SimDuration::from_millis(1));
+        procs.iter().for_each(|&p| sys.run_lgc(p));
+        sys.drain_network();
+        procs.iter().for_each(|&p| sys.run_monitor(p));
+        sys.drain_network();
+        procs.iter().for_each(|&p| sys.take_snapshot(p));
+        procs.iter().for_each(|&p| sys.run_scan(p));
+        sys.drain_network();
+    }
+    let run = |round: fn(&mut System)| {
+        let mut sys = System::new(4, GcConfig::manual(), NetConfig::default(), 74);
         let procs: Vec<ProcId> = (0..4).map(ProcId).collect();
         let _live = scenarios::ring(&mut sys, &procs, 3, true);
         let _dead = scenarios::ring(&mut sys, &procs, 3, false);
-        let rounds = sys.collect_to_fixpoint(30);
+        // `collect_to_fixpoint`'s policy, with the round swapped in.
+        let progress = |sys: &System| {
+            (
+                sys.total_live_objects(),
+                sys.total_scions(),
+                sys.metrics.cycles_detected,
+            )
+        };
+        let (mut rounds, mut quiet) = (0, 0);
+        while quiet < 3 && rounds < 30 {
+            rounds += 1;
+            sys.config_mut().eager_combine = rounds % 2 == 0;
+            let before = progress(&sys);
+            round(&mut sys);
+            quiet = if progress(&sys) == before {
+                quiet + 1
+            } else {
+                0
+            };
+        }
         let per_proc: Vec<_> = procs.iter().map(|&p| *sys.metrics_for(p)).collect();
         (
             rounds,
@@ -141,14 +162,15 @@ fn parallel_phases_are_observationally_identical() {
             sys.clock(),
         )
     };
-    let sequential = run(false);
-    let parallel = run(true);
+    let fanned_out = run(System::gc_round);
+    let hand_driven = run(by_hand);
     assert_eq!(
-        sequential, parallel,
-        "parallel phases changed observable behaviour"
+        hand_driven, fanned_out,
+        "gc_round's fan-out changed observable behaviour"
     );
-    assert_eq!(sequential.1.safety_violations(), 0);
-    assert_eq!(sequential.3, 13, "live rings + anchor survive (4*3+1)");
+    assert!(fanned_out.1.cycles_detected >= 1, "the dead ring was found");
+    assert_eq!(fanned_out.1.safety_violations(), 0);
+    assert_eq!(fanned_out.3, 13, "live rings + anchor survive (4*3+1)");
 }
 
 #[test]

@@ -3,8 +3,21 @@
 //! barriers — and still reclaims distributed cycles safely.
 
 use acdgc::model::{GcConfig, NetConfig, ProcId};
-use acdgc::sim::{scenarios, threaded, System};
+use acdgc::sim::threaded::{run_concurrent_collection_observed, ThreadedOptions};
+use acdgc::sim::{merged_metrics, scenarios, System, ThreadedRun};
 use std::time::Duration;
+
+/// Run the threaded collector over `sys`'s processes on a clean network.
+fn run(sys: System, deadline: Duration) -> ThreadedRun {
+    run_concurrent_collection_observed(
+        sys.into_procs(),
+        GcConfig::manual(),
+        ThreadedOptions {
+            deadline,
+            ..ThreadedOptions::default()
+        },
+    )
+}
 
 fn build_ring(procs: usize, objs: usize, anchored: bool) -> System {
     let mut sys = System::new(procs, GcConfig::manual(), NetConfig::instant(), 99);
@@ -22,30 +35,17 @@ fn build_ring(procs: usize, objs: usize, anchored: bool) -> System {
 fn threaded_run_collects_garbage_ring() {
     let sys = build_ring(4, 3, false);
     assert_eq!(sys.total_live_objects(), 12);
-    let (procs, stats) = threaded::run_concurrent_collection(
-        sys.into_procs(),
-        GcConfig::manual(),
-        Duration::from_secs(10),
-    );
-    let live: usize = procs.iter().map(|p| p.heap.stats().live_objects).sum();
+    let run = run(sys, Duration::from_secs(10));
+    let m = merged_metrics(&run.procs);
+    let live: usize = run.procs.iter().map(|p| p.heap.stats().live_objects).sum();
     assert_eq!(
-        live,
-        0,
+        live, 0,
         "threads collected the ring: lgc={} cycles={} cdms={}",
-        stats.lgc_runs.load(std::sync::atomic::Ordering::Relaxed),
-        stats
-            .cycles_detected
-            .load(std::sync::atomic::Ordering::Relaxed),
-        stats.cdms_sent.load(std::sync::atomic::Ordering::Relaxed),
+        m.lgc_runs, m.cycles_detected, m.cdms_sent,
     );
+    assert!(m.cycles_detected >= 1);
     assert!(
-        stats
-            .cycles_detected
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1
-    );
-    assert!(
-        stats.quiescent(),
+        run.quiescent,
         "an all-garbage run must end via quiescence votes, not the deadline"
     );
 }
@@ -62,22 +62,16 @@ fn threaded_run_preserves_live_ring() {
     // quiescent with the ring intact.
     let sys = build_ring(4, 3, true);
     let before = sys.total_live_objects();
-    let (procs, stats) = threaded::run_concurrent_collection(
-        sys.into_procs(),
-        GcConfig::manual(),
-        Duration::from_secs(30),
-    );
-    let live: usize = procs.iter().map(|p| p.heap.stats().live_objects).sum();
+    let run = run(sys, Duration::from_secs(30));
+    let live: usize = run.procs.iter().map(|p| p.heap.stats().live_objects).sum();
     assert_eq!(live, before, "anchored ring survives concurrent GC");
     assert_eq!(
-        stats
-            .cycles_detected
-            .load(std::sync::atomic::Ordering::Relaxed),
+        merged_metrics(&run.procs).cycles_detected,
         0,
         "nothing to detect in an all-live graph"
     );
     assert!(
-        stats.quiescent(),
+        run.quiescent,
         "proven-live candidates must stop re-initiating and let the run quiesce"
     );
 }
@@ -86,21 +80,15 @@ fn threaded_run_preserves_live_ring() {
 fn threaded_run_handles_fig4_mutual_cycles() {
     let mut sys = System::new(6, GcConfig::manual(), NetConfig::instant(), 5);
     let _fig = scenarios::fig4(&mut sys);
-    let (procs, stats) = threaded::run_concurrent_collection(
-        sys.into_procs(),
-        GcConfig::manual(),
-        Duration::from_secs(10),
-    );
-    let live: usize = procs.iter().map(|p| p.heap.stats().live_objects).sum();
+    let run = run(sys, Duration::from_secs(10));
+    let live: usize = run.procs.iter().map(|p| p.heap.stats().live_objects).sum();
     assert_eq!(
         live,
         0,
         "cycles={}",
-        stats
-            .cycles_detected
-            .load(std::sync::atomic::Ordering::Relaxed)
+        merged_metrics(&run.procs).cycles_detected
     );
-    assert!(stats.quiescent());
+    assert!(run.quiescent);
 }
 
 #[test]
@@ -113,11 +101,7 @@ fn threaded_run_mixed_live_and_dead_structures() {
     let expected_live = 11; // 5 procs × 2 objects + anchor
                             // The surviving live ring keeps its candidates hot, so this run ends
                             // at the observation window, not by quiescence.
-    let (procs, _stats) = threaded::run_concurrent_collection(
-        sys.into_procs(),
-        GcConfig::manual(),
-        Duration::from_millis(1_500),
-    );
-    let total: usize = procs.iter().map(|p| p.heap.stats().live_objects).sum();
+    let run = run(sys, Duration::from_millis(1_500));
+    let total: usize = run.procs.iter().map(|p| p.heap.stats().live_objects).sum();
     assert_eq!(total, expected_live, "dead ring gone, live ring intact");
 }

@@ -16,9 +16,8 @@ use acdgc::model::{
     GcConfig, NetConfig, ProcId, SamplingConfig, SimDuration, TraceConfig, WatchdogConfig,
 };
 use acdgc::obs::{HealthReport, Sample, Trace};
-use acdgc::sim::{scenarios, threaded, Process, System, ThreadedOptions};
+use acdgc::sim::{merged_metrics, scenarios, threaded, Process, System, ThreadedOptions};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// Tight retry pacing: threaded `SimTime` ticks are wall-clock
@@ -166,7 +165,7 @@ fn capacity_one_mesh_collects_despite_overflow_and_faults() {
             ..ThreadedOptions::default()
         },
     );
-    let stats = &run.stats;
+    let stats = merged_metrics(&run.procs);
     let name = "capacity_one_mesh";
     let live: usize = run.procs.iter().map(|p| p.heap.stats().live_objects).sum();
     check!(
@@ -174,26 +173,26 @@ fn capacity_one_mesh_collects_despite_overflow_and_faults() {
         name,
         live == 0,
         "all garbage reclaimed despite capacity-1 inboxes: live={live} cdms_dropped={} nss_dropped={}",
-        stats.cdms_dropped.load(Ordering::Relaxed),
-        stats.nss_dropped.load(Ordering::Relaxed)
+        stats.cdms_dropped,
+        stats.nss_dropped
     );
     check!(
         run,
         name,
-        stats.quiescent(),
+        run.quiescent,
         "run must end via quiescence votes, not the deadline backstop"
     );
     // The point of the stress: losses really happened and were absorbed.
     check!(
         run,
         name,
-        stats.nss_dropped.load(Ordering::Relaxed) > 0,
+        stats.nss_dropped > 0,
         "capacity-1 inboxes under an 8-proc NSS barrage must overflow"
     );
     check!(
         run,
         name,
-        stats.cdms_dropped.load(Ordering::Relaxed) > 0,
+        stats.cdms_dropped > 0,
         "15% injected drop over ring-spanning CDM walks must lose some"
     );
     // The watchdog always closes a run with one terminal report.
@@ -225,13 +224,13 @@ fn quiescence_is_never_premature_across_seed_matrix() {
                 ..ThreadedOptions::default()
             },
         );
-        let stats = &run.stats;
+        let stats = merged_metrics(&run.procs);
         let name = format!("seed_matrix_{seed}");
         let live: usize = run.procs.iter().map(|p| p.heap.stats().live_objects).sum();
         check!(
             run,
             &name,
-            stats.quiescent(),
+            run.quiescent,
             "seed {seed}: heavy loss may delay quiescence but must not prevent it"
         );
         check!(
@@ -244,11 +243,11 @@ fn quiescence_is_never_premature_across_seed_matrix() {
         check!(
             run,
             &name,
-            stats.votes_cast.load(Ordering::Relaxed) >= 8,
+            stats.votes_cast >= 8,
             "seed {seed}: a quiescent stop needs every worker's vote"
         );
-        total_retries += stats.nss_retries.load(Ordering::Relaxed);
-        total_faults += stats.faults_injected.load(Ordering::Relaxed);
+        total_retries += stats.nss_retries;
+        total_faults += stats.faults_injected;
         if seed == 11 {
             export_and_verify_jsonl(&run.procs, &run.health, &run.samples, &name);
         }
@@ -292,7 +291,7 @@ fn heavy_drop_retries_never_violate_causal_order() {
     check!(
         run,
         name,
-        run.stats.faults_injected.load(Ordering::Relaxed) > 0,
+        merged_metrics(&run.procs).faults_injected > 0,
         "a 30% injector over a 6-proc mesh must drop something"
     );
 
