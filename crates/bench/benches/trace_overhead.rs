@@ -5,22 +5,16 @@
 //!
 //! * `disabled` — `TraceConfig::default()`: one bool test per would-be
 //!   event, the cost every production run pays;
-//! * `enabled`  — full recording of every family;
+//! * `enabled`  — full recording of every family, Lamport-stamped;
 //! * `filtered` — recording on, but only the detections family passes the
 //!   [`TraceFilter`] (NSS / phases / quiescence suppressed before any
-//!   event is built; phase histograms still fed);
-//! * `lamport_on` — full recording plus causal stamps: one extra relaxed
-//!   atomic tick per recorded event and a clock read per GC send.
+//!   event is built; phase histograms still fed).
 //!
 //! A second group measures time-series telemetry the same way: steady
 //! rounds of a live anchored ring with [`SamplingConfig`] off (one bool
 //! test per round — the production default) versus on at the densest
 //! cadence (`sample_every = 1`, every round copies all ledgers and walks
 //! every heap's stats into the rings).
-//!
-//! `BENCH_trace_overhead.json` at the repo root records the medians; the
-//! acceptance criterion is the disabled paths staying within noise of the
-//! untraced baseline in `BENCH_summarization.json`-era runs.
 
 use acdgc_model::{
     GcConfig, NetConfig, ProcId, SamplingConfig, SimDuration, TraceConfig, TraceFilter,
@@ -72,11 +66,10 @@ fn detections_only() -> TraceConfig {
 fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_overhead");
     group.sample_size(if smoke() { 2 } else { 40 });
-    let variants: [(&str, TraceConfig); 4] = [
+    let variants: [(&str, TraceConfig); 3] = [
         ("disabled", TraceConfig::default()),
         ("enabled", TraceConfig::on()),
         ("filtered", detections_only()),
-        ("lamport_on", TraceConfig::causal()),
     ];
     for (name, trace) in variants {
         group.bench_with_input(BenchmarkId::new("ring_detection", name), &(), |b, _| {

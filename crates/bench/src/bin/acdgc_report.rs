@@ -14,8 +14,7 @@
 //!   table for every `sample` time series in the artifact;
 //! * with `--critical-path`, a latency waterfall per slowest detection,
 //!   attributing its end-to-end time to transit / queue / handling /
-//!   backoff segments (requires Lamport-stamped artifacts for the causal
-//!   verdict; the waterfall itself works on any trace);
+//!   backoff segments;
 //! * with `--perfetto OUT.json`, a Chrome trace-event export of a single
 //!   artifact — one track per process, flow arrows along CDM hops —
 //!   loadable at <https://ui.perfetto.dev>.
@@ -302,9 +301,10 @@ fn report_critical_path(trace: &Trace, top: usize) {
 }
 
 /// Write one artifact's Chrome trace-event export and self-validate it:
-/// the written file must parse back as JSON, and every surviving CDM
-/// delivery must have produced exactly one flow arrow. Returns the number
-/// of violations (0 or 1) so `--check` can gate on a broken export.
+/// the written file must parse back as JSON. The printed audit line
+/// accounts for every CDM delivery: one flow arrow each, or unmatched
+/// (its send overwritten). Returns the number of violations (0 or 1) so
+/// `--check` can gate on a broken export.
 fn export_perfetto(trace: &Trace, out: &PathBuf) -> usize {
     let (doc, summary) = perfetto_trace(trace);
     let text = serde_json::to_string(&doc).expect("value serialization is infallible");
@@ -429,8 +429,8 @@ fn main() -> ExitCode {
             );
         }
         // Both causal invariants (per-process stamp monotonicity, receive
-        // above matching send) are stable under truncation, so like the
-        // sample checks their verdict applies even to suffix traces.
+        // above the send it names) are stable under truncation, so like
+        // the sample checks their verdict applies even to suffix traces.
         if !check.causal_violations.is_empty() {
             println!(
                 "  causal: FAILED ({} violation(s))",
@@ -441,7 +441,11 @@ fn main() -> ExitCode {
             }
             violations += check.causal_violations.len();
         } else if trace.events.iter().any(|r| r.lamport > 0) {
-            println!("  causal: OK (stamps monotone per process, receives above sends)");
+            println!(
+                "  causal: OK (stamps monotone per process, receives above sends, \
+                 {} deliveries of overwritten sends)",
+                check.unmatched_deliveries
+            );
         }
         if check.skipped_overwritten {
             println!("  check: SKIPPED (suffix trace: ring overwrote events)");

@@ -53,7 +53,10 @@ impl Default for TraceFilter {
 
 /// Structured-event tracing knobs (see the `acdgc-obs` crate). Disabled by
 /// default: the disabled path is a single branch per would-be event, so
-/// production configurations pay nothing.
+/// production configurations pay nothing. Enabled, every recorded event
+/// carries a per-process Lamport stamp and every GC message piggybacks the
+/// sender's clock, giving the trace a sound happens-before order (see the
+/// `acdgc-obs` crate's `causal` module).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceConfig {
     /// Whether events are recorded at all.
@@ -64,12 +67,6 @@ pub struct TraceConfig {
     pub capacity: usize,
     /// Which event families are recorded.
     pub filter: TraceFilter,
-    /// Stamp every recorded event with a per-process Lamport clock and
-    /// piggyback the clock on every GC message, giving the trace a sound
-    /// happens-before order (see the `acdgc-obs` crate's `causal` module).
-    /// Off by default: clocked traces cost one extra atomic per recorded
-    /// event and 8 bytes per message envelope.
-    pub lamport: bool,
 }
 
 impl Default for TraceConfig {
@@ -78,7 +75,6 @@ impl Default for TraceConfig {
             enabled: false,
             capacity: 65_536,
             filter: TraceFilter::default(),
-            lamport: false,
         }
     }
 }
@@ -88,16 +84,6 @@ impl TraceConfig {
     pub fn on() -> Self {
         TraceConfig {
             enabled: true,
-            ..TraceConfig::default()
-        }
-    }
-
-    /// Tracing on with Lamport clocks: every event carries a causal stamp
-    /// and cross-process order becomes checkable/reconstructable.
-    pub fn causal() -> Self {
-        TraceConfig {
-            enabled: true,
-            lamport: true,
             ..TraceConfig::default()
         }
     }
@@ -354,11 +340,6 @@ pub struct GcConfig {
     /// observes before casting its quiescence vote. Higher values trade
     /// shutdown latency for robustness against transient lulls.
     pub quiet_sweeps: u32,
-    /// Threaded runtime: resend an unacknowledged `NewSetStubs` after this
-    /// many sweeps. The acyclic layer's messages are acknowledged (and
-    /// retried until confirmed) because a lost final NSS would leak
-    /// acyclic garbage forever — the cycle detector cannot reclaim it.
-    pub nss_retry_sweeps: u32,
     /// Structured event tracing (`acdgc-obs`); off by default.
     pub trace: TraceConfig,
     /// Threaded-runtime watchdog: stall detection + health reports.
@@ -392,7 +373,6 @@ impl Default for GcConfig {
             instrument_remoting: true,
             channel_capacity: 1_024,
             quiet_sweeps: 16,
-            nss_retry_sweeps: 8,
             trace: TraceConfig::default(),
             watchdog: WatchdogConfig::default(),
             sampling: SamplingConfig::default(),

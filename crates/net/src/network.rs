@@ -30,8 +30,7 @@ pub struct Envelope<M> {
     /// Approximate wire size, for byte accounting.
     pub size_bytes: usize,
     /// Piggybacked Lamport clock value of the sending process at send
-    /// time. `0` when causal tracing is off (`TraceConfig::lamport`);
-    /// receivers witness it into their own clock before recording
+    /// time. `0` when tracing is off; receivers witness it into their own clock before recording
     /// delivery-side events. Purely observational: delivery order and
     /// fault injection never read it.
     pub lamport: u64,

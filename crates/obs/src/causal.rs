@@ -1,16 +1,22 @@
-//! Causal layer: per-process Lamport clocks, trace-wide happens-before
-//! soundness checks, per-detection critical-path waterfalls, and Chrome
-//! trace-event (Perfetto) export.
+//! Causal layer: trace-wide happens-before soundness checks, the one
+//! send↔delivery link function they all share, per-detection critical-path
+//! waterfalls, and Chrome trace-event (Perfetto) export.
 //!
 //! Per-process `SimTime`/wall-clock stamps are incomparable across
 //! processes, so a `DetectionPath` can show *that* a detection crossed
-//! five processes but not *where its latency went*. With
-//! `TraceConfig::lamport` on, every recorded event carries a stamp from
-//! its process's [`LamportClock`] and every GC message piggybacks the
-//! sender's clock value; receivers fold it in ([`LamportClock::witness`])
-//! before recording delivery. The resulting stamps are a sound
-//! happens-before order: they strictly increase per process, and every
-//! receive is stamped above its send ([`check_causal`]).
+//! five processes but not *where its latency went*. Every recorded event
+//! carries a stamp from its process's Lamport clock and every GC message
+//! piggybacks the sender's clock value; receivers fold it in
+//! ([`ProcTrace::witness`](crate::ProcTrace::witness)) before recording
+//! delivery. The resulting stamps are a sound happens-before order: they
+//! strictly increase per process, and every receive is stamped above its
+//! send ([`check_causal`]).
+//!
+//! CDMs are unacknowledged and may be lost or duplicated, so nothing in
+//! the protocol tells two copies on one route apart. The trace does: a
+//! `CdmSent`'s recording process and stamp are piggybacked verbatim on
+//! every copy and recorded back in `CdmDelivered`, and [`link_cdms`]
+//! pairs the two exactly.
 //!
 //! On top of the order, [`waterfall`] reconstructs one detection's
 //! **critical path** — the chain of events the terminal verdict actually
@@ -31,67 +37,76 @@
 //! process, one slice per event, flow arrows along every delivered CDM
 //! hop — loadable in Perfetto / `chrome://tracing`.
 
-use crate::event::{Event, Recorded};
+use crate::event::{named_enum, Event, Recorded};
 use crate::trace::{DetectionPath, Trace};
 use acdgc_model::{DetectionId, ProcId, SimTime};
 use serde_json::{json, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// A process's logical clock (Lamport 1978). Shared by handle: the
-/// embedding runtime clones it out of the process's `ProcTrace` so send
-/// and receive paths can read/advance it without holding the sink.
-#[derive(Clone, Debug, Default)]
-pub struct LamportClock(Arc<AtomicU64>);
-
-impl LamportClock {
-    pub fn new() -> LamportClock {
-        LamportClock(Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Advance past one local event and return its stamp. Stamps start
-    /// at 1 — 0 is reserved for "unclocked".
-    #[inline]
-    pub fn tick(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Fold in a clock value observed on a received message: the local
-    /// clock becomes at least `observed`, so every event recorded after
-    /// the receive is stamped above the send.
-    #[inline]
-    pub fn witness(&self, observed: u64) {
-        self.0.fetch_max(observed, Ordering::Relaxed);
-    }
-
-    /// Current value — the stamp of the latest local event or witnessed
-    /// bound. This is what senders piggyback on outgoing messages.
-    #[inline]
-    pub fn current(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
+/// Every `CdmDelivered` of a slice of events, paired — or not — with the
+/// `CdmSent` it names (see [`link_cdms`]).
+#[derive(Debug, Default)]
+pub struct CdmLinks<'a> {
+    /// `(send, delivery)` for every delivery whose send is present, in
+    /// delivery order. Injected duplicates pair one send several times.
+    pub pairs: Vec<(&'a Recorded, &'a Recorded)>,
+    /// Deliveries whose send is absent: overwritten in the sender's ring,
+    /// or — in a complete trace — never recorded, which is a bug.
+    pub unmatched: Vec<&'a Recorded>,
 }
 
-/// Validate the happens-before order of a clocked trace. Two families of
-/// violation, both stable under truncation (so suffix traces are checked
-/// too):
+/// Pair every `CdmDelivered` in `events` with the one `CdmSent` it is a
+/// copy of: the event recorded at process `from` with Lamport stamp
+/// `sent_lc`. The only place sends and deliveries are matched; the causal
+/// check, the per-path Lamport check, the critical-path walk and the
+/// Perfetto flow arrows all go through it. Unstamped events (artifact
+/// lines without `lc`) carry no identity and are skipped.
+pub fn link_cdms(events: &[Recorded]) -> CdmLinks<'_> {
+    let stamped = || events.iter().filter(|r| r.lamport > 0);
+    let sends: HashMap<(ProcId, u64), &Recorded> = stamped()
+        .filter(|r| matches!(r.event, Event::CdmSent { .. }))
+        .map(|r| ((r.proc, r.lamport), r))
+        .collect();
+    let mut links = CdmLinks::default();
+    for r in stamped() {
+        if let Event::CdmDelivered { from, sent_lc, .. } = r.event {
+            match sends.get(&(from, sent_lc)) {
+                Some(send) => links.pairs.push((send, r)),
+                None => links.unmatched.push(r),
+            }
+        }
+    }
+    links
+}
+
+/// Verdict of [`check_causal`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CausalCheck {
+    pub violations: Vec<String>,
+    /// Deliveries whose send a ring overwrote — counted, not judged, and
+    /// only ever non-zero on suffix traces.
+    pub unmatched_deliveries: usize,
+}
+
+/// Validate the happens-before order of a trace. All of it is stable
+/// under truncation, so suffix traces are checked too:
 ///
 /// * per-process stamps must strictly increase in seq order;
-/// * every recorded receive (`CdmDelivered`, `NssApplied`) whose matching
-///   send survives must be stamped strictly above the send (above the
-///   *minimum* matching send stamp: duplicates and retries share a route
-///   key, and every copy's delivery happens after the first send).
+/// * every `CdmDelivered` must be stamped strictly above the `CdmSent` it
+///   names ([`link_cdms`]), and must name a recorded one unless the rings
+///   overwrote events (`trace.overwritten > 0`), in which case it is
+///   counted in [`CausalCheck::unmatched_deliveries`];
+/// * every `NssApplied` whose `NssSent` survives must be stamped strictly
+///   above it (injected duplicates share the sequence number, and every
+///   copy's delivery happens after the send).
 ///
-/// Unclocked events (stamp 0) carry no causal information and are
-/// skipped, so unclocked and pre-clock artifacts trivially pass.
-pub fn check_causal(trace: &Trace) -> Vec<String> {
+/// Unstamped events (stamp 0) carry no causal information and are
+/// skipped.
+pub fn check_causal(trace: &Trace) -> CausalCheck {
     let mut violations = Vec::new();
+    let stamped = || trace.events.iter().filter(|r| r.lamport > 0);
     let mut last: HashMap<ProcId, (u64, u64)> = HashMap::new();
-    for r in &trace.events {
-        if r.lamport == 0 {
-            continue;
-        }
+    for r in stamped() {
         if let Some(&(lc, seq)) = last.get(&r.proc) {
             if r.lamport <= lc {
                 violations.push(format!(
@@ -103,90 +118,70 @@ pub fn check_causal(trace: &Trace) -> Vec<String> {
         last.insert(r.proc, (r.lamport, r.seq));
     }
 
-    let mut cdm_sends: HashMap<(DetectionId, ProcId, u64, u32), u64> = HashMap::new();
+    let links = link_cdms(&trace.events);
+    for (send, recv) in &links.pairs {
+        if recv.lamport <= send.lamport {
+            violations.push(format!(
+                "causal[{}]: CDM receive lc {} ≤ send lc {} at {}",
+                send.proc, recv.lamport, send.lamport, recv.proc
+            ));
+        }
+    }
+    let unmatched_deliveries = if trace.overwritten == 0 {
+        violations.extend(links.unmatched.iter().map(|r| {
+            format!(
+                "causal[{}]: CDM delivery at seq {} names a send no ring recorded",
+                r.proc, r.seq
+            )
+        }));
+        0
+    } else {
+        links.unmatched.len()
+    };
+
     let mut nss_sends: HashMap<(ProcId, ProcId, u64), u64> = HashMap::new();
-    for r in &trace.events {
-        if r.lamport == 0 {
-            continue;
-        }
-        match r.event {
-            Event::CdmSent {
-                id, to, via, hop, ..
-            } => {
-                let e = cdm_sends.entry((id, to, via.0, hop)).or_insert(u64::MAX);
-                *e = (*e).min(r.lamport);
-            }
-            Event::NssSent { to, seq, .. } => {
-                let e = nss_sends.entry((r.proc, to, seq)).or_insert(u64::MAX);
-                *e = (*e).min(r.lamport);
-            }
-            _ => {}
+    for r in stamped() {
+        if let Event::NssSent { to, seq, .. } = r.event {
+            nss_sends.insert((r.proc, to, seq), r.lamport);
         }
     }
-    for r in &trace.events {
-        if r.lamport == 0 {
-            continue;
-        }
-        match r.event {
-            Event::CdmDelivered { id, via, hop, .. } => {
-                if let Some(&s) = cdm_sends.get(&(id, r.proc, via.0, hop)) {
-                    if r.lamport <= s {
-                        violations.push(format!(
-                            "causal[{id}]: CDM receive lc {} ≤ send lc {s} at {} \
-                             (via {via}, hop {hop})",
-                            r.lamport, r.proc
-                        ));
-                    }
+    for r in stamped() {
+        if let Event::NssApplied { from, seq, .. } = r.event {
+            if let Some(&s) = nss_sends.get(&(from, r.proc, seq)) {
+                if r.lamport <= s {
+                    violations.push(format!(
+                        "causal[nss {from}->{} seq {seq}]: receive lc {} ≤ send lc {s}",
+                        r.proc, r.lamport
+                    ));
                 }
             }
-            Event::NssApplied { from, seq, .. } => {
-                if let Some(&s) = nss_sends.get(&(from, r.proc, seq)) {
-                    if r.lamport <= s {
-                        violations.push(format!(
-                            "causal[nss {from}->{} seq {seq}]: receive lc {} ≤ send lc {s}",
-                            r.proc, r.lamport
-                        ));
-                    }
-                }
-            }
-            _ => {}
         }
     }
-    violations
+    CausalCheck {
+        violations,
+        unmatched_deliveries,
+    }
 }
 
-/// Latency category of one critical-path segment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SegmentKind {
-    /// Simulated network latency of a CDM hop (sequential runtime).
-    Transit,
-    /// Inbox queue wait of a CDM hop (threaded runtime: channel hand-off
-    /// is effectively instant, the gap is drain latency).
-    Queue,
-    /// Same-process time inside a processing step (combine, local scan /
-    /// summarize work, forwarding).
-    Handling,
-    /// Gap between retry attempts of the same scion (candidate backoff).
-    Backoff,
+named_enum! {
+    /// Latency category of one critical-path segment.
+    #[derive(PartialOrd, Ord)]
+    pub enum SegmentKind {
+        /// Simulated network latency of a CDM hop (sequential runtime).
+        Transit => "transit",
+        /// Inbox queue wait of a CDM hop (threaded runtime: channel
+        /// hand-off is effectively instant, the gap is drain latency).
+        Queue => "queue",
+        /// Same-process time inside a processing step (combine, local
+        /// scan / summarize work, forwarding).
+        Handling => "handling",
+        /// Gap between retry attempts of the same scion (candidate
+        /// backoff).
+        Backoff => "backoff",
+    }
 }
 
 impl SegmentKind {
-    pub const ALL: [SegmentKind; 4] = [
-        SegmentKind::Transit,
-        SegmentKind::Queue,
-        SegmentKind::Handling,
-        SegmentKind::Backoff,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            SegmentKind::Transit => "transit",
-            SegmentKind::Queue => "queue",
-            SegmentKind::Handling => "handling",
-            SegmentKind::Backoff => "backoff",
-        }
-    }
-
     fn glyph(self) -> char {
         match self {
             SegmentKind::Transit => '=',
@@ -320,6 +315,7 @@ fn step_hop(r: &Recorded) -> Option<u32> {
 /// ring overwrote it, the filter suppressed it, or the detection never
 /// concluded).
 fn chain(path: &DetectionPath) -> Option<Vec<Recorded>> {
+    let cdms = link_cdms(&path.events);
     let terminal = path
         .events
         .iter()
@@ -331,15 +327,12 @@ fn chain(path: &DetectionPath) -> Option<Vec<Recorded>> {
         let cur = links.last().unwrap().clone();
         let prev = match cur.event {
             Event::DetectionStarted { .. } => break,
-            // A delivery's predecessor is the matching send elsewhere.
-            Event::CdmDelivered { via, hop, .. } => path.events.iter().rev().find(|r| {
-                r.seq < cur.seq
-                    && matches!(
-                        r.event,
-                        Event::CdmSent { to, via: v, hop: h, .. }
-                            if to == cur.proc && v == via && h == hop
-                    )
-            }),
+            // A delivery's predecessor is the send it names, elsewhere.
+            Event::CdmDelivered { .. } => cdms
+                .pairs
+                .iter()
+                .find(|(_, d)| d.seq == cur.seq)
+                .map(|(send, _)| *send),
             // A send's predecessor is the step that produced it: the
             // prior-hop delivery at the same process, or the initiation.
             Event::CdmSent { hop, .. } => path.events.iter().rev().find(|r| {
@@ -504,8 +497,8 @@ pub struct PerfettoSummary {
     /// `CdmDelivered` events in the trace — every one of these is a
     /// traced CDM hop and should carry a flow when its send survived.
     pub delivered_hops: usize,
-    /// Deliveries whose matching send was lost (ring overwrite/filter);
-    /// they get no flow arrow.
+    /// Deliveries whose send was lost to ring overwrite; they get no
+    /// flow arrow. `flows + unmatched_deliveries == delivered_hops`.
     pub unmatched_deliveries: usize,
 }
 
@@ -538,17 +531,17 @@ pub fn perfetto_trace(trace: &Trace) -> (Value, PerfettoSummary) {
     }
 
     for r in &trace.events {
-        let (ts, dur, cat) = match r.event {
+        let (ts, dur) = match r.event {
             Event::PhaseEnded { nanos, .. } => {
                 let dur = (nanos / 1_000).max(1);
-                (r.at.0.saturating_sub(dur), dur, "phase")
+                (r.at.0.saturating_sub(dur), dur)
             }
             Event::PhaseStarted { .. } => continue, // its end emits the slice
-            _ => (r.at.0, 1, family(&r.event)),
+            _ => (r.at.0, 1),
         };
         let mut slice = json!({
             "name": r.event.kind(),
-            "cat": cat,
+            "cat": r.event.family().name(),
             "ph": "X",
             "ts": ts,
             "dur": dur,
@@ -567,49 +560,39 @@ pub fn perfetto_trace(trace: &Trace) -> (Value, PerfettoSummary) {
         events.push(slice);
     }
 
-    // Flow arrows: one per delivery whose matching send survived. The
-    // route key (id, dest, via, hop) pairs duplicates with their single
-    // send, each copy getting its own arrow.
-    let mut sends: HashMap<(DetectionId, ProcId, u64, u32), &Recorded> = HashMap::new();
-    for r in &trace.events {
-        if let Event::CdmSent {
-            id, to, via, hop, ..
-        } = r.event
-        {
-            sends.entry((id, to, via.0, hop)).or_insert(r);
-        }
-    }
-    let mut summary = PerfettoSummary::default();
-    let mut flow_id = 0u64;
-    for r in &trace.events {
-        if let Event::CdmDelivered { id, via, hop, .. } = r.event {
-            summary.delivered_hops += 1;
-            let Some(send) = sends.get(&(id, r.proc, via.0, hop)) else {
-                summary.unmatched_deliveries += 1;
-                continue;
-            };
-            flow_id += 1;
-            events.push(json!({
-                "name": "cdm",
-                "cat": "cdm",
-                "ph": "s",
-                "id": flow_id,
-                "ts": send.at.0,
-                "pid": send.proc.0,
-                "tid": 0,
-            }));
-            events.push(json!({
-                "name": "cdm",
-                "cat": "cdm",
-                "ph": "f",
-                "bp": "e",
-                "id": flow_id,
-                "ts": r.at.0,
-                "pid": r.proc.0,
-                "tid": 0,
-            }));
-            summary.flows += 1;
-        }
+    // Flow arrows: one per delivery whose send survived; each copy of a
+    // duplicated CDM gets its own arrow from the one send.
+    let links = link_cdms(&trace.events);
+    let mut summary = PerfettoSummary {
+        delivered_hops: trace
+            .events
+            .iter()
+            .filter(|r| matches!(r.event, Event::CdmDelivered { .. }))
+            .count(),
+        flows: links.pairs.len(),
+        unmatched_deliveries: links.unmatched.len(),
+        ..PerfettoSummary::default()
+    };
+    for (i, (send, recv)) in links.pairs.iter().enumerate() {
+        events.push(json!({
+            "name": "cdm",
+            "cat": "cdm",
+            "ph": "s",
+            "id": i + 1,
+            "ts": send.at.0,
+            "pid": send.proc.0,
+            "tid": 0,
+        }));
+        events.push(json!({
+            "name": "cdm",
+            "cat": "cdm",
+            "ph": "f",
+            "bp": "e",
+            "id": i + 1,
+            "ts": recv.at.0,
+            "pid": recv.proc.0,
+            "tid": 0,
+        }));
     }
     summary.events = events.len();
     let doc = json!({
@@ -617,17 +600,6 @@ pub fn perfetto_trace(trace: &Trace) -> (Value, PerfettoSummary) {
         "displayTimeUnit": "ms",
     });
     (doc, summary)
-}
-
-/// Slice category for non-phase events, so Perfetto's query/filter UI
-/// can isolate event families.
-fn family(e: &Event) -> &'static str {
-    match e {
-        Event::NssSent { .. } | Event::NssApplied { .. } | Event::NssAcked { .. } => "nss",
-        Event::VoteCast { .. } | Event::VoteRescinded { .. } => "quiescence",
-        Event::MutatorOp { .. } => "mutator",
-        _ => "detection",
-    }
 }
 
 #[cfg(test)]
@@ -639,7 +611,7 @@ mod tests {
     fn clocked(capacity: usize) -> TraceConfig {
         TraceConfig {
             capacity,
-            ..TraceConfig::causal()
+            ..TraceConfig::on()
         }
     }
 
@@ -689,6 +661,8 @@ mod tests {
                 sources: 1,
                 targets: 1,
                 bytes: 64,
+                from: ProcId(0),
+                sent_lc: p0.clock_value(),
             },
         );
         p1.record(
@@ -703,25 +677,100 @@ mod tests {
     }
 
     #[test]
-    fn clock_ticks_witnesses_and_shares() {
-        let c = LamportClock::new();
-        assert_eq!(c.current(), 0);
-        assert_eq!(c.tick(), 1);
-        assert_eq!(c.tick(), 2);
-        c.witness(10);
-        assert_eq!(c.current(), 10);
-        c.witness(5); // witnessing a lower value never rewinds
-        assert_eq!(c.current(), 10);
-        let shared = c.clone();
-        assert_eq!(shared.tick(), 11);
-        assert_eq!(c.current(), 11, "handles share one counter");
+    fn clock_ticks_and_witnesses() {
+        let mut pt = ProcTrace::new(ProcId(0), &clocked(8));
+        let vote = || Event::VoteCast { sweep: 1 };
+        assert_eq!(pt.clock_value(), 0);
+        pt.record(SimTime(1), vote());
+        pt.record(SimTime(2), vote());
+        assert_eq!(pt.clock_value(), 2, "one tick per recorded event");
+        pt.witness(10);
+        assert_eq!(pt.clock_value(), 10);
+        pt.witness(5); // witnessing a lower value never rewinds
+        assert_eq!(pt.clock_value(), 10);
+        pt.record(SimTime(3), vote());
+        let stamps: Vec<u64> = pt.events().map(|r| r.lamport).collect();
+        assert_eq!(stamps, vec![1, 2, 11], "stamped above the witnessed bound");
+    }
+
+    /// Three CDMs over one route (same detection, destination, reference
+    /// and hop), each delivered once. `send_ring` is P0's ring capacity.
+    fn three_sends_one_route(send_ring: usize) -> Trace {
+        let mut p0 = ProcTrace::new(ProcId(0), &clocked(send_ring));
+        let mut p1 = ProcTrace::new(ProcId(1), &clocked(64));
+        p1.share_seq(p0.seq_handle());
+        let (id, via) = (DetectionId(4), RefId(9));
+        for t in 0..3 {
+            p0.record(
+                SimTime(10 + t),
+                Event::CdmSent {
+                    id,
+                    to: ProcId(1),
+                    via,
+                    hop: 2,
+                    sources: 1,
+                    targets: 1,
+                    bytes: 64,
+                },
+            );
+            p1.witness(p0.clock_value());
+            p1.record(
+                SimTime(20 + t),
+                Event::CdmDelivered {
+                    id,
+                    via,
+                    hop: 2,
+                    sources: 1,
+                    targets: 1,
+                    bytes: 64,
+                    from: ProcId(0),
+                    sent_lc: p0.clock_value(),
+                },
+            );
+        }
+        Trace::collect([&p0, &p1])
+    }
+
+    #[test]
+    fn deliveries_of_overwritten_sends_are_counted_not_judged() {
+        // The sender's ring kept only the last of three sends on one route
+        // key; the first two deliveries are stamped below it.
+        let trace = three_sends_one_route(1);
+        assert_eq!(trace.overwritten, 2);
+        let check = trace.check();
+        assert_eq!(check.causal_violations, Vec::<String>::new());
+        assert_eq!(check.unmatched_deliveries, 2);
+        let (_, summary) = perfetto_trace(&trace);
+        assert_eq!((summary.flows, summary.unmatched_deliveries), (1, 2));
+    }
+
+    #[test]
+    fn a_delivery_naming_no_send_is_a_violation_in_a_complete_trace() {
+        let mut trace = three_sends_one_route(64);
+        assert_eq!(trace.overwritten, 0);
+        assert_eq!(check_causal(&trace), CausalCheck::default());
+        let altered = trace
+            .events
+            .iter_mut()
+            .find_map(|r| match &mut r.event {
+                Event::CdmDelivered { sent_lc, .. } => Some(sent_lc),
+                _ => None,
+            })
+            .unwrap();
+        *altered += 100;
+        let check = check_causal(&trace);
+        assert_eq!(check.unmatched_deliveries, 0);
+        assert!(
+            check.violations.iter().any(|v| v.contains("names a send")),
+            "{check:?}"
+        );
     }
 
     #[test]
     fn sound_trace_has_no_causal_violations() {
         let trace = one_hop_trace();
         assert!(trace.events.iter().all(|r| r.lamport > 0));
-        assert_eq!(check_causal(&trace), Vec::<String>::new());
+        assert_eq!(check_causal(&trace), CausalCheck::default());
         assert!(trace
             .detection(DetectionId(7))
             .check_lamport_increases()
@@ -745,7 +794,7 @@ mod tests {
             .find(|r| matches!(r.event, Event::CdmDelivered { .. }))
             .unwrap();
         deliver.lamport = send_lc;
-        let v = check_causal(&trace);
+        let v = check_causal(&trace).violations;
         assert!(
             v.iter().any(|s| s.contains("receive lc")),
             "expected a receive-clock violation, got {v:?}"
@@ -773,17 +822,12 @@ mod tests {
 
     #[test]
     fn unclocked_traces_trivially_pass() {
-        let mut pt = ProcTrace::new(ProcId(0), &TraceConfig::on());
-        pt.record(
-            SimTime(1),
-            Event::DetectionStarted {
-                id: DetectionId(1),
-                scion: RefId(1),
-            },
-        );
-        let trace = Trace::collect([&pt]);
-        assert!(trace.events.iter().all(|r| r.lamport == 0));
-        assert_eq!(check_causal(&trace), Vec::<String>::new());
+        // Events parsed from artifact lines without `lc` carry stamp 0.
+        let mut trace = one_hop_trace();
+        for r in &mut trace.events {
+            r.lamport = 0;
+        }
+        assert_eq!(check_causal(&trace), CausalCheck::default());
     }
 
     #[test]

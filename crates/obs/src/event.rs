@@ -1,26 +1,33 @@
 //! The typed event taxonomy: everything the collector stack can report,
 //! one variant per observable transition of the CDM lifecycle, the
 //! reference-listing layer, the phase clocks, and the quiescence protocol.
+//!
+//! Each event is declared once, as a row of the `events!` table below:
+//! variant, JSONL `type` name, [`Family`], and fields with their JSON
+//! keys. The table generates the enum and its codec, so adding a field is
+//! a one-row change.
 
 use acdgc_model::{DetectionId, ProcId, RefId, SimTime, TraceFilter};
 use serde_json::{json, Map, Number, Value};
 
-/// Pull a `u64` field out of a JSON object (the vendored `serde_json`
-/// exposes no `as_u64`, so the extraction pattern lives here once).
-pub(crate) fn field_u64(m: &Map, key: &str) -> Option<u64> {
-    match m.get(key)? {
-        Value::Number(Number::U64(v)) => Some(*v),
-        Value::Number(Number::I64(v)) if *v >= 0 => Some(*v as u64),
-        _ => None,
-    }
+/// Pull an unsigned integer field out of a JSON object (the vendored
+/// `serde_json` exposes no `as_u64`, so the extraction pattern lives here
+/// once). `None` when absent, mistyped, or out of range for `T`.
+pub(crate) fn field_int<T: TryFrom<u64>>(m: &Map, key: &str) -> Option<T> {
+    let v = match m.get(key)? {
+        Value::Number(Number::U64(v)) => *v,
+        Value::Number(Number::I64(v)) if *v >= 0 => *v as u64,
+        _ => return None,
+    };
+    T::try_from(v).ok()
 }
 
-pub(crate) fn field_u32(m: &Map, key: &str) -> Option<u32> {
-    field_u64(m, key).and_then(|v| u32::try_from(v).ok())
+pub(crate) fn field_u64(m: &Map, key: &str) -> Option<u64> {
+    field_int(m, key)
 }
 
 pub(crate) fn field_u16(m: &Map, key: &str) -> Option<u16> {
-    field_u64(m, key).and_then(|v| u16::try_from(v).ok())
+    field_int(m, key)
 }
 
 pub(crate) fn field_bool(m: &Map, key: &str) -> Option<bool> {
@@ -37,186 +44,271 @@ pub(crate) fn field_str<'a>(m: &'a Map, key: &str) -> Option<&'a str> {
     }
 }
 
-/// A timed collector phase. Phases are bracketed by
-/// [`Event::PhaseStarted`] / [`Event::PhaseEnded`] pairs and feed the
-/// per-phase log2 duration histograms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Phase {
-    /// Local mark+sweep collection.
-    Lgc,
-    /// Raw heap/table snapshot capture (`acdgc_snapshot::capture`).
-    SnapshotCapture,
-    /// Single-pass SCC-condensation summarizer.
-    SummarizeEngine,
-    /// Reference per-scion-BFS summarizer.
-    SummarizeReference,
-    /// Candidate scan over the published summary.
-    CandidateScan,
-    /// One CDM combine step (initiate or deliver) including outcome
-    /// handling. Histogram-only: per-CDM start/end events would double the
-    /// trace volume for no forensic value.
-    CdmHandling,
+/// How one event field travels in a flat JSON object.
+pub(crate) trait Field: Sized {
+    fn put(&self, key: &str, obj: &mut Map);
+    fn get(m: &Map, key: &str) -> Option<Self>;
+}
+
+/// Integer-backed fields: `Type: wire integer, wrap, unwrap`.
+macro_rules! int_fields {
+    ($($T:ty: $Int:ty, $wrap:expr, $raw:expr;)+) => {$(
+        impl Field for $T {
+            fn put(&self, key: &str, obj: &mut Map) {
+                obj.insert(key.into(), json!(($raw)(self)));
+            }
+            fn get(m: &Map, key: &str) -> Option<Self> {
+                field_int::<$Int>(m, key).map($wrap)
+            }
+        }
+    )+};
+}
+
+int_fields! {
+    u64: u64, |v| v, |v: &u64| *v;
+    u32: u32, |v| v, |v: &u32| *v;
+    DetectionId: u64, DetectionId, |v: &DetectionId| v.0;
+    RefId: u64, RefId, |v: &RefId| v.0;
+    ProcId: u16, ProcId, |v: &ProcId| v.0;
+}
+
+impl Field for bool {
+    fn put(&self, key: &str, obj: &mut Map) {
+        obj.insert(key.into(), json!(*self));
+    }
+    fn get(m: &Map, key: &str) -> Option<Self> {
+        field_bool(m, key)
+    }
+}
+
+/// An optional reference: the key is simply absent for `None`.
+impl Field for Option<RefId> {
+    fn put(&self, key: &str, obj: &mut Map) {
+        if let Some(r) = self {
+            r.put(key, obj);
+        }
+    }
+    fn get(m: &Map, key: &str) -> Option<Self> {
+        match m.get(key) {
+            None => Some(None),
+            Some(_) => RefId::get(m, key).map(Some),
+        }
+    }
+}
+
+/// Declare a fieldless enum whose variants carry stable snake_case names:
+/// generates the enum, `ALL`, `name`, `from_name` (for parsing exported
+/// traces), and the JSON [`Field`] codec.
+macro_rules! named_enum {
+    ($(#[$m:meta])* $vis:vis enum $Name:ident {
+        $($(#[$vm:meta])* $Var:ident => $s:literal,)+
+    }) => {
+        $(#[$m])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        $vis enum $Name {
+            $($(#[$vm])* $Var,)+
+        }
+
+        impl $Name {
+            pub const ALL: [$Name; [$($s),+].len()] = [$($Name::$Var),+];
+
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($Name::$Var => $s,)+
+                }
+            }
+
+            pub fn from_name(name: &str) -> Option<$Name> {
+                $Name::ALL.into_iter().find(|v| v.name() == name)
+            }
+        }
+
+        impl $crate::event::Field for $Name {
+            fn put(&self, key: &str, obj: &mut serde_json::Map) {
+                obj.insert(key.into(), serde_json::json!(self.name()));
+            }
+            fn get(m: &serde_json::Map, key: &str) -> Option<Self> {
+                $Name::from_name($crate::event::field_str(m, key)?)
+            }
+        }
+    };
+}
+pub(crate) use named_enum;
+
+named_enum! {
+    /// A timed collector phase. Phases are bracketed by
+    /// [`Event::PhaseStarted`] / [`Event::PhaseEnded`] pairs and feed the
+    /// per-phase log2 duration histograms.
+    pub enum Phase {
+        /// Local mark+sweep collection.
+        Lgc => "lgc",
+        /// Raw heap/table snapshot capture (`acdgc_snapshot::capture`).
+        SnapshotCapture => "snapshot_capture",
+        /// Single-pass SCC-condensation summarizer.
+        SummarizeEngine => "summarize_engine",
+        /// Reference per-scion-BFS summarizer.
+        SummarizeReference => "summarize_reference",
+        /// Candidate scan over the published summary.
+        CandidateScan => "candidate_scan",
+        /// One CDM combine step (initiate or deliver) including outcome
+        /// handling. Histogram-only: per-CDM start/end events would double
+        /// the trace volume for no forensic value.
+        CdmHandling => "cdm_handling",
+    }
 }
 
 impl Phase {
-    pub const COUNT: usize = 6;
-    pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Lgc,
-        Phase::SnapshotCapture,
-        Phase::SummarizeEngine,
-        Phase::SummarizeReference,
-        Phase::CandidateScan,
-        Phase::CdmHandling,
-    ];
+    pub const COUNT: usize = Phase::ALL.len();
 
     pub fn index(self) -> usize {
-        match self {
-            Phase::Lgc => 0,
-            Phase::SnapshotCapture => 1,
-            Phase::SummarizeEngine => 2,
-            Phase::SummarizeReference => 3,
-            Phase::CandidateScan => 4,
-            Phase::CdmHandling => 5,
+        self as usize
+    }
+}
+
+named_enum! {
+    /// Why a detection was dropped without a verdict.
+    pub enum DropReason {
+        /// Safety rule 1: addressed scion absent from the current summary.
+        NoScion => "no_scion",
+        /// Backstop hop cap exceeded.
+        HopCap => "hop_cap",
+    }
+}
+
+named_enum! {
+    /// Why a detection terminated normally (no cycle, no safety violation).
+    pub enum TermReason {
+        NoStubs => "no_stubs",
+        AllStubsLocallyReachable => "all_stubs_locally_reachable",
+        NoNewInformation => "no_new_information",
+        BudgetExhausted => "budget_exhausted",
+    }
+}
+
+named_enum! {
+    /// What a concurrent-mutator thread did in one [`Event::MutatorOp`].
+    pub enum MutatorOpKind {
+        /// A new rooted object was allocated on the recording process.
+        Allocate => "allocate",
+        /// A remote reference (stub/scion pair) was created or re-shared
+        /// from a holder on the recording process.
+        Export => "export",
+        /// An invocation travelled along a remote reference; the target
+        /// scion was pinned for the duration (recorded at the sending
+        /// process).
+        Invoke => "invoke",
+        /// A remote reference was dropped by its holder on the recording
+        /// process.
+        DropRef => "drop_ref",
+        /// A mutator-allocated object was unrooted on the recording
+        /// process, turning its subgraph into (possibly cyclic, possibly
+        /// distributed) garbage.
+        DropRoot => "drop_root",
+    }
+}
+
+named_enum! {
+    /// Event family: the unit of [`TraceFilter`] selection, and (by name)
+    /// the slice category of the Perfetto export.
+    pub enum Family {
+        /// CDM lifecycle, scion deletions, candidate scans.
+        Detections => "detection",
+        /// Reference listing: `NewSetStubs` send / apply / ack.
+        Nss => "nss",
+        Phases => "phase",
+        /// Threaded-runtime quiescence votes and rescinds.
+        Quiescence => "quiescence",
+        Mutator => "mutator",
+    }
+}
+
+/// The JSON key of a table field: its name unless the row overrides it.
+macro_rules! key {
+    ($f:ident) => {
+        stringify!($f)
+    };
+    ($f:ident, $key:literal) => {
+        $key
+    };
+}
+
+/// The event table. One row per variant:
+/// `Variant = "jsonl_type" in Family { field: Type [= "json_key"], .. }`.
+/// Generates [`Event`], [`Event::kind`], [`Event::family`],
+/// [`Event::payload_into`] and [`Event::from_json`].
+macro_rules! events {
+    ($($(#[$doc:meta])* $Var:ident = $kind:literal in $fam:ident {
+        $($f:ident: $T:ty $(= $key:literal)?),* $(,)?
+    })+) => {
+        /// One observable transition. Detection events carry the detection
+        /// id, the hop depth of the processing step that produced them, and
+        /// — for wire events — source/target algebra sizes and encoded
+        /// bytes, so a trace alone reconstructs the paper's §3.1 walk
+        /// tables.
+        ///
+        /// Hop convention: the detector increments a CDM's hop counter on
+        /// delivery, so `CdmSent`/`CdmDelivered` record the depth at which
+        /// the *receiving* step processes the CDM. A sent/delivered pair
+        /// for one CDM therefore shares a hop value, and hops strictly
+        /// increase along every reconstructed path (checked by
+        /// `DetectionPath::check_hops_increase`).
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Event {
+            $($(#[$doc])* $Var { $($f: $T),* },)+
         }
-    }
 
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Lgc => "lgc",
-            Phase::SnapshotCapture => "snapshot_capture",
-            Phase::SummarizeEngine => "summarize_engine",
-            Phase::SummarizeReference => "summarize_reference",
-            Phase::CandidateScan => "candidate_scan",
-            Phase::CdmHandling => "cdm_handling",
+        impl Event {
+            /// Stable snake_case discriminant, used as the JSONL `type`
+            /// field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$Var { .. } => $kind,)+
+                }
+            }
+
+            pub fn family(&self) -> Family {
+                match self {
+                    $(Event::$Var { .. } => Family::$fam,)+
+                }
+            }
+
+            /// Insert this event's payload fields into a JSON object that
+            /// already carries the `type` discriminant — the shared half of
+            /// [`Recorded::to_json`] and the health-report event export.
+            pub fn payload_into(&self, obj: &mut Map) {
+                match self {
+                    $(Event::$Var { $($f),* } => {
+                        $($f.put(key!($f $(, $key)?), obj);)*
+                    })+
+                }
+            }
+
+            /// Inverse of the payload half of [`Recorded::to_json`]:
+            /// rebuild an event from its `type` discriminant and the flat
+            /// JSON object it was exported as. `None` on unknown kinds or
+            /// missing/mistyped fields.
+            pub fn from_json(kind: &str, m: &Map) -> Option<Event> {
+                Some(match kind {
+                    $($kind => Event::$Var {
+                        $($f: <$T>::get(m, key!($f $(, $key)?))?),*
+                    },)+
+                    _ => return None,
+                })
+            }
         }
-    }
-
-    /// Inverse of [`Phase::name`], for parsing exported traces.
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.name() == name)
-    }
+    };
 }
 
-/// Why a detection was dropped without a verdict.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DropReason {
-    /// Safety rule 1: addressed scion absent from the current summary.
-    NoScion,
-    /// Backstop hop cap exceeded.
-    HopCap,
-}
-
-impl DropReason {
-    pub fn name(self) -> &'static str {
-        match self {
-            DropReason::NoScion => "no_scion",
-            DropReason::HopCap => "hop_cap",
-        }
-    }
-
-    pub fn from_name(name: &str) -> Option<DropReason> {
-        [DropReason::NoScion, DropReason::HopCap]
-            .into_iter()
-            .find(|r| r.name() == name)
-    }
-}
-
-/// Why a detection terminated normally (no cycle, no safety violation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TermReason {
-    NoStubs,
-    AllStubsLocallyReachable,
-    NoNewInformation,
-    BudgetExhausted,
-}
-
-impl TermReason {
-    pub fn name(self) -> &'static str {
-        match self {
-            TermReason::NoStubs => "no_stubs",
-            TermReason::AllStubsLocallyReachable => "all_stubs_locally_reachable",
-            TermReason::NoNewInformation => "no_new_information",
-            TermReason::BudgetExhausted => "budget_exhausted",
-        }
-    }
-
-    pub fn from_name(name: &str) -> Option<TermReason> {
-        [
-            TermReason::NoStubs,
-            TermReason::AllStubsLocallyReachable,
-            TermReason::NoNewInformation,
-            TermReason::BudgetExhausted,
-        ]
-        .into_iter()
-        .find(|r| r.name() == name)
-    }
-}
-
-/// What a concurrent-mutator thread did in one [`Event::MutatorOp`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MutatorOpKind {
-    /// A new rooted object was allocated on the recording process.
-    Allocate,
-    /// A remote reference (stub/scion pair) was created or re-shared from
-    /// a holder on the recording process.
-    Export,
-    /// An invocation travelled along a remote reference; the target scion
-    /// was pinned for the duration (recorded at the sending process).
-    Invoke,
-    /// A remote reference was dropped by its holder on the recording
-    /// process.
-    DropRef,
-    /// A mutator-allocated object was unrooted on the recording process,
-    /// turning its subgraph into (possibly cyclic, possibly distributed)
-    /// garbage.
-    DropRoot,
-}
-
-impl MutatorOpKind {
-    /// Stable snake_case name, used in the JSONL `op` field.
-    pub fn name(self) -> &'static str {
-        match self {
-            MutatorOpKind::Allocate => "allocate",
-            MutatorOpKind::Export => "export",
-            MutatorOpKind::Invoke => "invoke",
-            MutatorOpKind::DropRef => "drop_ref",
-            MutatorOpKind::DropRoot => "drop_root",
-        }
-    }
-
-    /// Inverse of [`MutatorOpKind::name`], for parsing exported traces.
-    pub fn from_name(name: &str) -> Option<MutatorOpKind> {
-        [
-            MutatorOpKind::Allocate,
-            MutatorOpKind::Export,
-            MutatorOpKind::Invoke,
-            MutatorOpKind::DropRef,
-            MutatorOpKind::DropRoot,
-        ]
-        .into_iter()
-        .find(|k| k.name() == name)
-    }
-}
-
-/// One observable transition. Detection events carry the detection id,
-/// the hop depth of the processing step that produced them, and — for
-/// wire events — source/target algebra sizes and encoded bytes, so a
-/// trace alone reconstructs the paper's §3.1 walk tables.
-///
-/// Hop convention: the detector increments a CDM's hop counter on
-/// delivery, so `CdmSent`/`CdmDelivered` record the depth at which the
-/// *receiving* step processes the CDM. A sent/delivered pair for one CDM
-/// therefore shares a hop value, and hops strictly increase along every
-/// reconstructed path (checked by `DetectionPath::check_hops_increase`).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
+events! {
     /// A detection was initiated from `scion` at the recording process.
-    DetectionStarted {
+    DetectionStarted = "detection_started" in Detections {
         id: DetectionId,
         scion: RefId,
-    },
-    /// One CDM derivation left the recording process towards `to`.
-    CdmSent {
+    }
+    /// One CDM derivation left the recording process towards `to`. The
+    /// recording process and this event's Lamport stamp are the CDM's
+    /// identity: every copy of it that lands records them back.
+    CdmSent = "cdm_sent" in Detections {
         id: DetectionId,
         to: ProcId,
         via: RefId,
@@ -224,108 +316,113 @@ pub enum Event {
         sources: u32,
         targets: u32,
         bytes: u32,
-    },
-    /// A CDM arrived at the recording process (pre-combine).
-    CdmDelivered {
+    }
+    /// A CDM arrived at the recording process (pre-combine). `from` and
+    /// `sent_lc` name the one [`Event::CdmSent`] this copy came from: the
+    /// sending process and that event's Lamport stamp, as piggybacked on
+    /// the envelope.
+    CdmDelivered = "cdm_delivered" in Detections {
         id: DetectionId,
         via: RefId,
         hop: u32,
         sources: u32,
         targets: u32,
         bytes: u32,
-    },
+        from: ProcId,
+        sent_lc: u64,
+    }
     /// A processing step (initiate or deliver) combined the CDM with the
     /// local summary and forwarded `branches` derivations; the pruned
     /// counters record sibling branches that did not forward.
-    CdmForwarded {
+    CdmForwarded = "cdm_forwarded" in Detections {
         id: DetectionId,
         hop: u32,
         branches: u32,
         pruned_local: u32,
         pruned_no_new_info: u32,
-    },
+    }
     /// Matching cancelled completely: `scions` proven-garbage scions will
     /// be deleted.
-    CycleDetected {
+    CycleDetected = "cycle_detected" in Detections {
         id: DetectionId,
         hop: u32,
         scions: u32,
-    },
+    }
     /// §3.2 invocation-counter barrier fired.
-    DetectionAborted {
+    DetectionAborted = "detection_aborted" in Detections {
         id: DetectionId,
         hop: u32,
-        ref_id: RefId,
+        ref_id: RefId = "ref",
         source_ic: u64,
         target_ic: u64,
-    },
-    DetectionDropped {
+    }
+    DetectionDropped = "detection_dropped" in Detections {
         id: DetectionId,
         hop: u32,
         reason: DropReason,
-    },
-    DetectionTerminated {
+    }
+    DetectionTerminated = "detection_terminated" in Detections {
         id: DetectionId,
         hop: u32,
         reason: TermReason,
-    },
+    }
     /// A cycle verdict deleted this scion at the recording (owning)
     /// process.
-    ScionDeleted {
+    ScionDeleted = "scion_deleted" in Detections {
         scion: RefId,
         incarnation: u32,
-    },
+    }
     /// Reference listing: a `NewSetStubs` left for `to`.
-    NssSent {
+    NssSent = "nss_sent" in Nss {
         to: ProcId,
-        seq: u64,
+        seq: u64 = "nss_seq",
         live_refs: u32,
         retry: bool,
-    },
+    }
     /// A `NewSetStubs` from `from` was applied (or rejected as stale).
-    NssApplied {
+    NssApplied = "nss_applied" in Nss {
         from: ProcId,
-        seq: u64,
+        seq: u64 = "nss_seq",
         removed: u32,
         stale: bool,
-    },
+    }
     /// Threaded runtime: an NSS acknowledgement left for `to`.
-    NssAcked {
+    NssAcked = "nss_acked" in Nss {
         to: ProcId,
-        seq: u64,
-    },
+        seq: u64 = "nss_seq",
+    }
     /// A candidate scan picked `picked` scions and deferred `deferred`
     /// (backoff window / scan cap).
-    CandidatesScanned {
+    CandidatesScanned = "candidates_scanned" in Detections {
         picked: u32,
         deferred: u32,
-    },
-    PhaseStarted {
+    }
+    PhaseStarted = "phase_started" in Phases {
         phase: Phase,
-    },
-    PhaseEnded {
+    }
+    PhaseEnded = "phase_ended" in Phases {
         phase: Phase,
         nanos: u64,
-    },
+    }
     /// Threaded runtime: this worker cast its quiescence vote after
     /// `sweep` sweeps.
-    VoteCast {
+    VoteCast = "vote_cast" in Quiescence {
         sweep: u64,
-    },
+    }
     /// Threaded runtime: a voted worker received a message and rescinded.
-    VoteRescinded {
+    VoteRescinded = "vote_rescinded" in Quiescence {
         sweep: u64,
-    },
+    }
     /// Threaded runtime: a concurrent-mutator thread performed one
     /// operation touching the recording process. Lamport-stamped like any
     /// other event, so `--critical-path` waterfalls show collector-vs-
     /// mutator interference on the same causal axis. `ref_id` names the
     /// remote reference involved, when one is (allocate/drop-root carry
     /// none).
-    MutatorOp {
+    MutatorOp = "mutator_op" in Mutator {
         op: MutatorOpKind,
-        ref_id: Option<RefId>,
-    },
+        ref_id: Option<RefId> = "ref",
+    }
 }
 
 impl Event {
@@ -356,289 +453,14 @@ impl Event {
         )
     }
 
-    /// Stable snake_case discriminant, used as the JSONL `type` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::DetectionStarted { .. } => "detection_started",
-            Event::CdmSent { .. } => "cdm_sent",
-            Event::CdmDelivered { .. } => "cdm_delivered",
-            Event::CdmForwarded { .. } => "cdm_forwarded",
-            Event::CycleDetected { .. } => "cycle_detected",
-            Event::DetectionAborted { .. } => "detection_aborted",
-            Event::DetectionDropped { .. } => "detection_dropped",
-            Event::DetectionTerminated { .. } => "detection_terminated",
-            Event::ScionDeleted { .. } => "scion_deleted",
-            Event::NssSent { .. } => "nss_sent",
-            Event::NssApplied { .. } => "nss_applied",
-            Event::NssAcked { .. } => "nss_acked",
-            Event::CandidatesScanned { .. } => "candidates_scanned",
-            Event::PhaseStarted { .. } => "phase_started",
-            Event::PhaseEnded { .. } => "phase_ended",
-            Event::VoteCast { .. } => "vote_cast",
-            Event::VoteRescinded { .. } => "vote_rescinded",
-            Event::MutatorOp { .. } => "mutator_op",
-        }
-    }
-
-    /// Insert this event's payload fields into a JSON object that already
-    /// carries the `type` discriminant — the shared half of
-    /// [`Recorded::to_json`] and the health-report pending-tail export.
-    pub fn payload_into(&self, obj: &mut Map) {
-        match self {
-            Event::DetectionStarted { id, scion } => {
-                obj.insert("id".into(), json!(id.0));
-                obj.insert("scion".into(), json!(scion.0));
-            }
-            Event::CdmSent {
-                id,
-                to,
-                via,
-                hop,
-                sources,
-                targets,
-                bytes,
-            } => {
-                obj.insert("id".into(), json!(id.0));
-                obj.insert("to".into(), json!(to.0));
-                obj.insert("via".into(), json!(via.0));
-                obj.insert("hop".into(), json!(*hop));
-                obj.insert("sources".into(), json!(*sources));
-                obj.insert("targets".into(), json!(*targets));
-                obj.insert("bytes".into(), json!(*bytes));
-            }
-            Event::CdmDelivered {
-                id,
-                via,
-                hop,
-                sources,
-                targets,
-                bytes,
-            } => {
-                obj.insert("id".into(), json!(id.0));
-                obj.insert("via".into(), json!(via.0));
-                obj.insert("hop".into(), json!(*hop));
-                obj.insert("sources".into(), json!(*sources));
-                obj.insert("targets".into(), json!(*targets));
-                obj.insert("bytes".into(), json!(*bytes));
-            }
-            Event::CdmForwarded {
-                id,
-                hop,
-                branches,
-                pruned_local,
-                pruned_no_new_info,
-            } => {
-                obj.insert("id".into(), json!(id.0));
-                obj.insert("hop".into(), json!(*hop));
-                obj.insert("branches".into(), json!(*branches));
-                obj.insert("pruned_local".into(), json!(*pruned_local));
-                obj.insert("pruned_no_new_info".into(), json!(*pruned_no_new_info));
-            }
-            Event::CycleDetected { id, hop, scions } => {
-                obj.insert("id".into(), json!(id.0));
-                obj.insert("hop".into(), json!(*hop));
-                obj.insert("scions".into(), json!(*scions));
-            }
-            Event::DetectionAborted {
-                id,
-                hop,
-                ref_id,
-                source_ic,
-                target_ic,
-            } => {
-                obj.insert("id".into(), json!(id.0));
-                obj.insert("hop".into(), json!(*hop));
-                obj.insert("ref".into(), json!(ref_id.0));
-                obj.insert("source_ic".into(), json!(*source_ic));
-                obj.insert("target_ic".into(), json!(*target_ic));
-            }
-            Event::DetectionDropped { id, hop, reason } => {
-                obj.insert("id".into(), json!(id.0));
-                obj.insert("hop".into(), json!(*hop));
-                obj.insert("reason".into(), json!(reason.name()));
-            }
-            Event::DetectionTerminated { id, hop, reason } => {
-                obj.insert("id".into(), json!(id.0));
-                obj.insert("hop".into(), json!(*hop));
-                obj.insert("reason".into(), json!(reason.name()));
-            }
-            Event::ScionDeleted { scion, incarnation } => {
-                obj.insert("scion".into(), json!(scion.0));
-                obj.insert("incarnation".into(), json!(*incarnation));
-            }
-            Event::NssSent {
-                to,
-                seq,
-                live_refs,
-                retry,
-            } => {
-                obj.insert("to".into(), json!(to.0));
-                obj.insert("nss_seq".into(), json!(*seq));
-                obj.insert("live_refs".into(), json!(*live_refs));
-                obj.insert("retry".into(), json!(*retry));
-            }
-            Event::NssApplied {
-                from,
-                seq,
-                removed,
-                stale,
-            } => {
-                obj.insert("from".into(), json!(from.0));
-                obj.insert("nss_seq".into(), json!(*seq));
-                obj.insert("removed".into(), json!(*removed));
-                obj.insert("stale".into(), json!(*stale));
-            }
-            Event::NssAcked { to, seq } => {
-                obj.insert("to".into(), json!(to.0));
-                obj.insert("nss_seq".into(), json!(*seq));
-            }
-            Event::CandidatesScanned { picked, deferred } => {
-                obj.insert("picked".into(), json!(*picked));
-                obj.insert("deferred".into(), json!(*deferred));
-            }
-            Event::PhaseStarted { phase } => {
-                obj.insert("phase".into(), json!(phase.name()));
-            }
-            Event::PhaseEnded { phase, nanos } => {
-                obj.insert("phase".into(), json!(phase.name()));
-                obj.insert("nanos".into(), json!(*nanos));
-            }
-            Event::VoteCast { sweep } => {
-                obj.insert("sweep".into(), json!(*sweep));
-            }
-            Event::VoteRescinded { sweep } => {
-                obj.insert("sweep".into(), json!(*sweep));
-            }
-            Event::MutatorOp { op, ref_id } => {
-                obj.insert("op".into(), json!(op.name()));
-                if let Some(r) = ref_id {
-                    obj.insert("ref".into(), json!(r.0));
-                }
-            }
-        }
-    }
-
-    /// Inverse of the payload half of [`Recorded::to_json`]: rebuild an
-    /// event from its `type` discriminant and the flat JSON object it was
-    /// exported as. `None` on unknown kinds or missing/mistyped fields.
-    pub fn from_json(kind: &str, m: &Map) -> Option<Event> {
-        let id = || field_u64(m, "id").map(DetectionId);
-        Some(match kind {
-            "detection_started" => Event::DetectionStarted {
-                id: id()?,
-                scion: RefId(field_u64(m, "scion")?),
-            },
-            "cdm_sent" => Event::CdmSent {
-                id: id()?,
-                to: ProcId(field_u16(m, "to")?),
-                via: RefId(field_u64(m, "via")?),
-                hop: field_u32(m, "hop")?,
-                sources: field_u32(m, "sources")?,
-                targets: field_u32(m, "targets")?,
-                bytes: field_u32(m, "bytes")?,
-            },
-            "cdm_delivered" => Event::CdmDelivered {
-                id: id()?,
-                via: RefId(field_u64(m, "via")?),
-                hop: field_u32(m, "hop")?,
-                sources: field_u32(m, "sources")?,
-                targets: field_u32(m, "targets")?,
-                bytes: field_u32(m, "bytes")?,
-            },
-            "cdm_forwarded" => Event::CdmForwarded {
-                id: id()?,
-                hop: field_u32(m, "hop")?,
-                branches: field_u32(m, "branches")?,
-                pruned_local: field_u32(m, "pruned_local")?,
-                pruned_no_new_info: field_u32(m, "pruned_no_new_info")?,
-            },
-            "cycle_detected" => Event::CycleDetected {
-                id: id()?,
-                hop: field_u32(m, "hop")?,
-                scions: field_u32(m, "scions")?,
-            },
-            "detection_aborted" => Event::DetectionAborted {
-                id: id()?,
-                hop: field_u32(m, "hop")?,
-                ref_id: RefId(field_u64(m, "ref")?),
-                source_ic: field_u64(m, "source_ic")?,
-                target_ic: field_u64(m, "target_ic")?,
-            },
-            "detection_dropped" => Event::DetectionDropped {
-                id: id()?,
-                hop: field_u32(m, "hop")?,
-                reason: DropReason::from_name(field_str(m, "reason")?)?,
-            },
-            "detection_terminated" => Event::DetectionTerminated {
-                id: id()?,
-                hop: field_u32(m, "hop")?,
-                reason: TermReason::from_name(field_str(m, "reason")?)?,
-            },
-            "scion_deleted" => Event::ScionDeleted {
-                scion: RefId(field_u64(m, "scion")?),
-                incarnation: field_u32(m, "incarnation")?,
-            },
-            "nss_sent" => Event::NssSent {
-                to: ProcId(field_u16(m, "to")?),
-                seq: field_u64(m, "nss_seq")?,
-                live_refs: field_u32(m, "live_refs")?,
-                retry: field_bool(m, "retry")?,
-            },
-            "nss_applied" => Event::NssApplied {
-                from: ProcId(field_u16(m, "from")?),
-                seq: field_u64(m, "nss_seq")?,
-                removed: field_u32(m, "removed")?,
-                stale: field_bool(m, "stale")?,
-            },
-            "nss_acked" => Event::NssAcked {
-                to: ProcId(field_u16(m, "to")?),
-                seq: field_u64(m, "nss_seq")?,
-            },
-            "candidates_scanned" => Event::CandidatesScanned {
-                picked: field_u32(m, "picked")?,
-                deferred: field_u32(m, "deferred")?,
-            },
-            "phase_started" => Event::PhaseStarted {
-                phase: Phase::from_name(field_str(m, "phase")?)?,
-            },
-            "phase_ended" => Event::PhaseEnded {
-                phase: Phase::from_name(field_str(m, "phase")?)?,
-                nanos: field_u64(m, "nanos")?,
-            },
-            "vote_cast" => Event::VoteCast {
-                sweep: field_u64(m, "sweep")?,
-            },
-            "vote_rescinded" => Event::VoteRescinded {
-                sweep: field_u64(m, "sweep")?,
-            },
-            "mutator_op" => Event::MutatorOp {
-                op: MutatorOpKind::from_name(field_str(m, "op")?)?,
-                ref_id: match m.get("ref") {
-                    None => None,
-                    Some(_) => Some(RefId(field_u64(m, "ref")?)),
-                },
-            },
-            _ => return None,
-        })
-    }
-
     /// Whether `filter` admits this event.
     pub fn passes(&self, filter: &TraceFilter) -> bool {
-        match self {
-            Event::DetectionStarted { .. }
-            | Event::CdmSent { .. }
-            | Event::CdmDelivered { .. }
-            | Event::CdmForwarded { .. }
-            | Event::CycleDetected { .. }
-            | Event::DetectionAborted { .. }
-            | Event::DetectionDropped { .. }
-            | Event::DetectionTerminated { .. }
-            | Event::ScionDeleted { .. }
-            | Event::CandidatesScanned { .. } => filter.detections,
-            Event::NssSent { .. } | Event::NssApplied { .. } | Event::NssAcked { .. } => filter.nss,
-            Event::PhaseStarted { .. } | Event::PhaseEnded { .. } => filter.phases,
-            Event::VoteCast { .. } | Event::VoteRescinded { .. } => filter.quiescence,
-            Event::MutatorOp { .. } => filter.mutator,
+        match self.family() {
+            Family::Detections => filter.detections,
+            Family::Nss => filter.nss,
+            Family::Phases => filter.phases,
+            Family::Quiescence => filter.quiescence,
+            Family::Mutator => filter.mutator,
         }
     }
 }
@@ -652,17 +474,17 @@ pub struct Recorded {
     pub seq: u64,
     pub at: SimTime,
     pub proc: ProcId,
-    /// Lamport stamp assigned by the recording process's logical clock.
-    /// `0` means the trace ran without clocks (`TraceConfig::lamport`
-    /// off); real stamps start at 1 and strictly increase per process.
+    /// Lamport stamp assigned by the recording process's logical clock:
+    /// starts at 1 and strictly increases per process. `0` only on events
+    /// parsed from an artifact line without `lc`; the checkers skip those.
     pub lamport: u64,
     pub event: Event,
 }
 
 impl Recorded {
     /// One flat JSON object per event — the JSONL schema (documented in
-    /// DESIGN.md §Observability). The `lc` key is emitted only for
-    /// clocked events, so unclocked artifacts keep their old shape.
+    /// docs/OBSERVABILITY.md). The `lc` key is emitted only for stamped
+    /// events.
     pub fn to_json(&self) -> Value {
         let mut v = json!({
             "seq": self.seq,
@@ -683,7 +505,7 @@ impl Recorded {
 
     /// Inverse of [`Recorded::to_json`], for re-ingesting JSONL exports
     /// (`acdgc-report`). `None` when the object is not an event line.
-    /// A missing `lc` parses as 0, so pre-clock artifacts still load.
+    /// A missing `lc` parses as 0, so artifacts without stamps still load.
     pub fn from_json(v: &Value) -> Option<Recorded> {
         let m = match v {
             Value::Object(m) => m,
@@ -841,6 +663,8 @@ mod tests {
                 sources: 3,
                 targets: 2,
                 bytes: 120,
+                from: ProcId(1),
+                sent_lc: 41,
             },
             Event::CdmForwarded {
                 id,

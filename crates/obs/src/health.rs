@@ -1,95 +1,62 @@
 //! Runtime health: per-worker heartbeats, stall detection, and
 //! [`HealthReport`] snapshots for the threaded runtime.
 //!
-//! PR 3's flight recorder has a blind spot by design: threaded workers
-//! buffer their lock-free tail events until the next sweep-boundary flush,
-//! so the one worker that hangs is exactly the worker whose latest events
-//! the trace cannot show. This module closes that gap the way termination
-//! detectors treat liveness — as a first-class observable:
+//! Termination detectors treat liveness as a first-class observable, and
+//! so does this module:
 //!
 //! * every worker publishes a [`HeartbeatSlot`] of relaxed atomics (last
-//!   beat, sweep, stage, vote state, pending-event count, inbox depth)
-//!   once per loop iteration — a handful of stores, no locks;
+//!   beat, sweep, stage, vote state, inbox depth) once per loop iteration
+//!   — a handful of stores, no locks;
 //! * a monitor thread (armed by `WatchdogConfig`) polls the slots and
 //!   flags any worker whose last beat is older than `stall_after`;
 //! * on stall — and once at the end of every run (quiescence or
-//!   deadline) — it snapshots each worker's *pending* (not yet flushed)
-//!   event tail plus its metrics ledger into a [`HealthReport`].
+//!   deadline) — it snapshots each worker's last few ring events plus its
+//!   metrics ledger into a [`HealthReport`].
 //!
 //! The report is both human-renderable ([`HealthReport::render`]) and a
 //! JSONL line ([`HealthReport::to_json`]) appended to trace artifacts, so
 //! `acdgc-report` can summarize run health offline.
 
-use crate::event::{field_bool, field_str, field_u16, field_u64, Event};
+use crate::event::{field_bool, field_str, field_u16, field_u64, named_enum, Event};
 use acdgc_model::{ProcId, SimTime};
 use serde_json::{json, Map, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Where a worker's main loop was when it last beat. Encoded as a `u64`
-/// so the slot stays a plain atomic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkerStage {
-    /// Spawned, no loop iteration completed yet.
-    Starting,
-    /// Draining the inbox.
-    Draining,
-    /// Inside a GC sweep (LGC, NSS, snapshot, scan, initiations).
-    Sweeping,
-    /// Vote cast; idling on drain + global-quiet checks.
-    Voted,
-    /// Past the stop flag, applying the final drain.
-    FinalDrain,
-    /// Exited; an old beat is normal, not a stall.
-    Done,
+named_enum! {
+    /// Where a worker's main loop was when it last beat. Stored in the
+    /// slot as its discriminant so the slot stays a plain atomic.
+    pub enum WorkerStage {
+        /// Spawned, no loop iteration completed yet.
+        Starting => "starting",
+        /// Draining the inbox.
+        Draining => "draining",
+        /// Inside a GC sweep (LGC, NSS, snapshot, scan, initiations).
+        Sweeping => "sweeping",
+        /// Vote cast; idling on drain + global-quiet checks.
+        Voted => "voted",
+        /// Past the stop flag, applying the final drain.
+        FinalDrain => "final_drain",
+        /// Exited; an old beat is normal, not a stall.
+        Done => "done",
+    }
 }
 
 impl WorkerStage {
-    pub const ALL: [WorkerStage; 6] = [
-        WorkerStage::Starting,
-        WorkerStage::Draining,
-        WorkerStage::Sweeping,
-        WorkerStage::Voted,
-        WorkerStage::FinalDrain,
-        WorkerStage::Done,
-    ];
-
     pub fn code(self) -> u64 {
-        match self {
-            WorkerStage::Starting => 0,
-            WorkerStage::Draining => 1,
-            WorkerStage::Sweeping => 2,
-            WorkerStage::Voted => 3,
-            WorkerStage::FinalDrain => 4,
-            WorkerStage::Done => 5,
-        }
+        self as u64
     }
 
     pub fn from_code(code: u64) -> WorkerStage {
         WorkerStage::ALL
-            .into_iter()
-            .find(|s| s.code() == code)
+            .get(code as usize)
+            .copied()
             .unwrap_or(WorkerStage::Starting)
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            WorkerStage::Starting => "starting",
-            WorkerStage::Draining => "draining",
-            WorkerStage::Sweeping => "sweeping",
-            WorkerStage::Voted => "voted",
-            WorkerStage::FinalDrain => "final_drain",
-            WorkerStage::Done => "done",
-        }
-    }
-
-    pub fn from_name(name: &str) -> Option<WorkerStage> {
-        WorkerStage::ALL.into_iter().find(|s| s.name() == name)
     }
 }
 
 /// One worker's published vitals. Writers are the owning worker (beats,
-/// stage, pending count) and its peers (inbox enqueue side); the monitor
+/// stage) and its peers (inbox enqueue side); the monitor
 /// only reads. All accesses are `Relaxed`: the watchdog tolerates a
 /// slightly stale read — its threshold is milliseconds, not nanoseconds —
 /// and keeping the slot off the coherence hot path is the point.
@@ -103,9 +70,6 @@ pub struct HeartbeatSlot {
     stage: AtomicU64,
     /// 1 while the worker holds its quiescence vote.
     voted: AtomicU64,
-    /// Events buffered in the worker's pending tail (not yet flushed into
-    /// its process ring).
-    pending_events: AtomicU64,
     /// Messages successfully enqueued towards this worker (bumped by
     /// senders — the vendored channel has no `len()`, so depth is the
     /// difference of these two ledgers).
@@ -130,11 +94,6 @@ impl HeartbeatSlot {
         self.last_beat_us.store(now_us, Ordering::Relaxed);
     }
 
-    /// Worker-side: publish the pending-tail length after a record/flush.
-    pub fn set_pending(&self, events: usize) {
-        self.pending_events.store(events as u64, Ordering::Relaxed);
-    }
-
     /// Sender-side: a message was accepted into this worker's inbox.
     pub fn note_enqueue(&self) {
         self.inbox_enqueued.fetch_add(1, Ordering::Relaxed);
@@ -152,7 +111,6 @@ impl HeartbeatSlot {
             sweep: self.sweep.load(Ordering::Relaxed),
             stage: WorkerStage::from_code(self.stage.load(Ordering::Relaxed)),
             voted: self.voted.load(Ordering::Relaxed) == 1,
-            pending_events: self.pending_events.load(Ordering::Relaxed),
             inbox_enqueued: self.inbox_enqueued.load(Ordering::Relaxed),
             inbox_drained: self.inbox_drained.load(Ordering::Relaxed),
         }
@@ -166,7 +124,6 @@ pub struct Heartbeat {
     pub sweep: u64,
     pub stage: WorkerStage,
     pub voted: bool,
-    pub pending_events: u64,
     pub inbox_enqueued: u64,
     pub inbox_drained: u64,
 }
@@ -211,34 +168,15 @@ impl Heartbeats {
     }
 }
 
-/// Why a [`HealthReport`] was emitted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HealthReason {
-    /// The monitor found at least one worker past the stall threshold.
-    Stall,
-    /// The run ended through the quiescence protocol.
-    Quiescent,
-    /// The run ended through the wall-clock deadline backstop.
-    Deadline,
-}
-
-impl HealthReason {
-    pub fn name(self) -> &'static str {
-        match self {
-            HealthReason::Stall => "stall",
-            HealthReason::Quiescent => "quiescent",
-            HealthReason::Deadline => "deadline",
-        }
-    }
-
-    pub fn from_name(name: &str) -> Option<HealthReason> {
-        [
-            HealthReason::Stall,
-            HealthReason::Quiescent,
-            HealthReason::Deadline,
-        ]
-        .into_iter()
-        .find(|r| r.name() == name)
+named_enum! {
+    /// Why a [`HealthReport`] was emitted.
+    pub enum HealthReason {
+        /// The monitor found at least one worker past the stall threshold.
+        Stall => "stall",
+        /// The run ended through the quiescence protocol.
+        Quiescent => "quiescent",
+        /// The run ended through the wall-clock deadline backstop.
+        Deadline => "deadline",
     }
 }
 
@@ -253,9 +191,9 @@ pub struct WorkerHealth {
     pub inbox_depth: u64,
     /// Whether this worker tripped the stall threshold for this report.
     pub stalled: bool,
-    /// The worker's pending (not-yet-flushed) event tail — the events the
-    /// ring buffer cannot show while the worker is stuck.
-    pub pending_tail: Vec<(SimTime, Event)>,
+    /// The newest few events in the worker's process ring, oldest first:
+    /// the last things it did. Empty when the process lock was held.
+    pub recent_events: Vec<(SimTime, Event)>,
     /// The process's metrics ledger as JSON, when the process lock could
     /// be acquired without blocking (`None` means the lock was held —
     /// itself a datapoint for a stall).
@@ -264,8 +202,8 @@ pub struct WorkerHealth {
 
 impl WorkerHealth {
     fn to_json(&self) -> Value {
-        let tail: Vec<Value> = self
-            .pending_tail
+        let recent: Vec<Value> = self
+            .recent_events
             .iter()
             .map(|(at, e)| {
                 let mut v = json!({ "at_us": at.0, "type": e.kind() });
@@ -283,7 +221,7 @@ impl WorkerHealth {
             "voted": self.voted,
             "inbox_depth": self.inbox_depth,
             "stalled": self.stalled,
-            "pending_tail": tail,
+            "recent_events": recent,
         });
         if let (Value::Object(m), Some(ledger)) = (&mut v, &self.ledger) {
             m.insert("ledger".into(), ledger.clone());
@@ -296,19 +234,19 @@ impl WorkerHealth {
             Value::Object(m) => m,
             _ => return None,
         };
-        let tail_vals = match m.get("pending_tail")? {
+        let recent_vals = match m.get("recent_events")? {
             Value::Array(a) => a,
             _ => return None,
         };
-        let mut pending_tail = Vec::with_capacity(tail_vals.len());
-        for tv in tail_vals {
+        let mut recent_events = Vec::with_capacity(recent_vals.len());
+        for tv in recent_vals {
             let tm = match tv {
                 Value::Object(tm) => tm,
                 _ => return None,
             };
             let at = SimTime(field_u64(tm, "at_us")?);
             let event = Event::from_json(field_str(tm, "type")?, tm)?;
-            pending_tail.push((at, event));
+            recent_events.push((at, event));
         }
         Some(WorkerHealth {
             proc: ProcId(field_u16(m, "proc")?),
@@ -318,14 +256,14 @@ impl WorkerHealth {
             voted: field_bool(m, "voted")?,
             inbox_depth: field_u64(m, "inbox_depth")?,
             stalled: field_bool(m, "stalled")?,
-            pending_tail,
+            recent_events,
             ledger: m.get("ledger").cloned(),
         })
     }
 }
 
-/// A snapshot of every worker's vitals plus the forensic material a stuck
-/// run hides: pending event tails and per-process ledgers.
+/// A snapshot of every worker's vitals plus what each was last seen
+/// doing: its newest ring events and its per-process ledger.
 #[derive(Clone, Debug)]
 pub struct HealthReport {
     /// Microseconds since run start when the report was taken.
@@ -342,11 +280,6 @@ impl HealthReport {
             .filter(|w| w.stalled)
             .map(|w| w.proc)
             .collect()
-    }
-
-    /// Total pending (unflushed) events across all workers.
-    pub fn pending_events(&self) -> usize {
-        self.workers.iter().map(|w| w.pending_tail.len()).sum()
     }
 
     /// One JSONL object, `"type":"health_report"` — appended to trace
@@ -388,36 +321,34 @@ impl HealthReport {
     /// Human-readable multi-line rendering, one worker per line:
     ///
     /// ```text
-    /// health@1250ms [stall]: 1 stalled, 3 pending events
-    ///   P0 sweeping  sweep=41 beat=1249ms inbox=0 pending=0
-    ///   P2 voted     sweep=38 beat=801ms  inbox=1 pending=3  STALLED
-    ///     pending: vote_cast nss_acked nss_acked
+    /// health@1250ms [stall]: 1 stalled
+    ///   P0 sweeping    sweep=41 beat=1249ms inbox=0
+    ///   P2 voted       sweep=38 beat=801ms inbox=1 voted  STALLED
+    ///     recent: nss_acked nss_acked vote_cast
     /// ```
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = format!(
-            "health@{}ms [{}]: {} stalled, {} pending events\n",
+            "health@{}ms [{}]: {} stalled\n",
             self.at_us / 1000,
             self.reason.name(),
             self.stalled().len(),
-            self.pending_events(),
         );
         for w in &self.workers {
             let _ = writeln!(
                 out,
-                "  {} {:<11} sweep={} beat={}ms inbox={} pending={}{}{}",
+                "  {} {:<11} sweep={} beat={}ms inbox={}{}{}",
                 w.proc,
                 w.stage.name(),
                 w.sweep,
                 w.last_beat_us / 1000,
                 w.inbox_depth,
-                w.pending_tail.len(),
                 if w.voted { " voted" } else { "" },
                 if w.stalled { "  STALLED" } else { "" },
             );
-            if w.stalled && !w.pending_tail.is_empty() {
-                let kinds: Vec<&str> = w.pending_tail.iter().map(|(_, e)| e.kind()).collect();
-                let _ = writeln!(out, "    pending: {}", kinds.join(" "));
+            if w.stalled && !w.recent_events.is_empty() {
+                let kinds: Vec<&str> = w.recent_events.iter().map(|(_, e)| e.kind()).collect();
+                let _ = writeln!(out, "    recent: {}", kinds.join(" "));
             }
         }
         out
@@ -442,7 +373,6 @@ mod tests {
     fn slot_snapshot_reflects_beats_and_ledgers() {
         let hb = Heartbeats::new(2);
         hb.slot(0).beat(1_000, 3, WorkerStage::Sweeping, false);
-        hb.slot(0).set_pending(4);
         hb.slot(0).note_enqueue();
         hb.slot(0).note_enqueue();
         hb.slot(0).note_drain();
@@ -451,7 +381,6 @@ mod tests {
         assert_eq!(snap[0].last_beat_us, 1_000);
         assert_eq!(snap[0].sweep, 3);
         assert_eq!(snap[0].stage, WorkerStage::Sweeping);
-        assert_eq!(snap[0].pending_events, 4);
         assert_eq!(snap[0].inbox_depth(), 1);
         assert_eq!(snap[1].stage, WorkerStage::Starting, "untouched slot");
     }
@@ -470,7 +399,7 @@ mod tests {
                     voted: false,
                     inbox_depth: 0,
                     stalled: false,
-                    pending_tail: vec![],
+                    recent_events: vec![],
                     ledger: None,
                 },
                 WorkerHealth {
@@ -481,7 +410,7 @@ mod tests {
                     voted: true,
                     inbox_depth: 1,
                     stalled: true,
-                    pending_tail: vec![
+                    recent_events: vec![
                         (SimTime(80_000), Event::VoteCast { sweep: 38 }),
                         (
                             SimTime(80_050),
@@ -501,9 +430,9 @@ mod tests {
         assert_eq!(back.at_us, report.at_us);
         assert_eq!(back.reason, HealthReason::Stall);
         assert_eq!(back.stalled(), vec![ProcId(2)]);
-        assert_eq!(back.pending_events(), 2);
+        assert_eq!(back.workers[1].recent_events.len(), 2);
         assert_eq!(
-            back.workers[1].pending_tail[0].1,
+            back.workers[1].recent_events[0].1,
             Event::VoteCast { sweep: 38 }
         );
         assert!(back.workers[1].ledger.is_some());
@@ -523,7 +452,7 @@ mod tests {
                 voted: true,
                 inbox_depth: 1,
                 stalled: true,
-                pending_tail: vec![(SimTime(800_900), Event::VoteCast { sweep: 38 })],
+                recent_events: vec![(SimTime(800_900), Event::VoteCast { sweep: 38 })],
                 ledger: None,
             }],
         };
@@ -531,6 +460,6 @@ mod tests {
         assert!(text.contains("[stall]"), "{text}");
         assert!(text.contains("P3"), "{text}");
         assert!(text.contains("STALLED"), "{text}");
-        assert!(text.contains("pending: vote_cast"), "{text}");
+        assert!(text.contains("recent: vote_cast"), "{text}");
     }
 }

@@ -250,7 +250,7 @@ impl PhaseHistograms {
 
     /// Append every sampled phase as one labelled Prometheus histogram
     /// family, `acdgc_phase_duration_nanoseconds{phase="..."}` (metric
-    /// names are documented in DESIGN.md §Runtime health).
+    /// names are documented in docs/OBSERVABILITY.md).
     pub fn to_prometheus_into(&self, out: &mut String) {
         const NAME: &str = "acdgc_phase_duration_nanoseconds";
         if self.total_count() == 0 {

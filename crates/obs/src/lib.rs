@@ -19,17 +19,17 @@
 //!   [`Trace::to_jsonl`] exports everything for post-mortems and
 //!   [`Trace::from_jsonl`] re-ingests an export (the `acdgc-report` CLI);
 //! * runtime health ([`health`]): per-worker [`Heartbeats`] slots, stall
-//!   detection, and [`HealthReport`] snapshots of the pending event tails
-//!   a hung worker would otherwise keep invisible;
+//!   detection, and [`HealthReport`] snapshots of each worker's last ring
+//!   events and ledger;
 //! * time-series telemetry ([`timeseries`]): a [`Sampler`] of periodic
 //!   per-process and global gauge/counter [`Sample`]s in bounded
 //!   decimating [`TimeSeries`] rings, exported as `sample` JSONL lines
 //!   and rendered as sparkline timelines by `acdgc-report --timeline`;
-//! * a causal layer ([`causal`]): per-process [`LamportClock`]s stamped
-//!   on every event and piggybacked on every GC message, happens-before
-//!   soundness checks ([`check_causal`]), critical-path latency
-//!   [`Waterfall`]s, and Chrome trace-event export ([`perfetto_trace`])
-//!   loadable in Perfetto.
+//! * a causal layer ([`causal`]): a per-process Lamport clock stamped on
+//!   every event and piggybacked on every GC message, one exact
+//!   send↔delivery pairing ([`link_cdms`]), happens-before soundness
+//!   checks ([`check_causal`]), critical-path latency [`Waterfall`]s, and
+//!   Chrome trace-event export ([`perfetto_trace`]) loadable in Perfetto.
 //!
 //! The crate sits below `heap`/`remoting`/`snapshot`/`sim` so every layer
 //! can report events without dependency cycles; runtimes own the sinks
@@ -43,10 +43,10 @@ pub mod timeseries;
 pub mod trace;
 
 pub use causal::{
-    check_causal, perfetto_trace, top_waterfalls, waterfall, LamportClock, PerfettoSummary,
-    Segment, SegmentKind, Waterfall,
+    check_causal, link_cdms, perfetto_trace, top_waterfalls, waterfall, CausalCheck, CdmLinks,
+    PerfettoSummary, Segment, SegmentKind, Waterfall,
 };
-pub use event::{DropReason, Event, MutatorOpKind, Phase, Recorded, TermReason};
+pub use event::{DropReason, Event, Family, MutatorOpKind, Phase, Recorded, TermReason};
 pub use health::{
     HealthReason, HealthReport, Heartbeat, HeartbeatSlot, Heartbeats, WorkerHealth, WorkerStage,
 };

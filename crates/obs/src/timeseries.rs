@@ -108,6 +108,33 @@ pub struct Sample {
 }
 
 impl Sample {
+    /// The system-wide row over one tick's per-process rows: every gauge
+    /// and counter summed, except `max_backoff_attempt`, which is a max.
+    pub fn aggregate(at: SimTime, round: u64, per_proc: &[Sample]) -> Sample {
+        let mut g = Sample {
+            at,
+            round,
+            ..Sample::default()
+        };
+        for s in per_proc {
+            g.live_objects += s.live_objects;
+            g.candidates += s.candidates;
+            g.max_backoff_attempt = g.max_backoff_attempt.max(s.max_backoff_attempt);
+            g.in_flight_cdms += s.in_flight_cdms;
+            g.inbox_depth += s.inbox_depth;
+            g.votes_held += s.votes_held;
+            g.pinned_scions += s.pinned_scions;
+            g.lgc_runs += s.lgc_runs;
+            g.snapshots += s.snapshots;
+            g.cdms_sent += s.cdms_sent;
+            g.cycles_detected += s.cycles_detected;
+            g.objects_reclaimed += s.objects_reclaimed;
+            g.scions_reclaimed += s.scions_reclaimed;
+            g.mutator_ops += s.mutator_ops;
+        }
+        g
+    }
+
     /// One JSONL object, `"type":"sample"`. `cap` is the owning series'
     /// capacity, carried on every line so an offline checker can verify
     /// the bound without side-channel metadata.

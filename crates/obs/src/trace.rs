@@ -1,7 +1,7 @@
 //! Per-process ring buffers ([`ProcTrace`]), the collected cross-process
 //! view ([`Trace`]), and detection forensics ([`DetectionPath`]).
 
-use crate::causal::{check_causal, LamportClock};
+use crate::causal::{check_causal, link_cdms};
 use crate::event::{field_str, field_u16, field_u64, Event, Phase, Recorded};
 use crate::health::HealthReport;
 use crate::hist::PhaseHistograms;
@@ -22,6 +22,11 @@ use std::time::Instant;
 /// own thread, or from a `rayon` parallel snapshot stage). Everything
 /// else is process-local: recording never takes a shared lock.
 ///
+/// Every recorded event ticks the process's Lamport clock and carries the
+/// stamp; runtimes piggyback [`ProcTrace::clock_value`] on each outgoing
+/// message and [`ProcTrace::witness`] it at the receiver, so stamps are a
+/// sound happens-before order (see [`crate::causal`]).
+///
 /// The disabled path is one `bool` test per would-be event; no clock is
 /// read and no event is built.
 #[derive(Clone, Debug)]
@@ -30,13 +35,9 @@ pub struct ProcTrace {
     enabled: bool,
     filter: TraceFilter,
     capacity: usize,
-    /// Whether recorded events carry Lamport stamps
-    /// (`TraceConfig::lamport`).
-    lamport: bool,
-    /// This process's logical clock. Shared (`Arc` inside) with the
-    /// embedding runtime so message send/receive paths can read and
-    /// witness it without holding the trace sink.
-    clock: LamportClock,
+    /// Lamport clock (Lamport 1978): the stamp of the latest local event
+    /// or witnessed bound. Stamps start at 1.
+    clock: u64,
     seq: Arc<AtomicU64>,
     /// Ring storage: grows to `capacity`, then wraps at `head`.
     buf: Vec<Recorded>,
@@ -52,8 +53,7 @@ impl ProcTrace {
             enabled: cfg.enabled && cfg.capacity > 0,
             filter: cfg.filter,
             capacity: cfg.capacity.max(1),
-            lamport: cfg.lamport,
-            clock: LamportClock::new(),
+            clock: 0,
             seq: Arc::new(AtomicU64::new(0)),
             buf: Vec::new(),
             head: 0,
@@ -101,25 +101,13 @@ impl ProcTrace {
         Arc::clone(&self.seq)
     }
 
-    /// Whether events are Lamport-stamped (enabled *and* clocked).
-    #[inline]
-    pub fn lamport_enabled(&self) -> bool {
-        self.enabled && self.lamport
-    }
-
-    /// A handle on this process's logical clock, for runtime paths that
-    /// tick or witness it without holding the sink (the threaded
-    /// runtime's workers stamp pending-tail events at record time).
-    pub fn clock_handle(&self) -> LamportClock {
-        self.clock.clone()
-    }
-
-    /// Current clock value, to piggyback on an outgoing message. `0` when
-    /// clocks are off — receivers treat 0 as "no causal information".
+    /// Current clock value, to piggyback on an outgoing message: read
+    /// right after recording a send, it is that send event's stamp. `0`
+    /// when tracing is off — receivers treat 0 as "no causal information".
     #[inline]
     pub fn clock_value(&self) -> u64 {
-        if self.lamport_enabled() {
-            self.clock.current()
+        if self.enabled {
+            self.clock
         } else {
             0
         }
@@ -127,11 +115,11 @@ impl ProcTrace {
 
     /// Fold a piggybacked remote clock value into the local clock (the
     /// message-receive half of the Lamport rules). Events recorded after
-    /// this are stamped above `observed`.
+    /// this are stamped above `observed`; a lower value never rewinds.
     #[inline]
-    pub fn witness(&self, observed: u64) {
-        if self.lamport_enabled() {
-            self.clock.witness(observed);
+    pub fn witness(&mut self, observed: u64) {
+        if self.enabled {
+            self.clock = self.clock.max(observed);
         }
     }
 
@@ -142,44 +130,21 @@ impl ProcTrace {
         self.enabled = cfg.enabled && cfg.capacity > 0;
         self.filter = cfg.filter;
         self.capacity = cfg.capacity.max(1);
-        self.lamport = cfg.lamport;
     }
 
-    /// Record one event (no-op when disabled or filtered out).
+    /// Record one event (no-op when disabled or filtered out), stamped
+    /// with the next tick of the process clock.
     #[inline]
     pub fn record(&mut self, at: SimTime, event: Event) {
-        if !self.enabled {
-            return;
-        }
-        self.push(at, event);
-    }
-
-    /// Record an event that already carries a Lamport stamp. The threaded
-    /// runtime pre-assigns stamps when buffering events into its pending
-    /// tails, so the stamp reflects when the event *happened*; flushing
-    /// later through this path must not re-tick the clock.
-    pub fn record_stamped(&mut self, at: SimTime, lamport: u64, event: Event) {
         if !self.enabled || !event.passes(&self.filter) {
             return;
         }
-        self.push_stamped(at, lamport, event);
-    }
-
-    fn push(&mut self, at: SimTime, event: Event) {
-        if !event.passes(&self.filter) {
-            return;
-        }
-        let lamport = if self.lamport { self.clock.tick() } else { 0 };
-        self.push_stamped(at, lamport, event);
-    }
-
-    fn push_stamped(&mut self, at: SimTime, lamport: u64, event: Event) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        self.clock += 1;
         let rec = Recorded {
-            seq,
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
             at,
             proc: self.proc,
-            lamport,
+            lamport: self.clock,
             event,
         };
         if self.buf.len() < self.capacity {
@@ -204,7 +169,7 @@ impl ProcTrace {
         if !self.enabled {
             return None;
         }
-        self.push(at, Event::PhaseStarted { phase });
+        self.record(at, Event::PhaseStarted { phase });
         Some(Instant::now())
     }
 
@@ -214,7 +179,7 @@ impl ProcTrace {
         if let Some(t0) = started {
             let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
             self.phases.record(phase, nanos);
-            self.push(at, Event::PhaseEnded { phase, nanos });
+            self.record(at, Event::PhaseEnded { phase, nanos });
         }
     }
 
@@ -477,23 +442,27 @@ impl Trace {
     /// rounds, monotone counters, and the capacity bound each `sample`
     /// line declares.
     ///
-    /// Lamport-clocked traces are additionally validated causally (see
+    /// Stamps are additionally validated causally (see
     /// [`crate::causal::check_causal`]): per-process stamps strictly
-    /// increase in seq order, and every paired receive carries a stamp
-    /// above its send. Both properties survive truncation, so like the
-    /// sample checks they run even on suffix traces.
+    /// increase in seq order, and every delivery is stamped above the one
+    /// send it names. Both survive truncation, so like the sample checks
+    /// they run even on suffix traces — where a delivery whose send the
+    /// ring overwrote is counted in [`TraceCheck::unmatched_deliveries`]
+    /// instead of being a violation.
     ///
     /// A trace with ring overwrites is a suffix: the detection-ledger
     /// checks are skipped and [`TraceCheck::skipped_overwritten`] is set.
     /// Sample series never overwrite (they decimate), so the sample
     /// checks run regardless.
     pub fn check(&self) -> TraceCheck {
+        let causal = check_causal(self);
         let mut check = TraceCheck {
             detections: 0,
             hop_violations: Vec::new(),
             balance_violations: Vec::new(),
             sample_violations: Vec::new(),
-            causal_violations: check_causal(self),
+            causal_violations: causal.violations,
+            unmatched_deliveries: causal.unmatched_deliveries,
             skipped_overwritten: self.overwritten > 0,
         };
         for (proc, series) in group_by_series(&self.samples) {
@@ -547,9 +516,13 @@ pub struct TraceCheck {
     /// traces — sampling decimates instead of overwriting.
     pub sample_violations: Vec<String>,
     /// Lamport-clock violations (per-process non-monotone stamps, receive
-    /// stamp ≤ send stamp). Checked even for suffix traces — a suffix of
-    /// a causally sound trace is itself causally sound.
+    /// stamp ≤ send stamp, a delivery naming no recorded send in a
+    /// complete trace). Checked even for suffix traces — a suffix of a
+    /// causally sound trace is itself causally sound.
     pub causal_violations: Vec<String>,
+    /// CDM deliveries whose send the ring overwrote (suffix traces only;
+    /// in a complete trace each one is a causal violation instead).
+    pub unmatched_deliveries: usize,
     /// True when the trace had ring overwrites and the detection checks
     /// were skipped (a suffix trace cannot be balanced).
     pub skipped_overwritten: bool,
@@ -710,9 +683,9 @@ impl DetectionPath {
     /// Cross-process generalization of [`check_hops_increase`]: Lamport
     /// stamps must strictly increase along the path — every event a
     /// processing step emits is stamped above the step's opening event
-    /// (start/delivery), and every delivery is stamped above its matching
-    /// send. Trivially `Ok` on unclocked (or partially clocked) paths:
-    /// a stamp of 0 means "no causal information", not "time zero".
+    /// (start/delivery), and every delivery is stamped above the send it
+    /// names. Trivially `Ok` on paths with unstamped events: a stamp of 0
+    /// means "no causal information", not "time zero".
     ///
     /// [`check_hops_increase`]: DetectionPath::check_hops_increase
     pub fn check_lamport_increases(&self) -> Result<(), String> {
@@ -720,52 +693,35 @@ impl DetectionPath {
         if self.events.iter().any(|r| r.lamport == 0) {
             return Ok(());
         }
+        for (send, recv) in link_cdms(&self.events).pairs {
+            if recv.lamport <= send.lamport {
+                return Err(format!(
+                    "{}: receive lc {} ≤ send lc {} at {}",
+                    self.id, recv.lamport, send.lamport, recv.proc
+                ));
+            }
+        }
         // Lamport stamp of the processing step currently open per process.
         let mut step: HashMap<ProcId, u64> = HashMap::new();
-        // Minimum send stamp per (dest, via, hop) — duplicates share the
-        // route key, and any copy's delivery happens after the first send.
-        let mut sends: HashMap<(ProcId, u64, u32), u64> = HashMap::new();
         for r in &self.events {
-            match r.event {
-                Event::DetectionStarted { .. } => {
-                    step.insert(r.proc, r.lamport);
+            let opens_step = matches!(
+                r.event,
+                Event::DetectionStarted { .. } | Event::CdmDelivered { .. }
+            );
+            match step.get(&r.proc) {
+                Some(&s) if !opens_step && r.lamport <= s => {
+                    return Err(format!(
+                        "{}: lamport not increasing at {}: {} lc {} after step lc {s}",
+                        self.id,
+                        r.proc,
+                        r.event.kind(),
+                        r.lamport
+                    ));
                 }
-                Event::CdmSent { to, via, hop, .. } => {
-                    if let Some(&s) = step.get(&r.proc) {
-                        if r.lamport <= s {
-                            return Err(format!(
-                                "{}: lamport not increasing at {}: sent lc {} after step lc {s}",
-                                self.id, r.proc, r.lamport
-                            ));
-                        }
-                    }
-                    let e = sends.entry((to, via.0, hop)).or_insert(u64::MAX);
-                    *e = (*e).min(r.lamport);
-                }
-                Event::CdmDelivered { via, hop, .. } => {
-                    if let Some(&s) = sends.get(&(r.proc, via.0, hop)) {
-                        if r.lamport <= s {
-                            return Err(format!(
-                                "{}: receive lc {} ≤ send lc {s} at {} (via {via}, hop {hop})",
-                                self.id, r.lamport, r.proc
-                            ));
-                        }
-                    }
-                    step.insert(r.proc, r.lamport);
-                }
-                _ => {
-                    if let Some(&s) = step.get(&r.proc) {
-                        if r.lamport <= s {
-                            return Err(format!(
-                                "{}: lamport not increasing at {}: {} lc {} after step lc {s}",
-                                self.id,
-                                r.proc,
-                                r.event.kind(),
-                                r.lamport
-                            ));
-                        }
-                    }
-                }
+                _ => {}
+            }
+            if opens_step {
+                step.insert(r.proc, r.lamport);
             }
         }
         Ok(())
@@ -917,6 +873,7 @@ mod tests {
                 pruned_no_new_info: 0,
             },
         );
+        other.witness(pt.clock_value());
         other.record(
             SimTime(2),
             Event::CdmDelivered {
@@ -926,6 +883,8 @@ mod tests {
                 sources: 1,
                 targets: 1,
                 bytes: 64,
+                from: ProcId(0),
+                sent_lc: 2, // the CdmSent above: second event at P0
             },
         );
         other.record(
@@ -1003,6 +962,7 @@ mod tests {
                 bytes: 64,
             },
         );
+        other.witness(pt.clock_value());
         other.record(
             SimTime(2),
             Event::CdmDelivered {
@@ -1012,6 +972,8 @@ mod tests {
                 sources: 1,
                 targets: 1,
                 bytes: 64,
+                from: ProcId(0),
+                sent_lc: pt.clock_value(),
             },
         );
         other.record(

@@ -242,7 +242,7 @@ impl Metrics {
     /// Render every counter in Prometheus text exposition format:
     /// `# HELP` + `# TYPE acdgc_<field>_total counter` + value per
     /// counter, plus the `acdgc_max_cdm_bytes` gauge. Metric names are the
-    /// field names and are documented in DESIGN.md §Runtime health;
+    /// field names and are documented in docs/OBSERVABILITY.md;
     /// callers append phase histograms via
     /// `PhaseHistograms::to_prometheus_into` for the full scrape payload.
     pub fn to_prometheus(&self) -> String {

@@ -5,7 +5,7 @@ use crate::metrics::Metrics;
 use acdgc_dcda::{scan_candidates, scan_candidates_observed, CandidateScan, CandidateState};
 use acdgc_heap::Heap;
 use acdgc_model::{GcConfig, ProcId, SimTime};
-use acdgc_obs::ProcTrace;
+use acdgc_obs::{ProcTrace, Sample};
 use acdgc_remoting::RemotingTables;
 use acdgc_snapshot::{SccEngine, SummarizedGraph};
 
@@ -112,6 +112,30 @@ impl Process {
             scan_candidates_observed(&self.summary, &mut self.candidates, now, cfg, &mut self.obs)
         } else {
             scan_candidates(&self.summary, &mut self.candidates, now, cfg)
+        }
+    }
+
+    /// This process's telemetry row at `at`/`round`: heap, candidate and
+    /// pin gauges plus the ledger's counters. The inbox, in-flight and
+    /// vote gauges are the driver's to fill in.
+    pub fn sample(&self, at: SimTime, round: u64) -> Sample {
+        let m = &self.metrics;
+        Sample {
+            at,
+            round,
+            proc: Some(self.proc()),
+            live_objects: self.heap.stats().live_objects as u64,
+            candidates: self.candidates.tracked() as u64,
+            max_backoff_attempt: u64::from(self.candidates.max_attempts()),
+            pinned_scions: self.tables.pinned_scion_count() as u64,
+            lgc_runs: m.lgc_runs,
+            snapshots: m.snapshots,
+            cdms_sent: m.cdms_sent,
+            cycles_detected: m.cycles_detected,
+            objects_reclaimed: m.objects_reclaimed,
+            scions_reclaimed: m.scions_reclaimed_acyclic + m.scions_deleted_by_dcda,
+            mutator_ops: m.mutator_ops(),
+            ..Sample::default()
         }
     }
 

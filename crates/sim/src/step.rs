@@ -37,8 +37,10 @@ pub struct Credit {
     pub clean: bool,
 }
 
-/// Where a step's traffic goes. `from` is the stepping process (its id,
-/// and its Lamport clock as of the send).
+/// Where a step's traffic goes. `from` is the stepping process: its id,
+/// and its Lamport clock as of the send, which every copy of the message
+/// must carry verbatim (a `send_cdm` follows its `CdmSent` record with no
+/// tick in between, so that clock is the CDM's trace identity).
 pub trait Outbox {
     /// Forward one CDM derivation to `dest` through reference `via`.
     fn send_cdm(&mut self, from: &Process, dest: ProcId, via: RefId, cdm: Cdm);
@@ -219,12 +221,16 @@ impl Process {
     }
 
     /// Deliver one CDM that arrived through reference `via`: expand it
-    /// against the published summary and act on the outcome.
+    /// against the published summary and act on the outcome. `from` and
+    /// `sent_lc` are the sender and the Lamport clock its envelope carried
+    /// — the stamp of the `CdmSent` this is a copy of; trace-only.
     pub fn on_cdm<O: Outbox>(
         &mut self,
         cx: &mut Step<'_, O>,
         via: RefId,
         cdm: Cdm,
+        from: ProcId,
+        sent_lc: u64,
     ) -> DeletedScions {
         let id = cdm.detection_id;
         // This processing step's hop depth (deliver increments the wire
@@ -241,6 +247,8 @@ impl Process {
                 sources: cdm.source.len() as u32,
                 targets: cdm.target.len() as u32,
                 bytes: (8 + cdm.size_bytes()) as u32,
+                from,
+                sent_lc,
             },
         );
         let sw = self.obs.stopwatch();

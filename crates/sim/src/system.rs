@@ -133,7 +133,7 @@ impl System {
 
     /// Render the merged metrics ledger plus the merged per-phase latency
     /// histograms in Prometheus text exposition format. Metric names are
-    /// documented in DESIGN.md ("Runtime health"); scrape this from a
+    /// documented in docs/OBSERVABILITY.md; scrape this from a
     /// debug endpoint or dump it at end of run.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -705,7 +705,9 @@ impl System {
             SysMessage::Reply { payload, receiver } => self.dispatch_reply(dst, payload, receiver),
             SysMessage::Nss(nss) => self.step_at(dst, |proc, cx| proc.on_nss(cx, &nss)),
             SysMessage::Cdm { via, cdm } => {
-                let deleted = self.step_at(dst, |proc, cx| proc.on_cdm(cx, via, cdm));
+                let (from, sent_lc) = (env.src, env.lamport);
+                let deleted =
+                    self.step_at(dst, |proc, cx| proc.on_cdm(cx, via, cdm, from, sent_lc));
                 self.audit_scion_deletes(dst, deleted);
             }
             SysMessage::DeleteScion {
@@ -910,54 +912,20 @@ impl System {
         }
     }
 
-    /// Build the telemetry snapshot for this instant: one sample per
-    /// process plus the global aggregate (gauges summed, except
-    /// `max_backoff_attempt`, which is a max; global counters come from
-    /// the merged ledger). `inbox_depth` and `votes_held` are threaded
+    /// Build the telemetry snapshot for this instant: one row per process
+    /// plus their global fold. `inbox_depth` and `votes_held` are threaded
     /// concepts and stay 0 here; `in_flight_cdms` is the simulated
     /// network's in-flight count, attributable only globally.
     fn current_sample(&self) -> (Sample, Vec<Sample>) {
-        let (at, round) = (self.clock, self.rounds);
-        let mut global = Sample {
-            at,
-            round,
-            proc: None,
-            in_flight_cdms: self.net.in_flight() as u64,
-            lgc_runs: self.metrics.lgc_runs,
-            snapshots: self.metrics.snapshots,
-            cdms_sent: self.metrics.cdms_sent,
-            cycles_detected: self.metrics.cycles_detected,
-            objects_reclaimed: self.metrics.objects_reclaimed,
-            scions_reclaimed: self.metrics.scions_reclaimed_acyclic
-                + self.metrics.scions_deleted_by_dcda,
-            ..Sample::default()
-        };
         let per_proc: Vec<Sample> = self
             .procs
             .iter()
-            .enumerate()
-            .map(|(i, p)| Sample {
-                at,
-                round,
-                proc: Some(ProcId(i as u16)),
-                live_objects: p.heap.stats().live_objects as u64,
-                candidates: p.candidates.tracked() as u64,
-                max_backoff_attempt: u64::from(p.candidates.max_attempts()),
-                lgc_runs: p.metrics.lgc_runs,
-                snapshots: p.metrics.snapshots,
-                cdms_sent: p.metrics.cdms_sent,
-                cycles_detected: p.metrics.cycles_detected,
-                objects_reclaimed: p.metrics.objects_reclaimed,
-                scions_reclaimed: p.metrics.scions_reclaimed_acyclic
-                    + p.metrics.scions_deleted_by_dcda,
-                ..Sample::default()
-            })
+            .map(|p| p.sample(self.clock, self.rounds))
             .collect();
-        for s in &per_proc {
-            global.live_objects += s.live_objects;
-            global.candidates += s.candidates;
-            global.max_backoff_attempt = global.max_backoff_attempt.max(s.max_backoff_attempt);
-        }
+        let global = Sample {
+            in_flight_cdms: self.net.in_flight() as u64,
+            ..Sample::aggregate(self.clock, self.rounds, &per_proc)
+        };
         (global, per_proc)
     }
 

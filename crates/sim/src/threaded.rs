@@ -78,9 +78,9 @@
 //! is held; tests replay it over a [`crate::ShadowGraph`] of the pre-run
 //! heaps to recompute ground-truth liveness (no live object deleted, all
 //! garbage eventually collected) for runs whose oracle cannot be computed
-//! up front. Mutator ops trace as [`Event::MutatorOp`] with Lamport
-//! stamps into the owning worker's pending tail, so `--critical-path`
-//! waterfalls show collector-vs-mutator interference.
+//! up front. Mutator ops trace as [`Event::MutatorOp`] into the mutated
+//! process's ring, under its lock like every other record, so
+//! `--critical-path` waterfalls show collector-vs-mutator interference.
 
 use crate::metrics::Metrics;
 use crate::oracle::MutOp;
@@ -95,7 +95,7 @@ use acdgc_model::{
 use acdgc_obs::health::{
     HealthReason, HealthReport, Heartbeat, Heartbeats, WorkerHealth, WorkerStage,
 };
-use acdgc_obs::{Event, LamportClock, MutatorOpKind, Sample, Sampler};
+use acdgc_obs::{Event, MutatorOpKind, Sample, Sampler};
 use acdgc_remoting::NewSetStubs;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -142,12 +142,15 @@ enum ThreadMsg {
     },
 }
 
-/// What actually travels on a channel: the message plus the sender's
-/// piggybacked Lamport clock — the threaded counterpart of
-/// `acdgc_net::Envelope::lamport`. Zero when causal tracing is off;
-/// purely observational either way (no protocol decision reads it).
+/// What actually travels on a channel: the message plus the sender and
+/// its piggybacked Lamport clock — the threaded counterpart of
+/// `acdgc_net::Envelope`'s `src`/`lamport`. The clock is zero when tracing
+/// is off; both are purely observational (no protocol decision reads
+/// them): the receiver witnesses the clock, and for a CDM records the pair
+/// as the identity of the `CdmSent` it is a copy of.
 #[derive(Clone)]
 struct ThreadEnvelope {
+    from: ProcId,
     lamport: u64,
     /// Receiver-side dedup tag, unique per *logical* send (injected
     /// duplicate copies share the sender's tag; zero means "untagged,
@@ -351,7 +354,7 @@ pub struct ThreadedRun {
 /// send sequence. The runtime health subsystem rides along: per-worker
 /// heartbeat slots, a watchdog monitor thread detecting stalls against
 /// [`GcConfig`]'s `watchdog` thresholds, and [`HealthReport`] snapshots
-/// that expose each worker's *pending* (not yet flushed) event tail.
+/// that show each worker's newest ring events and ledger.
 pub fn run_concurrent_collection_observed(
     procs: Vec<Process>,
     cfg: GcConfig,
@@ -407,13 +410,6 @@ pub fn run_concurrent_collection_observed(
         }
     }
 
-    // Per-process Lamport clock handles must be captured *before* the
-    // processes move into their mutex cells: the clock is the same atomic
-    // the process ring ticks on direct records, so worker-side tail stamps
-    // and in-lock stamps interleave on one counter per process.
-    let clocks: Vec<LamportClock> = procs.iter().map(|p| p.obs.clock_handle()).collect();
-    let lamport_on = cfg.trace.enabled && cfg.trace.lamport;
-
     let mut senders: Vec<Sender<ThreadEnvelope>> = Vec::with_capacity(n);
     let mut receivers: Vec<Option<Receiver<ThreadEnvelope>>> = Vec::with_capacity(n);
     for _ in 0..n {
@@ -428,7 +424,6 @@ pub fn run_concurrent_collection_observed(
         procs.into_iter().map(|p| Arc::new(Mutex::new(p))).collect();
 
     let heartbeats = Heartbeats::new(n);
-    let tails: Vec<SharedTail> = (0..n).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
     let reports: Arc<Mutex<Vec<HealthReport>>> = Arc::new(Mutex::new(Vec::new()));
 
     let start = Instant::now();
@@ -439,9 +434,6 @@ pub fn run_concurrent_collection_observed(
         let ctx = WorkerCtx {
             me: ProcId(i as u16),
             txs: senders.clone(),
-            trace_on: cfg.trace.enabled,
-            lamport_on,
-            clock: clocks[i].clone(),
             cfg: Arc::clone(&cfg),
             net: net.clone(),
             rng: component_rng(seed, &format!("threaded-faults-{i}")),
@@ -450,7 +442,6 @@ pub fn run_concurrent_collection_observed(
             nss_out: FxHashMap::default(),
             local: Metrics::default(),
             hb: Arc::clone(&heartbeats),
-            tail: Arc::clone(&tails[i]),
             hook: sweep_hook.clone(),
             started: start,
             round: 0,
@@ -475,10 +466,6 @@ pub fn run_concurrent_collection_observed(
         let mctx = MutatorCtx {
             my_procs: (0..n).filter(|i| i % mutator_threads == k).collect(),
             cells: cells.clone(),
-            tails: tails.clone(),
-            clocks: clocks.clone(),
-            trace_on: cfg.trace.enabled,
-            lamport_on,
             mcfg: cfg.mutator,
             rng: component_rng(seed, &format!("mutator-{k}")),
             ref_ids: Arc::clone(&ref_ids),
@@ -498,7 +485,6 @@ pub fn run_concurrent_collection_observed(
     let monitor_handle = ((cfg.watchdog.enabled || cfg.sampling.enabled) && n > 0).then(|| {
         let mctx = MonitorCtx {
             hb: Arc::clone(&heartbeats),
-            tails: tails.clone(),
             cells: cells.clone(),
             quiescence: Arc::clone(&quiescence),
             wcfg: cfg.watchdog,
@@ -520,8 +506,8 @@ pub fn run_concurrent_collection_observed(
         h.join().expect("watchdog monitor thread panicked");
     }
 
-    // Terminal report: every worker has exited (tails flushed, locks
-    // free), so this snapshot is exact rather than best-effort.
+    // Terminal report: every worker has exited (locks free), so this
+    // snapshot is exact rather than best-effort.
     // Only the worker that proved global quiescence raises the stop flag;
     // a deadline exit leaves it down.
     let quiescent = quiescence.stop.load(Ordering::SeqCst);
@@ -533,7 +519,7 @@ pub fn run_concurrent_collection_observed(
         };
         let at_us = start.elapsed().as_micros() as u64;
         let beats = heartbeats.snapshot();
-        let report = build_health_report(reason, at_us, &beats, &[], &tails, &cells);
+        let report = build_health_report(reason, at_us, &beats, &[], &cells);
         if let Some(cb) = &on_report {
             cb(&report);
         }
@@ -560,20 +546,9 @@ pub fn run_concurrent_collection_observed(
     }
 }
 
-/// A worker's pending-event tail, shared with the watchdog monitor. The
-/// worker is the only writer (push on record, drain on flush); the monitor
-/// clones the contents under the lock when building a report. Both
-/// critical sections are a few pointer moves, so the lock never backs up
-/// the hot path the way locking the process ring would. The middle `u64`
-/// is the Lamport stamp, pre-assigned at record time (0 when causal
-/// tracing is off) so a tail flushed late still carries the clock value
-/// the event actually happened at.
-type SharedTail = Arc<Mutex<Vec<(SimTime, u64, Event)>>>;
-
 /// Everything the watchdog monitor thread reads.
 struct MonitorCtx {
     hb: Arc<Heartbeats>,
-    tails: Vec<SharedTail>,
     cells: Vec<Arc<Mutex<Process>>>,
     quiescence: Arc<Quiescence>,
     wcfg: WatchdogConfig,
@@ -640,14 +615,7 @@ fn monitor(ctx: MonitorCtx) {
                 reported_beat[i] = beats[i].last_beat_us;
             }
         }
-        let report = build_health_report(
-            HealthReason::Stall,
-            now_us,
-            &beats,
-            &stalled,
-            &ctx.tails,
-            &ctx.cells,
-        );
+        let report = build_health_report(HealthReason::Stall, now_us, &beats, &stalled, &ctx.cells);
         if let Some(cb) = &ctx.on_report {
             cb(&report);
         }
@@ -674,12 +642,11 @@ impl SamplingState {
 
     /// Record one sampling tick from the poll's heartbeat snapshot.
     ///
-    /// Per-worker gauges and counters come from the process behind a
-    /// `try_lock` (a worker mid-sweep keeps its lock; we carry the last
-    /// known values rather than block — counters stay monotone because
-    /// the carried value is an earlier read of a monotone ledger).
-    /// The global row is the sum of the per-worker rows (a max for
-    /// `max_backoff_attempt`); its in-flight and vote gauges come from
+    /// Per-worker rows come from the process behind a `try_lock` (a worker
+    /// mid-sweep keeps its lock; we carry the last known values rather
+    /// than block — counters stay monotone because the carried value is an
+    /// earlier read of a monotone ledger). The global row is their
+    /// [`Sample::aggregate`]; only its in-flight and vote gauges come from
     /// the lock-free [`Quiescence`] atomics.
     fn sample_tick(&mut self, ctx: &MonitorCtx, now_us: u64, polls: u64, beats: &[Heartbeat]) {
         // Dedup by beat: if no worker advanced since the last recorded
@@ -696,95 +663,57 @@ impl SamplingState {
             self.last_sampled_beats[i] = b.last_beat_us;
         }
         let at = SimTime(now_us);
-        let mut global = Sample {
-            at,
-            round: polls,
-            proc: None,
-            in_flight_cdms: ctx
-                .quiescence
+        for (i, b) in beats.iter().enumerate() {
+            let read = ctx.cells[i].try_lock().map(|p| p.sample(at, polls));
+            self.carried[i] = Sample {
+                at,
+                round: polls,
+                proc: Some(ProcId(i as u16)),
+                inbox_depth: b.inbox_depth(),
+                in_flight_cdms: b.inbox_depth(),
+                votes_held: u64::from(b.voted),
+                ..read.unwrap_or(self.carried[i])
+            };
+        }
+        let q = &ctx.quiescence;
+        let global = Sample {
+            in_flight_cdms: q
                 .enqueued
                 .load(Ordering::SeqCst)
-                .saturating_sub(ctx.quiescence.drained.load(Ordering::SeqCst)),
-            votes_held: ctx.quiescence.votes.load(Ordering::SeqCst),
-            ..Sample::default()
+                .saturating_sub(q.drained.load(Ordering::SeqCst)),
+            votes_held: q.votes.load(Ordering::SeqCst),
+            ..Sample::aggregate(at, polls, &self.carried)
         };
-        let per_proc: Vec<Sample> = beats
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let prev = &self.carried[i];
-                let mut s = match ctx.cells[i].try_lock() {
-                    Some(p) => Sample {
-                        live_objects: p.heap.stats().live_objects as u64,
-                        candidates: p.candidates.tracked() as u64,
-                        max_backoff_attempt: u64::from(p.candidates.max_attempts()),
-                        lgc_runs: p.metrics.lgc_runs,
-                        snapshots: p.metrics.snapshots,
-                        cdms_sent: p.metrics.cdms_sent,
-                        cycles_detected: p.metrics.cycles_detected,
-                        objects_reclaimed: p.metrics.objects_reclaimed,
-                        scions_reclaimed: p.metrics.scions_reclaimed_acyclic
-                            + p.metrics.scions_deleted_by_dcda,
-                        pinned_scions: p.tables.pinned_scion_count() as u64,
-                        mutator_ops: p.metrics.mutator_ops(),
-                        ..Sample::default()
-                    },
-                    None => *prev,
-                };
-                s.at = at;
-                s.round = polls;
-                s.proc = Some(ProcId(i as u16));
-                s.inbox_depth = b.inbox_depth();
-                s.in_flight_cdms = b.inbox_depth();
-                s.votes_held = u64::from(b.voted);
-                self.carried[i] = s;
-                s
-            })
-            .collect();
-        for s in &per_proc {
-            global.live_objects += s.live_objects;
-            global.candidates += s.candidates;
-            global.max_backoff_attempt = global.max_backoff_attempt.max(s.max_backoff_attempt);
-            global.inbox_depth += s.inbox_depth;
-            global.pinned_scions += s.pinned_scions;
-            global.lgc_runs += s.lgc_runs;
-            global.snapshots += s.snapshots;
-            global.cdms_sent += s.cdms_sent;
-            global.cycles_detected += s.cycles_detected;
-            global.objects_reclaimed += s.objects_reclaimed;
-            global.scions_reclaimed += s.scions_reclaimed;
-            global.mutator_ops += s.mutator_ops;
-        }
-        ctx.sampler.lock().record(global, &per_proc);
+        ctx.sampler.lock().record(global, &self.carried);
     }
 }
 
-/// Snapshot every worker's vitals, pending tail, and (when the process
-/// lock is free) metrics ledger. `stalled` is per-worker flags; empty
-/// means "none" (the terminal report).
+/// How many of a worker's newest ring events a health report shows.
+const RECENT_EVENTS: usize = 8;
+
+/// Snapshot every worker's vitals and — when the process lock is free —
+/// its newest ring events and metrics ledger. `stalled` is per-worker
+/// flags; empty means "none" (the terminal report).
 fn build_health_report(
     reason: HealthReason,
     at_us: u64,
     beats: &[Heartbeat],
     stalled: &[bool],
-    tails: &[SharedTail],
     cells: &[Arc<Mutex<Process>>],
 ) -> HealthReport {
     let workers = beats
         .iter()
         .enumerate()
         .map(|(i, b)| {
-            // The health schema carries (time, event); the pre-assigned
-            // Lamport stamp only matters once the tail lands in the ring.
-            let pending_tail = tails[i]
-                .lock()
-                .iter()
-                .map(|(at, _, e)| (*at, e.clone()))
-                .collect();
             // try_lock: a worker stalled *inside* a sweep holds its
             // process lock; blocking on it would wedge the watchdog
             // behind the very stall it is reporting.
-            let ledger = cells[i].try_lock().map(|p| p.metrics.to_json());
+            let p = cells[i].try_lock();
+            let recent_events = p.as_ref().map_or_else(Vec::new, |p| {
+                let older = p.obs.len().saturating_sub(RECENT_EVENTS);
+                let newest = p.obs.events().skip(older);
+                newest.map(|r| (r.at, r.event.clone())).collect()
+            });
             WorkerHealth {
                 proc: ProcId(i as u16),
                 stage: b.stage,
@@ -793,8 +722,8 @@ fn build_health_report(
                 voted: b.voted,
                 inbox_depth: b.inbox_depth(),
                 stalled: stalled.get(i).copied().unwrap_or(false),
-                pending_tail,
-                ledger,
+                recent_events,
+                ledger: p.map(|p| p.metrics.to_json()),
             }
         })
         .collect();
@@ -822,37 +751,21 @@ struct NssOutbound {
 struct WorkerCtx {
     me: ProcId,
     txs: Vec<Sender<ThreadEnvelope>>,
-    /// `cfg.trace.enabled`, hoisted so hot paths branch on a bool.
-    trace_on: bool,
-    /// `cfg.trace.enabled && cfg.trace.lamport`, hoisted likewise.
-    lamport_on: bool,
-    /// Handle on this process's Lamport clock — the same atomic the
-    /// process ring ticks on direct records, so tail stamps and in-lock
-    /// stamps share one per-process counter. Ticked when buffering into
-    /// the tail, read (not ticked) when piggybacking on a send, folded
-    /// forward (`witness`) on every receive.
-    clock: LamportClock,
     cfg: Arc<GcConfig>,
     net: NetConfig,
     rng: SmallRng,
     quiescence: Arc<Quiescence>,
     detection_ids: Arc<AtomicU64>,
     nss_out: FxHashMap<ProcId, NssOutbound>,
-    /// What this worker counts while it does *not* hold the process lock
-    /// (send-path losses, votes, NSS retries, credit bookkeeping); folded
-    /// into the process ledger at sweep boundaries (and once after the
-    /// final drain) by [`WorkerCtx::flush_into`]. Protocol steps count
-    /// into the process ledger directly.
+    /// What this worker counts on its own paths (send-path losses, votes,
+    /// NSS retries, credit bookkeeping); folded into the process ledger
+    /// at sweep boundaries (and once after the final drain) by
+    /// [`WorkerCtx::flush_into`]. Protocol steps count into the process
+    /// ledger directly.
     local: Metrics,
     /// Shared heartbeat slots: this worker publishes into slot
     /// `me.index()`, reads nothing. The watchdog monitor reads all slots.
     hb: Arc<Heartbeats>,
-    /// Events recorded while the process lock is *not* held (vote
-    /// transitions, send-path drops' NSS bookkeeping). Flushed into the
-    /// per-process ring at sweep boundaries so the hot path never takes a
-    /// shared lock just to trace. Shared with the watchdog monitor so a
-    /// stall report can expose the not-yet-flushed tail.
-    tail: SharedTail,
     /// Test/diagnostic hook invoked once per loop iteration, after the
     /// heartbeat for that iteration is published. Lets a test wedge a
     /// specific worker at a known point without reaching into internals.
@@ -898,6 +811,11 @@ struct Outstanding {
     clean: bool,
 }
 
+/// Resend an unacknowledged `NewSetStubs` after this many sweeps. The
+/// acyclic layer's messages are acknowledged (and retried until confirmed)
+/// because a lost final NSS would leak acyclic garbage forever — the cycle
+/// detector cannot reclaim it.
+const NSS_RETRY_SWEEPS: u64 = 8;
 /// Cap on the dedup window (tags remembered per worker).
 const SEEN_TAG_WINDOW: usize = 8192;
 /// Cap on the outstanding-detection ledger; beyond this the oldest
@@ -939,51 +857,20 @@ impl WorkerCtx {
         SimTime(self.started.elapsed().as_micros() as u64 + 1)
     }
 
-    /// Buffer an event without taking the process lock; delivered to the
-    /// per-process ring at the next [`WorkerCtx::flush_into`]. The tail
-    /// lock is uncontended except when the watchdog snapshots it.
-    fn trace(&mut self, event: Event) {
-        if self.trace_on {
-            let at = self.now();
-            // Stamp now, not at flush: the tail may sit across several
-            // sweeps, and a late flush must not reorder the clock. Tick
-            // *inside* the tail lock: the mutator pushes into this same
-            // tail (ticking the same clock, also under the tail lock), so
-            // tick-then-lock could interleave as tick(5) / mutator
-            // tick(6)+push / push(5) — descending stamps in tail order,
-            // which a flush would turn into a causal-order violation.
-            let len = {
-                let mut tail = self.tail.lock();
-                let lc = if self.lamport_on {
-                    self.clock.tick()
-                } else {
-                    0
-                };
-                tail.push((at, lc, event));
-                tail.len()
-            };
-            self.hb.slot(self.me.index()).set_pending(len);
-        }
+    /// Record a worker-loop event (a vote transition) into the process
+    /// ring. Every trace record happens under the process lock, so each
+    /// process's stamps and sequence numbers are monotone by construction.
+    fn record(&self, cell: &Mutex<Process>, event: Event) {
+        cell.lock().obs.record(self.now(), event);
     }
 
-    /// Fold this worker's lock-free accumulations into the process: the
-    /// `local` metrics into the process ledger, the pending `tail` events
-    /// into the process ring. Called with the lock held at sweep
-    /// boundaries and once after the final drain.
+    /// Fold this worker's `local` counters into the process ledger.
+    /// Called with the lock held at sweep boundaries and once after the
+    /// final drain.
     fn flush_into(&mut self, p: &mut Process) {
         if self.local != Metrics::default() {
             p.metrics.absorb(&self.local);
             self.local = Metrics::default();
-        }
-        let drained: Vec<(SimTime, u64, Event)> = {
-            let mut tail = self.tail.lock();
-            tail.drain(..).collect()
-        };
-        if !drained.is_empty() {
-            self.hb.slot(self.me.index()).set_pending(0);
-        }
-        for (at, lc, event) in drained {
-            p.obs.record_stamped(at, lc, event);
         }
     }
 
@@ -1015,8 +902,9 @@ impl WorkerCtx {
 
     /// Send through the seeded fault injector; a full (or disconnected)
     /// inbox also drops. Every accepted copy is counted into the
-    /// quiescence enqueue ledger.
-    fn send(&mut self, dest: ProcId, msg: ThreadMsg, kind: MsgKind) {
+    /// quiescence enqueue ledger. `from` is this worker's (locked)
+    /// process, whose clock every copy piggybacks.
+    fn send(&mut self, from: &Process, dest: ProcId, msg: ThreadMsg, kind: MsgKind) {
         if self
             .rng
             .gen_bool(self.net.gc_drop_probability.clamp(0.0, 1.0))
@@ -1036,12 +924,9 @@ impl WorkerCtx {
         };
         // Piggyback the sender's current clock; every record that
         // causally precedes this send has already ticked it, so the
-        // receiver's witness establishes receive > send.
-        let lamport = if self.lamport_on {
-            self.clock.current()
-        } else {
-            0
-        };
+        // receiver's witness establishes receive > send. For a CDM it is
+        // the stamp of the `CdmSent` just recorded: the copy's identity.
+        let lamport = from.obs.clock_value();
         // One tag per *logical* send, allocated before the copies loop so
         // an injected duplicate shares it and the receiver keeps exactly
         // one — credit must not be forgeable by the fault injector.
@@ -1051,6 +936,7 @@ impl WorkerCtx {
         };
         for _ in 0..copies {
             let env = ThreadEnvelope {
+                from: self.me,
                 lamport,
                 tag,
                 msg: msg.clone(),
@@ -1076,13 +962,12 @@ impl WorkerCtx {
     ) -> u64 {
         let mut drained = 0u64;
         while let Ok(env) = rx.try_recv() {
+            let mut guard = cell.lock();
+            let p = &mut *guard;
             // Lamport receive rule, before any delivery-side event: every
             // event this delivery triggers must stamp above the sender's
             // clock at send time.
-            if self.lamport_on {
-                self.clock.witness(env.lamport);
-            }
-            let msg = env.msg;
+            p.obs.witness(env.lamport);
             if self.voted && mode == DrainMode::Live {
                 // Rescind BEFORE the drain is counted: the quiescence
                 // checker relies on "a voted worker's receive is preceded
@@ -1091,7 +976,7 @@ impl WorkerCtx {
                 self.quiescence.rescinds.fetch_add(1, Ordering::SeqCst);
                 self.local.votes_rescinded += 1;
                 let sweep = self.round;
-                self.trace(Event::VoteRescinded { sweep });
+                p.obs.record(self.now(), Event::VoteRescinded { sweep });
                 self.voted = false;
                 self.quiet_streak = 0;
             }
@@ -1105,16 +990,16 @@ impl WorkerCtx {
                 self.local.cdms_deduped += 1;
                 continue;
             }
-            match msg {
+            match env.msg {
                 ThreadMsg::Nss(nss) => {
-                    self.step_under_lock(cell, |p, cx| p.on_nss(cx, &nss));
+                    self.step(p, |p, cx| p.on_nss(cx, &nss));
                     if mode == DrainMode::Live {
                         // Ack even stale sequences: the receiver already
                         // holds fresher information, so the sender may
                         // stop retrying this transmission.
                         let (me, from, seq) = (self.me, nss.from, nss.seq);
-                        self.trace(Event::NssAcked { to: from, seq });
-                        self.send(from, ThreadMsg::NssAck { from: me, seq }, MsgKind::Ack);
+                        p.obs.record(self.now(), Event::NssAcked { to: from, seq });
+                        self.send(p, from, ThreadMsg::NssAck { from: me, seq }, MsgKind::Ack);
                     }
                 }
                 ThreadMsg::NssAck { from, seq } => {
@@ -1133,33 +1018,27 @@ impl WorkerCtx {
                     self.local.cdms_dropped += 1;
                 }
                 ThreadMsg::Cdm { via, cdm } => {
-                    self.step_under_lock(cell, |p, cx| p.on_cdm(cx, via, cdm));
+                    let (from, sent_lc) = (env.from, env.lamport);
+                    self.step(p, |p, cx| p.on_cdm(cx, via, cdm, from, sent_lc));
                 }
                 ThreadMsg::DetectionCredit { id, credit, clean } => {
-                    let mut guard = cell.lock();
-                    self.flush_into(&mut guard);
-                    self.apply_credit(&mut guard, id, credit, clean);
+                    self.apply_credit(p, id, credit, clean);
                 }
                 ThreadMsg::DeleteScion(r, inc, ic) => {
-                    self.step_under_lock(cell, |p, cx| p.on_delete_scion(cx, r, inc, ic));
+                    self.step(p, |p, cx| p.on_delete_scion(cx, r, inc, ic));
                 }
             }
         }
         drained
     }
 
-    /// Run one protocol step on this worker's process: take the lock,
-    /// flush the pending tail first (so the step's direct records land
-    /// after — in seq — the earlier-stamped buffered events, keeping
-    /// per-process stamps monotone in ring order), then step with this
+    /// Run one protocol step on this worker's (locked) process, with this
     /// worker as the outbox.
-    fn step_under_lock<R>(
+    fn step<R>(
         &mut self,
-        cell: &Mutex<Process>,
+        p: &mut Process,
         f: impl FnOnce(&mut Process, &mut Step<'_, WorkerCtx>) -> R,
     ) -> R {
-        let mut guard = cell.lock();
-        self.flush_into(&mut guard);
         let cfg = Arc::clone(&self.cfg);
         let mut cx = Step {
             cfg: &cfg,
@@ -1167,7 +1046,7 @@ impl WorkerCtx {
             merged: None,
             out: self,
         };
-        f(&mut guard, &mut cx)
+        f(p, &mut cx)
     }
 
     /// Initiator side of the weight-throwing scheme: fold an echo into
@@ -1204,8 +1083,8 @@ impl WorkerCtx {
         let num_procs = self.txs.len();
         let mut guard = cell.lock();
         let p = &mut *guard;
-        // Sweep boundary: fold the lock-free accumulations from the drain
-        // and send paths into the process while we hold the lock anyway.
+        // Sweep boundary: fold the counters from the drain and send paths
+        // into the process ledger.
         self.flush_into(p);
 
         let work = p.lgc_step(&cfg, num_procs, t, None);
@@ -1226,13 +1105,8 @@ impl WorkerCtx {
             corrected
         };
         for (dest, m) in nss {
-            active |= self.offer_nss(dest, m);
+            active |= self.offer_nss(p, t, dest, m);
         }
-        // The offers traced NssSent into the tail (pre-stamped); fold them
-        // into the ring now, before the summary/scan records below tick
-        // the clock past them — a sweep-end flush would give them a later
-        // seq with an earlier stamp and break per-process monotonicity.
-        self.flush_into(p);
 
         // Re-judge scions that an earlier NSS application skipped because
         // they were pinned (mutator export/invocation in flight). The
@@ -1267,9 +1141,6 @@ impl WorkerCtx {
             };
             p.initiate(&mut cx, scion, || id);
         }
-        // Fold this sweep's tail (events recorded on the send path while
-        // the lock was held) before releasing.
-        self.flush_into(p);
         active
     }
 
@@ -1302,7 +1173,7 @@ impl WorkerCtx {
     /// wire: transmit on content change, retransmit while unacknowledged,
     /// stay silent once the peer confirmed the current content. Returns
     /// whether NSS work is still in flight towards `dest`.
-    fn offer_nss(&mut self, dest: ProcId, m: NewSetStubs) -> bool {
+    fn offer_nss(&mut self, p: &mut Process, now: SimTime, dest: ProcId, m: NewSetStubs) -> bool {
         enum Action {
             Transmit { retry: bool },
             AwaitAck,
@@ -1312,9 +1183,7 @@ impl WorkerCtx {
             Some(out) if out.live_refs == m.live_refs => {
                 if out.acked {
                     Action::Settled
-                } else if self.round.saturating_sub(out.sent_round)
-                    >= u64::from(self.cfg.nss_retry_sweeps.max(1))
-                {
+                } else if self.round.saturating_sub(out.sent_round) >= NSS_RETRY_SWEEPS {
                     out.last_seq = m.seq;
                     out.sent_round = self.round;
                     Action::Transmit { retry: true }
@@ -1341,13 +1210,16 @@ impl WorkerCtx {
                     self.local.nss_retries += 1;
                 }
                 self.local.nss_sent += 1;
-                self.trace(Event::NssSent {
-                    to: dest,
-                    seq: m.seq,
-                    live_refs: m.live_refs.len() as u32,
-                    retry,
-                });
-                self.send(dest, ThreadMsg::Nss(m), MsgKind::Nss);
+                p.obs.record(
+                    now,
+                    Event::NssSent {
+                        to: dest,
+                        seq: m.seq,
+                        live_refs: m.live_refs.len() as u32,
+                        retry,
+                    },
+                );
+                self.send(p, dest, ThreadMsg::Nss(m), MsgKind::Nss);
                 true
             }
             Action::AwaitAck => true,
@@ -1364,20 +1236,20 @@ impl WorkerCtx {
 /// as every other GC message — a lost echo just means the initiator never
 /// recovers full credit and the candidate retries after its backoff.
 impl Outbox for WorkerCtx {
-    fn send_cdm(&mut self, _from: &Process, dest: ProcId, via: RefId, cdm: Cdm) {
-        self.send(dest, ThreadMsg::Cdm { via, cdm }, MsgKind::Cdm);
+    fn send_cdm(&mut self, from: &Process, dest: ProcId, via: RefId, cdm: Cdm) {
+        self.send(from, dest, ThreadMsg::Cdm { via, cdm }, MsgKind::Cdm);
     }
 
     fn send_delete_scion(
         &mut self,
-        _from: &Process,
+        from: &Process,
         owner: ProcId,
         scion: RefId,
         incarnation: u32,
         ic: u64,
     ) {
         let msg = ThreadMsg::DeleteScion(scion, incarnation, ic);
-        self.send(owner, msg, MsgKind::Delete);
+        self.send(from, owner, msg, MsgKind::Delete);
     }
 
     fn settle_credit(&mut self, from: &mut Process, c: Credit) {
@@ -1390,7 +1262,7 @@ impl Outbox for WorkerCtx {
                 credit: c.credit,
                 clean: c.clean,
             };
-            self.send(c.initiator, msg, MsgKind::Credit);
+            self.send(from, c.initiator, msg, MsgKind::Credit);
         }
     }
 }
@@ -1450,7 +1322,7 @@ fn worker(
                 ctx.quiescence.votes.fetch_sub(1, Ordering::SeqCst);
                 ctx.quiescence.rescinds.fetch_add(1, Ordering::SeqCst);
                 ctx.local.votes_rescinded += 1;
-                ctx.trace(Event::VoteRescinded { sweep: ctx.round });
+                ctx.record(&cell, Event::VoteRescinded { sweep: ctx.round });
             }
             ctx.quiet_streak = 0;
             ctx.last_mutation_seen = mutations;
@@ -1472,8 +1344,7 @@ fn worker(
                 ctx.voted = true;
                 ctx.quiescence.votes.fetch_add(1, Ordering::SeqCst);
                 ctx.local.votes_cast += 1;
-                let sweep = ctx.round;
-                ctx.trace(Event::VoteCast { sweep });
+                ctx.record(&cell, Event::VoteCast { sweep: ctx.round });
                 hb.slot(me)
                     .beat(now_us(start), ctx.round, WorkerStage::Voted, true);
             }
@@ -1483,7 +1354,7 @@ fn worker(
         }
         // End-of-iteration hook: runs in the same iteration as a vote cast
         // (no stop check in between), so a test can deterministically wedge
-        // a worker with its `VoteCast` still in the pending tail.
+        // a worker right after its `VoteCast`.
         if let Some(h) = &hook {
             h(ctx.me, ctx.round, ctx.voted);
         }
@@ -1495,7 +1366,7 @@ fn worker(
         .set_stage(WorkerStage::FinalDrain, now_us(start));
     ctx.drain(&cell, &rx, DrainMode::Final);
     // Last flush: whatever the final drain (and a voted worker's last
-    // live drains) accumulated must land in the process ledger and ring.
+    // live drains) counted must land in the process ledger.
     ctx.flush_into(&mut cell.lock());
     hb.slot(me)
         .beat(now_us(start), ctx.round, WorkerStage::Done, ctx.voted);
@@ -1514,14 +1385,6 @@ struct MutatorCtx {
     /// Indices of the processes this thread owns (round-robin partition).
     my_procs: Vec<usize>,
     cells: Vec<Arc<Mutex<Process>>>,
-    /// Worker event tails — mutator ops are pushed here (pre-stamped) and
-    /// flushed into the per-process ring by the owning worker.
-    tails: Vec<SharedTail>,
-    /// Per-process Lamport clock handles (the same atomics the workers
-    /// tick), so mutator events share the collectors' causal axis.
-    clocks: Vec<LamportClock>,
-    trace_on: bool,
-    lamport_on: bool,
     mcfg: MutatorConfig,
     rng: SmallRng,
     /// Fresh reference-id allocator shared by all mutator threads.
@@ -1560,24 +1423,11 @@ fn lock_pair<'l>(
 }
 
 impl MutatorCtx {
-    /// Record a mutator op into `pi`'s event tail. Must be called while
-    /// holding `pi`'s process lock: the owning worker flushes its tail at
-    /// every lock acquisition before recording directly, so a push landing
-    /// *between* a flush and a direct record would break per-process stamp
-    /// monotonicity in ring order. Under the process lock it cannot.
-    fn trace_op(&self, pi: usize, op: MutatorOpKind, ref_id: Option<RefId>, start: Instant) {
-        if !self.trace_on {
-            return;
-        }
-        let at = SimTime(now_us(start) + 1);
-        let mut tail = self.tails[pi].lock();
-        // Tick inside the tail lock — see `WorkerCtx::trace`.
-        let lc = if self.lamport_on {
-            self.clocks[pi].tick()
-        } else {
-            0
-        };
-        tail.push((at, lc, Event::MutatorOp { op, ref_id }));
+    /// Record a mutator op into the (locked) process it touched, on the
+    /// same ring and clock as the collector's events.
+    fn trace_op(&self, p: &mut Process, op: MutatorOpKind, ref_id: Option<RefId>, start: Instant) {
+        p.obs
+            .record(self.now(start), Event::MutatorOp { op, ref_id });
     }
 
     fn now(&self, start: Instant) -> SimTime {
@@ -1600,7 +1450,7 @@ impl MutatorCtx {
                 .expect("freshly allocated object can always be rooted");
             p.metrics.mutator_allocs += 1;
             self.log.lock().push(MutOp::Allocate { obj, rooted: true });
-            self.trace_op(pi, MutatorOpKind::Allocate, None, start);
+            self.trace_op(p, MutatorOpKind::Allocate, None, start);
             obj
         };
         self.owned.push(obj);
@@ -1697,7 +1547,7 @@ impl MutatorCtx {
                     .expect("scion exists under this lock");
                 ga.metrics.mutator_exports += 1;
                 self.log.lock().push(MutOp::AddRemoteRef(h, r, t));
-                self.trace_op(a, MutatorOpKind::Export, Some(r), start);
+                self.trace_op(&mut ga, MutatorOpKind::Export, Some(r), start);
             }
             r
         };
@@ -1727,7 +1577,7 @@ impl MutatorCtx {
                 .expect("owned holder is rooted and alive");
             ga.metrics.mutator_exports += 1;
             self.log.lock().push(MutOp::AddRemoteRef(h, r, t));
-            self.trace_op(a, MutatorOpKind::Export, Some(r), start);
+            self.trace_op(&mut ga, MutatorOpKind::Export, Some(r), start);
         }
         thread::yield_now();
         {
@@ -1764,7 +1614,7 @@ impl MutatorCtx {
             match ga.tables.record_send_through_stub(r) {
                 Ok(_) => {
                     ga.metrics.mutator_invokes += 1;
-                    self.trace_op(a, MutatorOpKind::Invoke, Some(r), start);
+                    self.trace_op(&mut ga, MutatorOpKind::Invoke, Some(r), start);
                 }
                 Err(_) => {
                     // The holder is rooted, so its stub should be alive;
@@ -1820,7 +1670,7 @@ impl MutatorCtx {
                     .expect("tracked edge is present in the holder");
                 ga.metrics.mutator_ref_drops += 1;
                 self.log.lock().push(MutOp::RemoveRemoteRef(h, r));
-                self.trace_op(a, MutatorOpKind::DropRef, Some(r), start);
+                self.trace_op(&mut ga, MutatorOpKind::DropRef, Some(r), start);
             }
             self.edges.swap_remove(ei);
             true
@@ -1835,7 +1685,7 @@ impl MutatorCtx {
                 debug_assert!(removed, "owned object is always rooted");
                 g.metrics.mutator_root_drops += 1;
                 self.log.lock().push(MutOp::RemoveRoot(x));
-                self.trace_op(pi, MutatorOpKind::DropRoot, None, start);
+                self.trace_op(&mut g, MutatorOpKind::DropRoot, None, start);
             }
             self.owned.swap_remove(oi);
             // `x` may die at the next LGC; never invoke or drop through

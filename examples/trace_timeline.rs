@@ -4,12 +4,12 @@
 //! cross-process CDM message path, and the per-phase latency histograms.
 //! The full trace is also exported as JSON Lines.
 //!
-//! Tracing runs with `TraceConfig::causal()`, so every event carries a
+//! Tracing runs with `TraceConfig::on()`, so every event carries a
 //! Lamport stamp and the trace has a sound happens-before order: the
 //! example also prints the causal *critical-path waterfalls* — each
 //! detection's end-to-end latency attributed to transit/handling
-//! segments (see "Causal order & critical path" in DESIGN.md). The same
-//! analysis runs offline via `acdgc-report --critical-path`, and
+//! segments (see "Causal order & critical path" in docs/OBSERVABILITY.md). The
+//! same analysis runs offline via `acdgc-report --critical-path`, and
 //! `--perfetto OUT.json` exports the trace for the Perfetto UI with flow
 //! arrows along every CDM hop.
 //!
@@ -31,7 +31,7 @@ fn main() {
     // The worked example uses the strict step 15 rule (slack 0) so the
     // trace matches the paper's 26-step narration.
     let cfg = GcConfig {
-        trace: TraceConfig::causal(),
+        trace: TraceConfig::on(),
         nongrowth_slack: 0,
         ..GcConfig::manual()
     };

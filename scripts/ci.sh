@@ -69,11 +69,10 @@ echo "$timeline_out" | grep -q 'avg/s' || {
     echo "--timeline printed no counter-rate table" >&2; exit 1; }
 
 echo "==> critical-path waterfall gate (acdgc-report --critical-path)"
-# The stress artifacts are Lamport-stamped (stress_cfg uses
-# TraceConfig::causal()), so the slowest detection must render a waterfall
-# whose per-category durations sum to its end-to-end latency (the renderer
-# asserts the telescoping identity; an empty render means reconstruction
-# went dark).
+# The stress artifacts are traced, hence Lamport-stamped, so the slowest
+# detection must render a waterfall whose per-category durations sum to
+# its end-to-end latency (the renderer asserts the telescoping identity;
+# an empty render means reconstruction went dark).
 cp_out="$(cargo run -q --offline --release -p acdgc-bench --bin acdgc-report -- \
     --critical-path --top 1 "$sampled_artifact")"
 echo "$cp_out" | grep -q 'critical-path: ' || {
@@ -84,28 +83,29 @@ echo "$cp_out" | grep -q 'causal: OK' || {
     echo "stress artifact carries no passing causal verdict" >&2; exit 1; }
 
 echo "==> perfetto export gate (acdgc-report --perfetto)"
-# The export must be non-empty valid JSON whose flow arrows cover every
-# surviving CDM hop: the report prints its own delivered-hop audit, so the
-# gate requires zero unmatched deliveries and a parseable document.
+# The export must be non-empty valid JSON that accounts for every CDM
+# delivery in the artifact: the report prints its own audit line, and the
+# gate requires flows + unmatched == delivered hops (each delivery either
+# carries an arrow from the one send it names, or that send was lost to
+# ring overwrite — which --check above turns into a violation whenever
+# the artifact claims to be complete).
 perfetto_out="target/trace-artifacts/perfetto.json"
 rm -f "$perfetto_out"
 pf_report="$(cargo run -q --offline --release -p acdgc-bench --bin acdgc-report -- \
     --perfetto "$perfetto_out" "$sampled_artifact")"
 echo "$pf_report" | grep -q 'perfetto: wrote' || {
     echo "--perfetto reported no export" >&2; exit 1; }
-echo "$pf_report" | grep -q ' 0 unmatched' || {
-    echo "--perfetto export left CDM deliveries without flow arrows" >&2; exit 1; }
 [ -s "$perfetto_out" ] || { echo "perfetto export is empty" >&2; exit 1; }
 grep -q '"traceEvents"' "$perfetto_out" || {
     echo "perfetto export lacks the traceEvents envelope" >&2; exit 1; }
-# One flow pair per traced CDM hop: every delivery in the artifact whose
-# matching send survived must appear as a flow-start ("ph":"s") event.
-hops="$(grep -c '"type":"cdm_delivered"' "$sampled_artifact" || true)"
-flows="$(grep -o '"ph":"s"' "$perfetto_out" | wc -l)"
-if [ "$flows" -eq 0 ] || [ "$flows" -gt "$hops" ]; then
-    echo "perfetto flow count $flows inconsistent with $hops traced CDM hops" >&2
+read -r flows hops unmatched <<<"$(echo "$pf_report" | sed -n \
+    's/.* \([0-9]*\) flows, \([0-9]*\) delivered hops, \([0-9]*\) unmatched.*/\1 \2 \3/p')"
+if [ "${flows:-0}" -eq 0 ] || [ $((flows + unmatched)) -ne "$hops" ]; then
+    echo "perfetto audit: $flows flows + $unmatched unmatched != $hops delivered hops" >&2
     exit 1
 fi
+[ "$flows" -eq "$(grep -o '"ph":"s"' "$perfetto_out" | wc -l)" ] || {
+    echo "perfetto export's flow-start events disagree with its audit line" >&2; exit 1; }
 
 echo "==> causal gate (clock-tampered artifact must FAIL --check)"
 # Negative control for the Lamport checker: rewrite every stamp in a
@@ -163,10 +163,11 @@ cargo test -q --offline --release --test integration_modes \
 # Same bar for telemetry sampling: observation must never perturb the run.
 cargo test -q --offline --release --test integration_modes \
     sampling_leaves_the_metrics_ledgers_bit_identical
-# And for causal tracing: Lamport stamps are pure observation — clocks on
-# vs off must leave every metrics ledger bit-identical.
+# And for tracing: events and the Lamport clocks piggybacked on every
+# envelope are pure observation — tracing on vs off (with sampling and the
+# mutator config flipped along) must leave every ledger bit-identical.
 cargo test -q --offline --release --test integration_modes \
-    lamport_clocks_leave_the_metrics_ledgers_bit_identical
+    sampling_lamport_and_mutator_config_are_jointly_inert
 
 echo "==> bench smoke (1-sample compile + run gate)"
 # The vendored criterion stand-in ignores CLI filters, so the smoke mode

@@ -2,10 +2,10 @@
 //! `HealthReport` forensics.
 //!
 //! The central test wedges one worker deliberately (via the sweep hook)
-//! and asserts the watchdog names that worker, exposes the `VoteCast`
-//! event still sitting in its pending (not-yet-flushed) tail, and that
-//! the run still finishes — the monitor must never deadlock against the
-//! very stall it is reporting.
+//! and asserts the watchdog names that worker, shows the `VoteCast` it
+//! recorded just before wedging among its recent events, and that the run
+//! still finishes — the monitor must never deadlock against the very
+//! stall it is reporting.
 
 use acdgc::model::{GcConfig, NetConfig, SimDuration, TraceConfig, WatchdogConfig};
 use acdgc::obs::{HealthReason, WorkerStage};
@@ -31,12 +31,11 @@ fn watchdog_cfg() -> GcConfig {
 }
 
 #[test]
-fn stalled_worker_is_named_with_its_pending_tail() {
+fn stalled_worker_is_named_with_its_recent_events() {
     // Empty heaps: nothing to collect, so every worker votes quickly. The
-    // hook wedges worker 3 the first time it enters an iteration with its
-    // vote held — the `VoteCast` event from the previous iteration is then
-    // guaranteed to still sit in its pending tail (voted workers do not
-    // sweep, and only sweeps flush the tail).
+    // hook wedges worker 3 at the end of the iteration that cast its vote,
+    // holding no lock — so the report can read its ring, whose newest
+    // event is that `VoteCast`.
     let sys = System::new(4, watchdog_cfg(), NetConfig::instant(), 5);
     let released = Arc::new(AtomicBool::new(false));
     let reported = Arc::new(parking_lot_free_reports());
@@ -91,22 +90,23 @@ fn stalled_worker_is_named_with_its_pending_tail() {
     assert_eq!(w3.stage, WorkerStage::Voted);
     assert!(w3.voted);
     assert!(
-        w3.pending_tail.iter().any(|(_, e)| e.kind() == "vote_cast"),
-        "the unflushed VoteCast must be visible in the pending tail: {:?}",
-        w3.pending_tail
+        w3.recent_events
+            .iter()
+            .any(|(_, e)| e.kind() == "vote_cast"),
+        "the wedged worker's VoteCast must be among its recent events: {:?}",
+        w3.recent_events
     );
     // The live callback saw the same reports the run returned.
     assert_eq!(reported.lock().unwrap().len(), run.health.len());
-    // The rendering names the stall and the pending event kind.
+    // The rendering names the stall and the recent event kind.
     let text = stall.render();
     assert!(text.contains("STALLED"), "{text}");
     assert!(text.contains("vote_cast"), "{text}");
 
-    // Terminal report: quiescent, nobody stalled, tails flushed.
+    // Terminal report: quiescent, nobody stalled.
     let terminal = run.health.last().unwrap();
     assert_eq!(terminal.reason, HealthReason::Quiescent);
     assert!(terminal.stalled().is_empty());
-    assert_eq!(terminal.pending_events(), 0);
     assert!(terminal
         .workers
         .iter()

@@ -216,56 +216,15 @@ fn sampling_leaves_the_metrics_ledgers_bit_identical() {
 }
 
 #[test]
-fn lamport_clocks_leave_the_metrics_ledgers_bit_identical() {
-    // Causal tracing is pure observation: Lamport stamps ride on events
-    // and piggyback on envelopes, but no protocol decision may read them.
-    // Same seed, same workload, clocks on vs off: every counter (merged
-    // and per process), the final heap state, and the simulated clock
-    // must agree bit for bit.
-    use acdgc::model::TraceConfig;
-    let run = |trace: TraceConfig| {
-        let mut sys = System::new(
-            4,
-            GcConfig {
-                trace,
-                ..GcConfig::manual()
-            },
-            NetConfig::default(),
-            74,
-        );
-        let procs: Vec<ProcId> = (0..4).map(ProcId).collect();
-        let _live = scenarios::ring(&mut sys, &procs, 3, true);
-        let _dead = scenarios::ring(&mut sys, &procs, 3, false);
-        let rounds = sys.collect_to_fixpoint(30);
-        let per_proc: Vec<_> = procs.iter().map(|&p| *sys.metrics_for(p)).collect();
-        (
-            rounds,
-            sys.metrics,
-            per_proc,
-            sys.total_live_objects(),
-            sys.total_scions(),
-            sys.clock(),
-        )
-    };
-    let plain = run(TraceConfig::on());
-    let clocked = run(TraceConfig::causal());
-    assert_eq!(
-        plain, clocked,
-        "lamport clocks changed observable behaviour"
-    );
-    assert_eq!(plain.1.safety_violations(), 0);
-    assert_eq!(plain.3, 13, "live rings + anchor survive (4*3+1)");
-}
-
-#[test]
 fn sampling_lamport_and_mutator_config_are_jointly_inert() {
-    // Three-way parity: telemetry sampling, Lamport causal tracing, and a
-    // fully-armed `MutatorConfig` flipped on *together* must leave a
-    // sequential run bit-identical to the all-off run. Sampling and
-    // clocks are read-only observation; the mutator config only arms
-    // threads in the threaded runtime, so the sequential scheduler must
-    // not so much as branch on it. Any drift in any counter means one of
-    // the three leaked into protocol logic.
+    // Three-way parity: telemetry sampling, Lamport-stamped tracing, and
+    // a fully-armed `MutatorConfig` flipped on *together* must leave a
+    // sequential run bit-identical to the all-off run. Sampling, events
+    // and the clocks piggybacked on every envelope are read-only
+    // observation — no protocol decision may read them; the mutator
+    // config only arms threads in the threaded runtime, so the sequential
+    // scheduler must not so much as branch on it. Any drift in any
+    // counter means one of the three leaked into protocol logic.
     use acdgc::model::{MutatorConfig, SamplingConfig, TraceConfig};
     let run = |sampling: SamplingConfig, trace: TraceConfig, mutator: MutatorConfig| {
         let mut sys = System::new(
@@ -304,7 +263,7 @@ fn sampling_lamport_and_mutator_config_are_jointly_inert() {
             sample_every: 1,
             capacity: 16,
         },
-        TraceConfig::causal(),
+        TraceConfig::on(),
         MutatorConfig {
             enabled: true,
             threads: 2,
@@ -314,7 +273,7 @@ fn sampling_lamport_and_mutator_config_are_jointly_inert() {
     );
     assert_eq!(
         off, all_on,
-        "sampling + lamport + mutator config changed sequential behaviour"
+        "sampling + tracing + mutator config changed sequential behaviour"
     );
     assert_eq!(off.1.safety_violations(), 0);
     assert_eq!(off.3, 13, "live rings + anchor survive (4*3+1)");

@@ -32,7 +32,7 @@ fn stress_cfg(channel_capacity: usize) -> GcConfig {
         candidate_backoff: SimDuration::from_micros(300),
         candidate_backoff_max: SimDuration::from_millis(5),
         channel_capacity,
-        trace: TraceConfig::causal(),
+        trace: TraceConfig::on(),
         // Time-series telemetry rides in the same artifact: the monitor
         // thread samples every poll into small rings, so long stress runs
         // exercise decimation and `--check`'s sample validation for free.
@@ -264,9 +264,9 @@ fn quiescence_is_never_premature_across_seed_matrix() {
 /// Retries never violate causal order: under 30% drop every lost CDM is
 /// re-initiated and every unacked NSS retransmitted, yet the merged trace
 /// must still satisfy both Lamport invariants — per-process stamps
-/// strictly increase in merge order, and every delivery stamps above its
-/// matching send. A retry that reused a stale clock, or a tail flush that
-/// reordered buffered events past direct records, would fail here.
+/// strictly increase in merge order, and every delivery stamps above the
+/// one send it names. A retry that reused a stale clock, or a record made
+/// outside the process lock, would fail here.
 #[test]
 fn heavy_drop_retries_never_violate_causal_order() {
     let sys = build_mesh(6, 3, 2, 47);
@@ -304,7 +304,7 @@ fn heavy_drop_retries_never_violate_causal_order() {
     );
     // Both invariants are truncation-stable, so this holds even if the
     // rings overwrote early events.
-    let causal = acdgc::obs::check_causal(&trace);
+    let causal = acdgc::obs::check_causal(&trace).violations;
     check!(
         run,
         name,

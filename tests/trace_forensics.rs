@@ -289,8 +289,8 @@ proptest! {
         }
     }
 
-    /// Cross-process generalization of `check_hops_increase`: with causal
-    /// tracing on, Lamport stamps strictly increase along every
+    /// Cross-process generalization of `check_hops_increase`: Lamport
+    /// stamps strictly increase along every
     /// reconstructed `DetectionPath` — each process's steps tick its own
     /// clock, and every cross-process delivery witnesses the piggybacked
     /// send stamp, so no hop can appear to precede its cause. The merged
@@ -303,7 +303,7 @@ proptest! {
         remote_degree in 0.2f64..2.0,
     ) {
         let cfg = GcConfig {
-            trace: TraceConfig::causal(),
+            trace: TraceConfig::on(),
             ..GcConfig::manual()
         };
         let mut sys = System::new(procs, cfg, NetConfig::instant(), seed);
@@ -321,8 +321,8 @@ proptest! {
         let trace = sys.trace();
         prop_assume!(trace.overwritten == 0);
         prop_assert!(trace.events.iter().all(|r| r.lamport > 0),
-            "causal tracing stamps every surviving event");
-        let causal = acdgc::obs::check_causal(&trace);
+            "tracing stamps every surviving event");
+        let causal = acdgc::obs::check_causal(&trace).violations;
         prop_assert!(causal.is_empty(), "global causal check: {:?}", causal);
         for id in trace.detection_ids() {
             let path = trace.detection(id);
