@@ -1,12 +1,12 @@
-//! Shared fixtures for the Criterion benches and the `experiments` binary.
+//! Shared fixtures for the `experiments` binary.
 //!
-//! Every paper table/figure reproduction lives in one of two places:
-//!
-//! * `benches/*.rs` — Criterion wall-time benchmarks (one per table or
-//!   figure family), regenerated with `cargo bench -p acdgc-bench`;
-//! * `src/bin/experiments.rs` — the deterministic harness that prints the
-//!   paper-shaped tables (rows and series, counts and ratios) and emits
-//!   JSON consumed by EXPERIMENTS.md.
+//! Every paper table/figure reproduction lives in
+//! `src/bin/experiments.rs` — the deterministic harness that prints the
+//! paper-shaped tables (rows and series, counts and ratios) and emits JSON
+//! consumed by EXPERIMENTS.md. Wall-time cost per layer is the repo
+//! benchmark's job (`benchmark/`, `--trace 1`); the one Criterion bench
+//! kept here, `benches/trace_overhead.rs`, is the only measurement of
+//! what tracing costs when switched on.
 
 use acdgc_heap::{Heap, HeapRef};
 use acdgc_model::{GcConfig, NetConfig, ObjId, ProcId, RefId, SimDuration};
@@ -15,7 +15,7 @@ use acdgc_sim::{scenarios, InvokeSpec, System};
 
 /// A system tuned for measurement: manual GC phases, instant reliable
 /// network, oracle checks off (they are O(heap) per reclamation).
-pub fn bench_system(procs: usize, seed: u64) -> System {
+fn bench_system(procs: usize, seed: u64) -> System {
     let mut sys = System::new(procs, GcConfig::manual(), NetConfig::instant(), seed);
     sys.check_safety = false;
     sys

@@ -69,11 +69,6 @@ impl CandidateState {
         }
     }
 
-    /// Scions currently suppressed by a standing liveness verdict.
-    pub fn proven_live_count(&self) -> usize {
-        self.proven_live.len()
-    }
-
     /// Number of scions currently under backoff bookkeeping.
     pub fn tracked(&self) -> usize {
         self.last_attempt.len()
@@ -195,29 +190,6 @@ pub fn scan_candidates(
         pinned,
         suppressed,
     }
-}
-
-/// [`scan_candidates`] with the scan timed into the
-/// [`acdgc_obs::Phase::CandidateScan`] histogram and the outcome recorded
-/// as an [`acdgc_obs::Event::CandidatesScanned`] event.
-pub fn scan_candidates_observed(
-    summary: &SummarizedGraph,
-    state: &mut CandidateState,
-    now: SimTime,
-    cfg: &GcConfig,
-    obs: &mut acdgc_obs::ProcTrace,
-) -> CandidateScan {
-    let started = obs.stopwatch();
-    let scan = scan_candidates(summary, state, now, cfg);
-    obs.lap(acdgc_obs::Phase::CandidateScan, started);
-    obs.record(
-        now,
-        acdgc_obs::Event::CandidatesScanned {
-            picked: scan.picked.len() as u32,
-            deferred: scan.deferred as u32,
-        },
-    );
-    scan
 }
 
 /// [`scan_candidates`] without the deferred-work report.

@@ -77,7 +77,5 @@ pub mod candidates;
 pub mod process;
 
 pub use algebra::{Cdm, Entry, MatchResult, FULL_CREDIT};
-pub use candidates::{
-    scan_candidates, scan_candidates_observed, select_candidates, CandidateScan, CandidateState,
-};
+pub use candidates::{scan_candidates, select_candidates, CandidateScan, CandidateState};
 pub use process::{deliver, initiate, OutboundCdm, Outcome, TerminateReason};

@@ -169,21 +169,6 @@ pub fn collect(heap: &mut Heap, scion_targets: &[Slot]) -> CollectResult {
     CollectResult { mark, sweep }
 }
 
-/// [`collect`] bracketed by [`acdgc_obs::Phase::Lgc`] start/end events and
-/// its duration histogram. With tracing disabled this is [`collect`] plus
-/// one branch.
-pub fn collect_observed(
-    heap: &mut Heap,
-    scion_targets: &[Slot],
-    now: acdgc_model::SimTime,
-    obs: &mut acdgc_obs::ProcTrace,
-) -> CollectResult {
-    let started = obs.begin(now, acdgc_obs::Phase::Lgc);
-    let result = collect(heap, scion_targets);
-    obs.end(now, acdgc_obs::Phase::Lgc, started);
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

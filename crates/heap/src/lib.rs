@@ -23,7 +23,7 @@ pub mod object;
 
 pub use heap::{Heap, HeapStats};
 pub use lgc::{
-    closure, closure_into, collect, collect_observed, mark, sweep, Closure, ClosureScratch,
-    CollectResult, MarkResult, SweepResult,
+    closure, closure_into, collect, mark, sweep, Closure, ClosureScratch, CollectResult,
+    MarkResult, SweepResult,
 };
 pub use object::{HeapRef, ObjectRecord};

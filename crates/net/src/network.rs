@@ -263,14 +263,6 @@ impl<M: Clone> Network<M> {
         self.stats.delivered += 1;
         Some(env)
     }
-
-    /// Discard all in-flight traffic (partition everything, used by tests).
-    pub fn drop_all_in_flight(&mut self) -> usize {
-        let n = self.queue.len();
-        self.stats.dropped += n as u64;
-        self.queue.clear();
-        n
-    }
 }
 
 #[cfg(test)]
@@ -501,16 +493,6 @@ mod tests {
             SimTime(500),
             "band collapses to min_latency, not the inverted max"
         );
-    }
-
-    #[test]
-    fn drop_all_in_flight_partitions() {
-        let mut n = net(NetConfig::instant(), 1);
-        for i in 0..4u32 {
-            n.send(SimTime(0), ProcId(0), ProcId(1), MessageClass::Gc, 8, i);
-        }
-        assert_eq!(n.drop_all_in_flight(), 4);
-        assert!(n.pop_next().is_none());
     }
 
     #[test]

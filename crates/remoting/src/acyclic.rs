@@ -120,28 +120,6 @@ pub fn apply_new_set_stubs(tables: &mut RemotingTables, msg: &NewSetStubs) -> Ap
     }
 }
 
-/// [`apply_new_set_stubs`] recording an [`acdgc_obs::Event::NssApplied`]
-/// event (covering the stale-rejection path too, which is exactly the case
-/// post-mortems need to see).
-pub fn apply_new_set_stubs_observed(
-    tables: &mut RemotingTables,
-    msg: &NewSetStubs,
-    now: SimTime,
-    obs: &mut acdgc_obs::ProcTrace,
-) -> AppliedNss {
-    let applied = apply_new_set_stubs(tables, msg);
-    obs.record(
-        now,
-        acdgc_obs::Event::NssApplied {
-            from: msg.from,
-            seq: msg.seq,
-            removed: applied.removed.len() as u32,
-            stale: applied.stale,
-        },
-    );
-    applied
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

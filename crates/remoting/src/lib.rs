@@ -15,6 +15,13 @@
 //!   scions absent from the set. Per-sender sequence numbers make stale or
 //!   reordered messages harmless, and loss merely delays reclamation —
 //!   the properties the paper relies on.
+//! * [`lifecycle`] — establishing one reference, written once: the owner
+//!   opens (reuses, repairs or mints) the scion and pins it, the importer
+//!   opens the stub, the owner closes (refresh, then unpin). A half
+//!   re-created beside a survivor adopts the survivor's counter. Every
+//!   driver — `System::create_remote_ref`, `System::invoke`'s export
+//!   marshalling and import, the threaded mutator's export — calls these
+//!   and nothing else to create or re-create half of a pair.
 //! * [`messages`] — the wire payloads for invocations, replies and
 //!   `NewSetStubs`, with size models for byte accounting.
 //!
@@ -25,11 +32,11 @@
 //! through weak references).
 
 pub mod acyclic;
+pub mod lifecycle;
 pub mod messages;
 pub mod tables;
 
-pub use acyclic::{
-    apply_new_set_stubs, apply_new_set_stubs_observed, build_new_set_stubs, AppliedNss, NewSetStubs,
-};
+pub use acyclic::{apply_new_set_stubs, build_new_set_stubs, AppliedNss, NewSetStubs};
+pub use lifecycle::OpenedPair;
 pub use messages::{ExportedRef, InvokePayload, ReplyPayload};
 pub use tables::{RemotingStats, RemotingTables, Scion, Stub};

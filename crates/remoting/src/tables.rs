@@ -161,10 +161,6 @@ impl RemotingTables {
         self.stubs.get(&ref_id)
     }
 
-    pub fn stub_mut(&mut self, ref_id: RefId) -> Option<&mut Stub> {
-        self.stubs.get_mut(&ref_id)
-    }
-
     pub fn stubs(&self) -> impl Iterator<Item = &Stub> + '_ {
         self.stubs.values()
     }
@@ -264,7 +260,7 @@ impl RemotingTables {
     /// messages built before this instant can no longer judge it — the
     /// stub they describe predates the re-establishment (ABA guard at the
     /// reference-listing layer).
-    pub fn refresh_scion(&mut self, ref_id: RefId, now: SimTime) {
+    pub(crate) fn refresh_scion(&mut self, ref_id: RefId, now: SimTime) {
         if let Some(scion) = self.scions.get_mut(&ref_id) {
             scion.created_at = now;
         }
@@ -272,10 +268,6 @@ impl RemotingTables {
 
     pub fn scion(&self, ref_id: RefId) -> Option<&Scion> {
         self.scions.get(&ref_id)
-    }
-
-    pub fn scion_mut(&mut self, ref_id: RefId) -> Option<&mut Scion> {
-        self.scions.get_mut(&ref_id)
     }
 
     pub fn scions(&self) -> impl Iterator<Item = &Scion> + '_ {
@@ -322,36 +314,15 @@ impl RemotingTables {
         Ok(stub.ic)
     }
 
-    /// Adopt the surviving scion's counter into a freshly re-created stub.
-    ///
-    /// The pair's counters count invocations in flight (sent at the stub
-    /// minus received at the scion); at the instant a stub is repaired for
-    /// a scion that outlived it, nothing is in flight, so the halves must
-    /// be equal. Leaving the new stub at zero against a scion with `ic =
-    /// k` is not a safety problem — the CDM invocation-counter match can
-    /// only *veto* deletions — but the veto becomes permanent: every
-    /// detection crossing the pair aborts with an IC mismatch forever,
-    /// the scion stays a candidate forever, and quiescence never closes.
-    pub fn sync_stub_ic(&mut self, ref_id: RefId, ic: u64) -> Result<(), ModelError> {
-        let stub = self
-            .stubs
-            .get_mut(&ref_id)
-            .ok_or(ModelError::UnknownStub(self.proc, ref_id))?;
-        stub.ic = ic;
-        Ok(())
+    /// Set a just re-created stub's counter to the surviving scion's (the
+    /// adoption rule of [`crate::lifecycle`]).
+    pub(crate) fn sync_stub_ic(&mut self, ref_id: RefId, ic: u64) {
+        self.stubs.get_mut(&ref_id).expect("stub just added").ic = ic;
     }
 
-    /// Adopt the surviving stub's counter into a freshly re-created
-    /// scion. Mirror of [`RemotingTables::sync_stub_ic`] for the opposite
-    /// repair direction (scion deleted by a verdict while the stub and
-    /// its target both live on).
-    pub fn sync_scion_ic(&mut self, ref_id: RefId, ic: u64) -> Result<(), ModelError> {
-        let scion = self
-            .scions
-            .get_mut(&ref_id)
-            .ok_or(ModelError::UnknownScion(self.proc, ref_id))?;
-        scion.ic = ic;
-        Ok(())
+    /// Mirror of [`Self::sync_stub_ic`] for a just re-created scion.
+    pub(crate) fn sync_scion_ic(&mut self, ref_id: RefId, ic: u64) {
+        self.scions.get_mut(&ref_id).expect("scion just added").ic = ic;
     }
 
     /// Callee side of an invocation or reply through `ref_id`.
@@ -415,7 +386,7 @@ impl RemotingTables {
     /// deferred because they were pinned when the set arrived and are now
     /// unpinned. Returns the removed scions.
     ///
-    /// Safe against late re-exports because [`Self::refresh_scion`] moves
+    /// Safe against late re-exports because [`Self::close_scion`] moves
     /// `created_at` past any set built before the re-establishment, so the
     /// horizon check below excludes them.
     pub fn sweep_deferred_nss(&mut self) -> Vec<Scion> {
@@ -456,11 +427,6 @@ impl RemotingTables {
         } else {
             false
         }
-    }
-
-    /// Peers this process currently references (stub targets).
-    pub fn stub_peers(&self) -> FxHashSet<ProcId> {
-        self.stubs.values().map(|s| s.target.proc).collect()
     }
 }
 
@@ -547,17 +513,6 @@ mod tests {
         assert!(!t.accept_nss_seq(ProcId(1), 1), "stale rejected");
         assert!(t.accept_nss_seq(ProcId(1), 3));
         assert!(t.accept_nss_seq(ProcId(2), 1), "independent per sender");
-    }
-
-    #[test]
-    fn stub_peers_reflect_targets() {
-        let mut t = tables();
-        t.add_stub(RefId(1), obj(1, 0), SimTime(0));
-        t.add_stub(RefId(2), obj(2, 0), SimTime(0));
-        t.add_stub(RefId(3), obj(1, 4), SimTime(0));
-        let peers = t.stub_peers();
-        assert_eq!(peers.len(), 2);
-        assert!(peers.contains(&ProcId(1)) && peers.contains(&ProcId(2)));
     }
 
     #[test]

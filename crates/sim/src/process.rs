@@ -2,12 +2,12 @@
 //! detector heuristic state + GC scheduling.
 
 use crate::metrics::Metrics;
-use acdgc_dcda::{scan_candidates, scan_candidates_observed, CandidateScan, CandidateState};
+use acdgc_dcda::{scan_candidates, CandidateScan, CandidateState};
 use acdgc_heap::Heap;
 use acdgc_model::{GcConfig, ProcId, SimTime};
-use acdgc_obs::{ProcTrace, Sample};
+use acdgc_obs::{Event, Phase, ProcTrace, Sample};
 use acdgc_remoting::RemotingTables;
-use acdgc_snapshot::{SccEngine, SummarizedGraph};
+use acdgc_snapshot::{SccEngine, SummarizePath, SummarizedGraph};
 
 /// The state of one process. Mutation flows through [`crate::System`]
 /// (which owns all processes and the network), or through a
@@ -85,13 +85,18 @@ impl Process {
     /// merged ledger mirrors [`Process::count_snapshot`] afterwards.
     pub fn refresh_summary(&mut self, now: SimTime) {
         let version = self.next_summary_version();
-        self.summary = self.engine.summarize_adaptive_observed(
-            &self.heap,
-            &self.tables,
-            version,
-            now,
-            &mut self.obs,
-        );
+        // Bracket the run with the phase of the path actually taken, so
+        // traces attribute the cost to the implementation that paid it.
+        let path = self.engine.choose_path(&self.heap, &self.tables);
+        let phase = match path {
+            SummarizePath::Reference => Phase::SummarizeReference,
+            SummarizePath::Engine => Phase::SummarizeEngine,
+        };
+        let started = self.obs.begin(now, phase);
+        self.summary = self
+            .engine
+            .summarize_via(path, &self.heap, &self.tables, version, now);
+        self.obs.end(now, phase, started);
         self.candidates.retain_known(&self.summary);
         Self::count_snapshot(&mut self.metrics, &self.summary);
     }
@@ -108,11 +113,13 @@ impl Process {
     /// (retry backoff / scan cap). Shared by the sequential and threaded
     /// runtimes so both see one retry policy.
     pub fn scan(&mut self, now: SimTime, cfg: &GcConfig) -> CandidateScan {
-        if self.obs.enabled() {
-            scan_candidates_observed(&self.summary, &mut self.candidates, now, cfg, &mut self.obs)
-        } else {
-            scan_candidates(&self.summary, &mut self.candidates, now, cfg)
-        }
+        let started = self.obs.stopwatch();
+        let scan = scan_candidates(&self.summary, &mut self.candidates, now, cfg);
+        self.obs.lap(Phase::CandidateScan, started);
+        let (picked, deferred) = (scan.picked.len() as u32, scan.deferred as u32);
+        self.obs
+            .record(now, Event::CandidatesScanned { picked, deferred });
+        scan
     }
 
     /// This process's telemetry row at `at`/`round`: heap, candidate and

@@ -18,7 +18,7 @@ use acdgc_dcda::{Cdm, Outcome, TerminateReason, FULL_CREDIT};
 use acdgc_heap::lgc;
 use acdgc_model::{DetectionId, GcConfig, IntegrationMode, ObjId, ProcId, RefId, SimTime};
 use acdgc_obs::{DropReason, Event, Phase, TermReason};
-use acdgc_remoting::{apply_new_set_stubs_observed, build_new_set_stubs, NewSetStubs};
+use acdgc_remoting::{apply_new_set_stubs, build_new_set_stubs, NewSetStubs};
 use rustc_hash::FxHashSet;
 
 /// A dying derivation's credit on its way back to the detection's
@@ -38,17 +38,18 @@ pub struct Credit {
 }
 
 /// Where a step's traffic goes. `from` is the stepping process: its id,
-/// and its Lamport clock as of the send, which every copy of the message
+/// its Lamport clock as of the send, which every copy of the message
 /// must carry verbatim (a `send_cdm` follows its `CdmSent` record with no
-/// tick in between, so that clock is the CDM's trace identity).
+/// tick in between, so that clock is the CDM's trace identity), and its
+/// ledger, where a driver counts what became of the send.
 pub trait Outbox {
     /// Forward one CDM derivation to `dest` through reference `via`.
-    fn send_cdm(&mut self, from: &Process, dest: ProcId, via: RefId, cdm: Cdm);
+    fn send_cdm(&mut self, from: &mut Process, dest: ProcId, via: RefId, cdm: Cdm);
     /// Ask `owner` to delete a scion a cycle verdict proved garbage,
     /// re-checking the witnessed incarnation and invocation counter.
     fn send_delete_scion(
         &mut self,
-        from: &Process,
+        from: &mut Process,
         owner: ProcId,
         scion: RefId,
         incarnation: u32,
@@ -133,7 +134,9 @@ impl Process {
         oracle_live: Option<&FxHashSet<ObjId>>,
     ) -> LgcWork {
         let targets = self.tables.scion_target_slots();
-        let result = lgc::collect_observed(&mut self.heap, &targets, now, &mut self.obs);
+        let started = self.obs.begin(now, Phase::Lgc);
+        let result = lgc::collect(&mut self.heap, &targets);
+        self.obs.end(now, Phase::Lgc, started);
         let freed = &result.sweep.freed;
         let unsafe_freed = oracle_live.map_or(0, |live| {
             freed.iter().filter(|f| live.contains(f)).count() as u64
@@ -182,7 +185,17 @@ impl Process {
 
     /// Apply a `NewSetStubs` from a peer (reference-listing acyclic DGC).
     pub fn on_nss<O: Outbox>(&mut self, cx: &mut Step<'_, O>, nss: &NewSetStubs) {
-        let applied = apply_new_set_stubs_observed(&mut self.tables, nss, cx.now, &mut self.obs);
+        let applied = apply_new_set_stubs(&mut self.tables, nss);
+        // Recorded for stale rejections too: the case post-mortems need.
+        self.obs.record(
+            cx.now,
+            Event::NssApplied {
+                from: nss.from,
+                seq: nss.seq,
+                removed: applied.removed.len() as u32,
+                stale: applied.stale,
+            },
+        );
         if applied.stale {
             cx.count(&mut self.metrics, |m| m.nss_stale += 1);
         } else {

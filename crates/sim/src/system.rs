@@ -233,86 +233,42 @@ impl System {
         if !self.procs[to.proc.index()].heap.contains(to) {
             return Err(ModelError::DanglingObject(to));
         }
-        let ref_id = self.ensure_pair(from.proc, to);
-        self.procs[from.proc.index()]
-            .heap
-            .add_ref(from, HeapRef::Remote(ref_id))?;
+        let ref_id = self.open_scion(from.proc, to);
+        self.import_ref(from, ref_id, to);
         Ok(ref_id)
     }
 
-    /// Ensure the (holder process, target object) stub/scion pair exists,
-    /// reusing or repairing whichever half survives:
-    /// * both present — share it (pardoning a condemned stub);
-    /// * stub only (the scion was deleted, e.g. by a cycle verdict, while
-    ///   the target still lives) — recreate the scion under the same id;
-    /// * scion only (the stub died at the holder, reference listing has
-    ///   not caught up) — recreate the stub under the same id;
-    /// * neither — mint a fresh pair.
-    fn ensure_pair(&mut self, holder: ProcId, target: ObjId) -> RefId {
-        let now = self.clock;
-        let stub_side = self.procs[holder.index()]
+    /// Owner half of establishing `importer`'s reference to `target`
+    /// (`acdgc_remoting::lifecycle`): the scion exists and is pinned when
+    /// this returns. The simulator reads the importer's surviving stub
+    /// directly; a fresh id is minted only when neither half exists.
+    fn open_scion(&mut self, importer: ProcId, target: ObjId) -> RefId {
+        let stub = self.procs[importer.index()]
             .tables
             .stub_for_target(target)
-            .map(|s| s.ref_id);
-        let scion_side = self.procs[target.proc.index()]
+            .cloned();
+        let ids = &mut self.ids;
+        let owner = &mut self.procs[target.proc.index()].tables;
+        let mint = || ids.next_ref_id();
+        owner
+            .open_scion(importer, target, stub.as_ref(), mint, self.clock)
+            .ref_id
+    }
+
+    /// Importer half, then the close at the owner: `holder` (alive, at the
+    /// importer) gains the reference `ref_id` to `target`.
+    fn import_ref(&mut self, holder: ObjId, ref_id: RefId, target: ObjId) {
+        let now = self.clock;
+        let owner = &self.procs[target.proc.index()].tables;
+        let scion_ic = owner.scion(ref_id).map_or(0, |s| s.ic);
+        let importer = &mut self.procs[holder.proc.index()];
+        importer.tables.open_stub(ref_id, target, scion_ic, now);
+        let _ = importer.heap.add_ref(holder, HeapRef::Remote(ref_id));
+        // The import completed *now*: no NewSetStubs built while the
+        // reference was in flight may judge this scion.
+        let _ = self.procs[target.proc.index()]
             .tables
-            .scion_for_source(holder, target)
-            .map(|s| s.ref_id);
-        match (stub_side, scion_side) {
-            (Some(r), Some(r2)) => {
-                debug_assert_eq!(r, r2, "pair halves disagree");
-                self.procs[holder.index()].tables.pardon_stub(r);
-                // Reuse counts as re-establishment: protect the scion from
-                // NewSetStubs built before this instant.
-                self.procs[target.proc.index()].tables.refresh_scion(r, now);
-                r
-            }
-            (Some(r), None) => {
-                self.procs[holder.index()].tables.pardon_stub(r);
-                let stub_ic = self.procs[holder.index()]
-                    .tables
-                    .stub(r)
-                    .expect("probed above")
-                    .ic;
-                self.procs[target.proc.index()]
-                    .tables
-                    .add_scion(r, target, holder, now);
-                // The re-created half adopts the survivor's invocation
-                // counter: nothing is in flight at repair time, and a
-                // counter split would permanently veto CDMs over the pair.
-                self.procs[target.proc.index()]
-                    .tables
-                    .sync_scion_ic(r, stub_ic)
-                    .expect("scion just added");
-                r
-            }
-            (None, Some(r)) => {
-                // The stub is being re-created after dying: a NewSetStubs
-                // without it may still be in flight — refresh the scion's
-                // horizon so that stale set cannot delete it.
-                let scion_ic = self.procs[target.proc.index()]
-                    .tables
-                    .scion(r)
-                    .expect("probed above")
-                    .ic;
-                self.procs[holder.index()].tables.add_stub(r, target, now);
-                // Adopt the scion's counter (see the mirror case above).
-                self.procs[holder.index()]
-                    .tables
-                    .sync_stub_ic(r, scion_ic)
-                    .expect("stub just added");
-                self.procs[target.proc.index()].tables.refresh_scion(r, now);
-                r
-            }
-            (None, None) => {
-                let r = self.ids.next_ref_id();
-                self.procs[target.proc.index()]
-                    .tables
-                    .add_scion(r, target, holder, now);
-                self.procs[holder.index()].tables.add_stub(r, target, now);
-                r
-            }
-        }
+            .close_scion(ref_id, now);
     }
 
     /// Drop one occurrence of the remote reference `ref_id` from `from`'s
@@ -429,35 +385,7 @@ impl System {
                 // Reference-listing dedup: reuse (or repair) the pair if
                 // either half already exists for (importer, target). The
                 // scion is pinned until the import completes.
-                let ref_id = match self.procs[target.proc.index()]
-                    .tables
-                    .scion_for_source(importer, target)
-                    .map(|s| s.ref_id)
-                {
-                    Some(r) => {
-                        // Re-export of an existing pair: the importer's
-                        // stub may have died and a NewSetStubs without it
-                        // may be in flight; refresh the horizon.
-                        self.procs[target.proc.index()].tables.refresh_scion(r, now);
-                        r
-                    }
-                    None => {
-                        // The importer may hold a stale stub whose scion
-                        // was deleted; reuse its id so the repaired pair
-                        // stays consistent with the importer's table.
-                        let stale = self.procs[importer.index()]
-                            .tables
-                            .stub_for_target(target)
-                            .map(|s| s.ref_id);
-                        let r = stale.unwrap_or_else(|| self.ids.next_ref_id());
-                        self.procs[target.proc.index()]
-                            .tables
-                            .add_scion(r, target, importer, now);
-                        r
-                    }
-                };
-                self.procs[target.proc.index()].tables.pin_scion(ref_id)?;
-                ref_id
+                self.open_scion(importer, target)
             } else {
                 // Uninstrumented, or a short-circuit home delivery: the id
                 // is a placeholder for the wire format only.
@@ -472,7 +400,6 @@ impl System {
     /// Import marshalled references at `importer`, attaching them as fields
     /// of `holder` (when given and alive). Unpins the export scions.
     fn import_exports(&mut self, importer: ProcId, holder: Option<ObjId>, exports: &[ExportedRef]) {
-        let now = self.clock;
         for export in exports {
             if export.target.proc == importer {
                 // Short-circuit: the reference came home; it becomes local.
@@ -490,37 +417,15 @@ impl System {
             if !self.cfg.instrument_remoting {
                 continue;
             }
-            let holder_alive =
-                holder.is_some_and(|h| self.procs[importer.index()].heap.contains(h));
-            if holder_alive {
-                let holder = holder.unwrap();
-                let importer_proc = &mut self.procs[importer.index()];
-                // Shared pair: the stub may already exist (the exporter
-                // reused the scion); a condemned stub is resurrected by
-                // the re-import — the paper's weak-reference monitor
-                // "pardons" proxies seen alive again.
-                if importer_proc.tables.stub(export.ref_id).is_none() {
-                    importer_proc
-                        .tables
-                        .add_stub(export.ref_id, export.target, now);
-                } else {
-                    importer_proc.tables.pardon_stub(export.ref_id);
-                }
-                let _ = importer_proc
-                    .heap
-                    .add_ref(holder, HeapRef::Remote(export.ref_id));
-                let owner = &mut self.procs[export.target.proc.index()].tables;
-                let _ = owner.unpin_scion(export.ref_id);
-                // The import completed *now*: any NewSetStubs built while
-                // the reference was in flight (it could not yet know the
-                // stub) must not judge this scion.
-                owner.refresh_scion(export.ref_id, now);
-            } else {
+            match holder.filter(|&h| self.procs[importer.index()].heap.contains(h)) {
+                Some(holder) => self.import_ref(holder, export.ref_id, export.target),
                 // Nobody to hold the reference: release the pin and let the
                 // acyclic DGC reclaim the orphan scion.
-                let _ = self.procs[export.target.proc.index()]
-                    .tables
-                    .unpin_scion(export.ref_id);
+                None => {
+                    let _ = self.procs[export.target.proc.index()]
+                        .tables
+                        .unpin_scion(export.ref_id);
+                }
             }
         }
     }
@@ -1042,13 +947,13 @@ impl SimOutbox<'_> {
 }
 
 impl Outbox for SimOutbox<'_> {
-    fn send_cdm(&mut self, from: &Process, dest: ProcId, via: RefId, cdm: Cdm) {
+    fn send_cdm(&mut self, from: &mut Process, dest: ProcId, via: RefId, cdm: Cdm) {
         self.send_gc(from, dest, SysMessage::Cdm { via, cdm });
     }
 
     fn send_delete_scion(
         &mut self,
-        from: &Process,
+        from: &mut Process,
         owner: ProcId,
         scion: RefId,
         incarnation: u32,

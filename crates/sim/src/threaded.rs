@@ -54,15 +54,12 @@
 //! collector race is mediated by the per-process lock. Three disciplines
 //! keep the races safe and observable:
 //!
-//! * **pin/unpin handshake** — exporting a fresh reference creates the
-//!   scion *pinned* before the importer materializes its stub (the
-//!   paper's in-flight-reference problem, made real: between those steps
-//!   a `NewSetStubs` built without the new stub may arrive, and only the
-//!   pin stops it deleting the scion). Unpinning refreshes the scion's
-//!   creation horizon so a live set saved during the window can never be
-//!   re-applied against it later. Invocations likewise pin the target
-//!   scion across the callee-side window so a cycle verdict cannot
-//!   delete a reference mid-call.
+//! * **pin/unpin handshake** — an export opens the scion pinned, then the
+//!   stub, then closes (refresh, unpin): the steps and their reasons are
+//!   `acdgc_remoting::lifecycle`'s; `MutatorCtx::op_export` only decides
+//!   which locks are held across them. Invocations likewise pin the target
+//!   scion across the callee-side window so a cycle verdict cannot delete
+//!   a reference mid-call.
 //! * **deferred NSS re-judgement** — a scion that survived a live set
 //!   only because it was pinned would leak (a content-settled set is
 //!   never resent); each sweep re-applies the saved per-sender sets via
@@ -96,7 +93,7 @@ use acdgc_obs::health::{
     HealthReason, HealthReport, Heartbeat, Heartbeats, WorkerHealth, WorkerStage,
 };
 use acdgc_obs::{Event, MutatorOpKind, Sample, Sampler};
-use acdgc_remoting::NewSetStubs;
+use acdgc_remoting::{NewSetStubs, OpenedPair};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -179,7 +176,7 @@ struct Quiescence {
     /// Messages taken out of a channel.
     drained: AtomicU64,
     stop: AtomicBool,
-    /// Workers that have fully exited (final drain + flush done). The
+    /// Workers that have fully exited (final drain done). The
     /// watchdog monitor watches this, not `stop`: a worker can stay stuck
     /// *after* the stop flag is raised, and that tail-end stall is exactly
     /// the one worth reporting.
@@ -440,7 +437,6 @@ pub fn run_concurrent_collection_observed(
             quiescence: Arc::clone(&quiescence),
             detection_ids: Arc::clone(&detection_ids),
             nss_out: FxHashMap::default(),
-            local: Metrics::default(),
             hb: Arc::clone(&heartbeats),
             hook: sweep_hook.clone(),
             started: start,
@@ -757,12 +753,6 @@ struct WorkerCtx {
     quiescence: Arc<Quiescence>,
     detection_ids: Arc<AtomicU64>,
     nss_out: FxHashMap<ProcId, NssOutbound>,
-    /// What this worker counts on its own paths (send-path losses, votes,
-    /// NSS retries, credit bookkeeping); folded into the process ledger
-    /// at sweep boundaries (and once after the final drain) by
-    /// [`WorkerCtx::flush_into`]. Protocol steps count into the process
-    /// ledger directly.
-    local: Metrics,
     /// Shared heartbeat slots: this worker publishes into slot
     /// `me.index()`, reads nothing. The watchdog monitor reads all slots.
     hb: Arc<Heartbeats>,
@@ -849,6 +839,18 @@ enum MsgKind {
     Credit,
 }
 
+impl MsgKind {
+    /// The ledger counter one lost message of this kind bumps.
+    fn drop_counter(self, m: &mut Metrics) -> &mut u64 {
+        match self {
+            MsgKind::Nss => &mut m.nss_dropped,
+            MsgKind::Ack => &mut m.acks_dropped,
+            MsgKind::Cdm | MsgKind::Credit => &mut m.cdms_dropped,
+            MsgKind::Delete => &mut m.deletes_dropped,
+        }
+    }
+}
+
 impl WorkerCtx {
     /// This worker's clock: microseconds since the run started. The
     /// threaded runtime has no shared simulated clock; wall time is the
@@ -857,30 +859,17 @@ impl WorkerCtx {
         SimTime(self.started.elapsed().as_micros() as u64 + 1)
     }
 
-    /// Record a worker-loop event (a vote transition) into the process
-    /// ring. Every trace record happens under the process lock, so each
-    /// process's stamps and sequence numbers are monotone by construction.
-    fn record(&self, cell: &Mutex<Process>, event: Event) {
-        cell.lock().obs.record(self.now(), event);
-    }
-
-    /// Fold this worker's `local` counters into the process ledger.
-    /// Called with the lock held at sweep boundaries and once after the
-    /// final drain.
-    fn flush_into(&mut self, p: &mut Process) {
-        if self.local != Metrics::default() {
-            p.metrics.absorb(&self.local);
-            self.local = Metrics::default();
-        }
-    }
-
-    /// Count one loss per kind.
-    fn count_drop(&mut self, kind: MsgKind) {
-        match kind {
-            MsgKind::Nss => self.local.nss_dropped += 1,
-            MsgKind::Ack => self.local.acks_dropped += 1,
-            MsgKind::Cdm | MsgKind::Credit => self.local.cdms_dropped += 1,
-            MsgKind::Delete => self.local.deletes_dropped += 1,
+    /// Count and record a vote transition of the worker loop. Every count
+    /// and trace record happens under the process lock, so each process's
+    /// ledger, stamps and sequence numbers are monotone by construction.
+    fn note_vote(&self, cell: &Mutex<Process>, cast: bool) {
+        let (mut p, sweep) = (cell.lock(), self.round);
+        if cast {
+            p.metrics.votes_cast += 1;
+            p.obs.record(self.now(), Event::VoteCast { sweep });
+        } else {
+            p.metrics.votes_rescinded += 1;
+            p.obs.record(self.now(), Event::VoteRescinded { sweep });
         }
     }
 
@@ -903,21 +892,22 @@ impl WorkerCtx {
     /// Send through the seeded fault injector; a full (or disconnected)
     /// inbox also drops. Every accepted copy is counted into the
     /// quiescence enqueue ledger. `from` is this worker's (locked)
-    /// process, whose clock every copy piggybacks.
-    fn send(&mut self, from: &Process, dest: ProcId, msg: ThreadMsg, kind: MsgKind) {
+    /// process, whose clock every copy piggybacks and whose ledger counts
+    /// the losses.
+    fn send(&mut self, from: &mut Process, dest: ProcId, msg: ThreadMsg, kind: MsgKind) {
         if self
             .rng
             .gen_bool(self.net.gc_drop_probability.clamp(0.0, 1.0))
         {
-            self.local.faults_injected += 1;
-            self.count_drop(kind);
+            from.metrics.faults_injected += 1;
+            *kind.drop_counter(&mut from.metrics) += 1;
             return;
         }
         let copies = if self
             .rng
             .gen_bool(self.net.gc_duplicate_probability.clamp(0.0, 1.0))
         {
-            self.local.duplicates_injected += 1;
+            from.metrics.duplicates_injected += 1;
             2
         } else {
             1
@@ -945,7 +935,7 @@ impl WorkerCtx {
                 self.quiescence.enqueued.fetch_add(1, Ordering::SeqCst);
                 self.hb.slot(dest.index()).note_enqueue();
             } else {
-                self.count_drop(kind);
+                *kind.drop_counter(&mut from.metrics) += 1;
             }
         }
     }
@@ -974,7 +964,7 @@ impl WorkerCtx {
                 // by a rescind" to rule out hidden activity.
                 self.quiescence.votes.fetch_sub(1, Ordering::SeqCst);
                 self.quiescence.rescinds.fetch_add(1, Ordering::SeqCst);
-                self.local.votes_rescinded += 1;
+                p.metrics.votes_rescinded += 1;
                 let sweep = self.round;
                 p.obs.record(self.now(), Event::VoteRescinded { sweep });
                 self.voted = false;
@@ -987,7 +977,7 @@ impl WorkerCtx {
             // compares enqueued vs drained totals, and a skipped-but-
             // enqueued duplicate would otherwise hold the run open forever.
             if env.tag != 0 && !self.note_tag(env.tag) {
-                self.local.cdms_deduped += 1;
+                p.metrics.cdms_deduped += 1;
                 continue;
             }
             match env.msg {
@@ -1015,7 +1005,7 @@ impl WorkerCtx {
                 ThreadMsg::Cdm { .. } | ThreadMsg::DetectionCredit { .. }
                     if mode == DrainMode::Final =>
                 {
-                    self.local.cdms_dropped += 1;
+                    p.metrics.cdms_dropped += 1;
                 }
                 ThreadMsg::Cdm { via, cdm } => {
                     let (from, sent_lc) = (env.from, env.lamport);
@@ -1068,7 +1058,7 @@ impl WorkerCtx {
             let epoch_now = self.quiescence.mutation_events.load(Ordering::SeqCst);
             if done.clean && epoch_now == done.epoch {
                 p.candidates.record_live_verdict(done.scion, done.epoch);
-                self.local.liveness_verdicts += 1;
+                p.metrics.liveness_verdicts += 1;
             }
         }
     }
@@ -1083,9 +1073,6 @@ impl WorkerCtx {
         let num_procs = self.txs.len();
         let mut guard = cell.lock();
         let p = &mut *guard;
-        // Sweep boundary: fold the counters from the drain and send paths
-        // into the process ledger.
-        self.flush_into(p);
 
         let work = p.lgc_step(&cfg, num_procs, t, None);
         let mut active = work.freed > 0 || work.dead_stubs > 0;
@@ -1206,10 +1193,8 @@ impl WorkerCtx {
         };
         match action {
             Action::Transmit { retry } => {
-                if retry {
-                    self.local.nss_retries += 1;
-                }
-                self.local.nss_sent += 1;
+                p.metrics.nss_retries += u64::from(retry);
+                p.metrics.nss_sent += 1;
                 p.obs.record(
                     now,
                     Event::NssSent {
@@ -1236,13 +1221,13 @@ impl WorkerCtx {
 /// as every other GC message — a lost echo just means the initiator never
 /// recovers full credit and the candidate retries after its backoff.
 impl Outbox for WorkerCtx {
-    fn send_cdm(&mut self, from: &Process, dest: ProcId, via: RefId, cdm: Cdm) {
+    fn send_cdm(&mut self, from: &mut Process, dest: ProcId, via: RefId, cdm: Cdm) {
         self.send(from, dest, ThreadMsg::Cdm { via, cdm }, MsgKind::Cdm);
     }
 
     fn send_delete_scion(
         &mut self,
-        from: &Process,
+        from: &mut Process,
         owner: ProcId,
         scion: RefId,
         incarnation: u32,
@@ -1256,7 +1241,7 @@ impl Outbox for WorkerCtx {
         if c.initiator == self.me {
             self.apply_credit(from, c.id, c.credit, c.clean);
         } else {
-            self.local.liveness_echoes += 1;
+            from.metrics.liveness_echoes += 1;
             let msg = ThreadMsg::DetectionCredit {
                 id: c.id,
                 credit: c.credit,
@@ -1321,8 +1306,7 @@ fn worker(
                 ctx.voted = false;
                 ctx.quiescence.votes.fetch_sub(1, Ordering::SeqCst);
                 ctx.quiescence.rescinds.fetch_add(1, Ordering::SeqCst);
-                ctx.local.votes_rescinded += 1;
-                ctx.record(&cell, Event::VoteRescinded { sweep: ctx.round });
+                ctx.note_vote(&cell, false);
             }
             ctx.quiet_streak = 0;
             ctx.last_mutation_seen = mutations;
@@ -1343,8 +1327,7 @@ fn worker(
             if ctx.quiet_streak >= ctx.cfg.quiet_sweeps.max(1) {
                 ctx.voted = true;
                 ctx.quiescence.votes.fetch_add(1, Ordering::SeqCst);
-                ctx.local.votes_cast += 1;
-                ctx.record(&cell, Event::VoteCast { sweep: ctx.round });
+                ctx.note_vote(&cell, true);
                 hb.slot(me)
                     .beat(now_us(start), ctx.round, WorkerStage::Voted, true);
             }
@@ -1365,9 +1348,6 @@ fn worker(
     hb.slot(me)
         .set_stage(WorkerStage::FinalDrain, now_us(start));
     ctx.drain(&cell, &rx, DrainMode::Final);
-    // Last flush: whatever the final drain (and a voted worker's last
-    // live drains) counted must land in the process ledger.
-    ctx.flush_into(&mut cell.lock());
     hb.slot(me)
         .beat(now_us(start), ctx.round, WorkerStage::Done, ctx.voted);
     // Signal the watchdog monitor that this worker has fully exited; the
@@ -1458,14 +1438,12 @@ impl MutatorCtx {
     }
 
     /// Export a remote reference from one owned object to another owned
-    /// object on a different process. When no stub/scion pair exists for
-    /// the (source, target) yet, this runs the three-step pin/unpin
-    /// handshake a real RPC layer would: create the scion *pinned* on the
-    /// target process, materialize the stub and heap edge on the holder,
-    /// then refresh-and-unpin the scion. The refresh is load-bearing: any
-    /// live set the collector accepted during the window predates the new
-    /// `created_at`, so the deferred NSS re-judgement cannot reclaim the
-    /// scion before the next live set names it.
+    /// object on a different process, through the three lifecycle steps
+    /// of `acdgc_remoting::lifecycle`. A pair with a surviving half is
+    /// reused or repaired with all three under both locks; a fresh pair
+    /// runs them as a real RPC layer would — one lock at a time, yielding
+    /// in between, so the collector races the window where only the pin
+    /// protects the scion.
     fn op_export(&mut self, start: Instant) -> bool {
         if self.owned.len() < 2 {
             return false;
@@ -1485,54 +1463,28 @@ impl MutatorCtx {
         let now = self.now(start);
         let (cell_a, cell_b) = (Arc::clone(&self.cells[a]), Arc::clone(&self.cells[b]));
 
-        // Probe for an existing pair under both locks. Both `h` and `t`
-        // are this thread's objects, so any stub/scion for the pair was
-        // created by this thread — the collector can only *remove* them.
-        let reused = {
+        // Both `h` and `t` are this thread's objects, so any stub/scion for
+        // the pair was created by this thread — the collector can only
+        // *remove* them — and fresh ids start far above the pre-built
+        // topology's (see `ref_ids`).
+        let (opened, fresh) = {
             let (mut ga, mut gb) = lock_pair(&cell_a, &cell_b, a, b);
-            let stub = ga.tables.stub_for_target(t).map(|s| s.ref_id);
-            let scion = gb.tables.scion_for_source(h.proc, t).map(|s| s.ref_id);
-            let r = match (stub, scion) {
-                (Some(r), Some(r2)) => {
-                    debug_assert_eq!(r, r2, "stub/scion pair diverged for one (source, target)");
-                    ga.tables.pardon_stub(r);
-                    ga.heap
-                        .add_ref(h, HeapRef::Remote(r))
-                        .expect("owned holder is rooted and alive");
-                    // Refresh: the pre-existing stub may have been dead at
-                    // the last LGC, so a saved live set may omit `r`.
-                    gb.tables.refresh_scion(r, now);
-                    Some(r)
-                }
-                (None, Some(r)) => {
-                    // The holder dropped its last edge through `r` and the
-                    // dead-stub sweep already ran, but the scion survives
-                    // on the remote side. Re-materialize the stub — and
-                    // adopt the scion's invocation counter: a zero-IC stub
-                    // against a scion with history would veto every future
-                    // CDM over the pair (see `sync_stub_ic`).
-                    let scion_ic = gb.tables.scion(r).expect("probed under this lock").ic;
-                    ga.tables.add_stub(r, t, now);
-                    ga.tables
-                        .sync_stub_ic(r, scion_ic)
-                        .expect("stub added under this lock");
-                    ga.heap
-                        .add_ref(h, HeapRef::Remote(r))
-                        .expect("owned holder is rooted and alive");
-                    gb.tables.refresh_scion(r, now);
-                    Some(r)
-                }
-                (Some(_), None) => {
-                    // A live stub with no scion means the collector
+            let mint = || RefId(self.ref_ids.fetch_add(1, Ordering::Relaxed));
+            let stub = ga.tables.stub_for_target(t);
+            let opened = gb.tables.open_scion(h.proc, t, stub, mint, now);
+            let fresh = !(opened.had_stub || opened.had_scion);
+            if !fresh {
+                if !opened.had_scion {
+                    // A stub that outlived its scion means the collector
                     // deleted a reference the mutator still holds — never
-                    // legal. Count it (stress tests assert zero) and skip.
+                    // legal. Count it (stress tests assert zero); the pair
+                    // is repaired all the same.
                     gb.metrics.invoke_on_missing_scion += 1;
-                    ga.metrics.mutator_ops_skipped += 1;
-                    return false;
                 }
-                (None, None) => None,
-            };
-            if let Some(r) = r {
+                self.import_at(&mut ga, h, t, &opened, start);
+                gb.tables
+                    .close_scion(opened.ref_id, now)
+                    .expect("scion pinned under this lock");
                 // Re-animating an existing pair may race an in-flight
                 // cycle verdict computed while the pair looked garbage.
                 // An export rides an invocation (the paper marshals
@@ -1540,59 +1492,39 @@ impl MutatorCtx {
                 // counters under both locks: any verdict that witnessed
                 // the old counter dies at its delete-site IC re-check.
                 ga.tables
-                    .record_send_through_stub(r)
+                    .record_send_through_stub(opened.ref_id)
                     .expect("stub exists under this lock");
                 gb.tables
-                    .record_receive_through_scion(r, now)
+                    .record_receive_through_scion(opened.ref_id, now)
                     .expect("scion exists under this lock");
-                ga.metrics.mutator_exports += 1;
-                self.log.lock().push(MutOp::AddRemoteRef(h, r, t));
-                self.trace_op(&mut ga, MutatorOpKind::Export, Some(r), start);
             }
-            r
+            (opened, fresh)
         };
-        if let Some(r) = reused {
-            self.edges.push((h, r, t));
-            return true;
-        }
-
-        // Fresh pair: three-step handshake with the scion pinned across
-        // the window where no stub names it yet (an NSS built in that
-        // window would otherwise delete it on sight).
-        let r = RefId(self.ref_ids.fetch_add(1, Ordering::Relaxed));
-        {
-            let mut gb = cell_b.lock();
-            gb.tables.add_scion(r, t, h.proc, now);
-            gb.tables
-                .pin_scion(r)
-                .expect("scion added under the same lock");
-        }
-        thread::yield_now();
-        {
-            let now2 = self.now(start);
-            let mut ga = cell_a.lock();
-            ga.tables.add_stub(r, t, now2);
-            ga.heap
-                .add_ref(h, HeapRef::Remote(r))
-                .expect("owned holder is rooted and alive");
-            ga.metrics.mutator_exports += 1;
-            self.log.lock().push(MutOp::AddRemoteRef(h, r, t));
-            self.trace_op(&mut ga, MutatorOpKind::Export, Some(r), start);
-        }
-        thread::yield_now();
-        {
-            let now3 = self.now(start);
-            let mut gb = cell_b.lock();
-            // Refresh *before* unpinning: moves `created_at` past any live
-            // set accepted during the window, closing the deferred-NSS
-            // race (see `RemotingTables::sweep_deferred_nss`).
-            gb.tables.refresh_scion(r, now3);
-            gb.tables
-                .unpin_scion(r)
+        if fresh {
+            thread::yield_now();
+            self.import_at(&mut cell_a.lock(), h, t, &opened, start);
+            thread::yield_now();
+            cell_b
+                .lock()
+                .tables
+                .close_scion(opened.ref_id, self.now(start))
                 .expect("a pinned scion cannot be deleted");
         }
-        self.edges.push((h, r, t));
+        self.edges.push((h, opened.ref_id, t));
         true
+    }
+
+    /// Importer half of an export, under the holder's lock: the stub, the
+    /// heap edge, and the op's ledger, log and trace records.
+    fn import_at(&self, ga: &mut Process, h: ObjId, t: ObjId, opened: &OpenedPair, start: Instant) {
+        let r = opened.ref_id;
+        ga.tables.open_stub(r, t, opened.ic, self.now(start));
+        ga.heap
+            .add_ref(h, HeapRef::Remote(r))
+            .expect("owned holder is rooted and alive");
+        ga.metrics.mutator_exports += 1;
+        self.log.lock().push(MutOp::AddRemoteRef(h, r, t));
+        self.trace_op(ga, MutatorOpKind::Export, Some(r), start);
     }
 
     /// Invoke along a previously created remote edge: bump the stub-side

@@ -101,20 +101,6 @@ pub fn capture(heap: &Heap, tables: &RemotingTables, taken_at: SimTime) -> Snaps
     }
 }
 
-/// [`capture`] bracketed by [`acdgc_obs::Phase::SnapshotCapture`]
-/// start/end events and its duration histogram.
-pub fn capture_observed(
-    heap: &Heap,
-    tables: &RemotingTables,
-    taken_at: SimTime,
-    obs: &mut acdgc_obs::ProcTrace,
-) -> SnapshotData {
-    let started = obs.begin(taken_at, acdgc_obs::Phase::SnapshotCapture);
-    let snap = capture(heap, tables, taken_at);
-    obs.end(taken_at, acdgc_obs::Phase::SnapshotCapture, started);
-    snap
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

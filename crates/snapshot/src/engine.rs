@@ -206,7 +206,10 @@ impl SccEngine {
         self.summarize_via(path, heap, tables, version, taken_at)
     }
 
-    fn summarize_via(
+    /// Summarize along `path` — the second half of
+    /// [`SccEngine::summarize_adaptive`], for callers that bracket the run
+    /// with the phase [`SccEngine::choose_path`] just named.
+    pub fn summarize_via(
         &mut self,
         path: SummarizePath,
         heap: &Heap,
@@ -222,7 +225,7 @@ impl SccEngine {
 
     /// Pick the cheaper implementation for the current graph shape and
     /// record the decision in [`SccEngine::last_dispatch`].
-    fn choose_path(&mut self, heap: &Heap, tables: &RemotingTables) -> SummarizePath {
+    pub fn choose_path(&mut self, heap: &Heap, tables: &RemotingTables) -> SummarizePath {
         let scions = tables.scion_count();
         let stub_width = tables.stub_count();
         let stats = heap.stats();
@@ -252,29 +255,6 @@ impl SccEngine {
     /// also updated by direct engine runs).
     pub fn last_dispatch(&self) -> DispatchStats {
         self.dispatch
-    }
-
-    /// [`SccEngine::summarize_adaptive`] bracketed by the phase matching
-    /// the path actually taken ([`acdgc_obs::Phase::SummarizeReference`]
-    /// or [`acdgc_obs::Phase::SummarizeEngine`]), so traces attribute the
-    /// cost to the implementation that paid it.
-    pub fn summarize_adaptive_observed(
-        &mut self,
-        heap: &Heap,
-        tables: &RemotingTables,
-        version: u64,
-        taken_at: SimTime,
-        obs: &mut acdgc_obs::ProcTrace,
-    ) -> SummarizedGraph {
-        let path = self.choose_path(heap, tables);
-        let phase = match path {
-            SummarizePath::Reference => acdgc_obs::Phase::SummarizeReference,
-            SummarizePath::Engine => acdgc_obs::Phase::SummarizeEngine,
-        };
-        let started = obs.begin(taken_at, phase);
-        let summary = self.summarize_via(path, heap, tables, version, taken_at);
-        obs.end(taken_at, phase, started);
-        summary
     }
 
     /// Reset all scratch (keeping allocations) and index the stub table.

@@ -31,7 +31,7 @@ pub mod codec;
 pub mod engine;
 pub mod summary;
 
-pub use capture::{capture, capture_observed, SnapObject, SnapshotData};
+pub use capture::{capture, SnapObject, SnapshotData};
 pub use codec::{CodecError, CompactCodec, SnapshotCodec, VerboseCodec};
 pub use engine::{DispatchStats, SccEngine, SummarizePath};
 pub use summary::{summaries_equivalent, summarize, ScionSummary, StubSummary, SummarizedGraph};

@@ -25,10 +25,10 @@ enum Effect {
 struct FakeOutbox(Vec<Effect>);
 
 impl Outbox for FakeOutbox {
-    fn send_cdm(&mut self, _from: &Process, dest: ProcId, via: RefId, _cdm: Cdm) {
+    fn send_cdm(&mut self, _from: &mut Process, dest: ProcId, via: RefId, _cdm: Cdm) {
         self.0.push(Effect::Cdm { dest, via });
     }
-    fn send_delete_scion(&mut self, _: &Process, owner: ProcId, scion: RefId, _: u32, _: u64) {
+    fn send_delete_scion(&mut self, _: &mut Process, owner: ProcId, scion: RefId, _: u32, _: u64) {
         self.0.push(Effect::Delete { owner, scion });
     }
     fn settle_credit(&mut self, _from: &mut Process, credit: Credit) {
