@@ -59,16 +59,39 @@ pub enum MatchResult {
     },
 }
 
+/// The granularity at which a CDM is expanded. A property of the walk, not
+/// of the process it visits: set at initiation, inherited by every
+/// derivation, and carried in the header, so a receiver needs nothing but
+/// the message and its own summary to expand it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Walk {
+    /// No scion with two or more followable stubs met yet: the path so far
+    /// is a simple chain, on which the two expansions below coincide.
+    /// Expanded per reference until the first fan-out, where the walk
+    /// splits into both kinds (see `process::expand`).
+    Undivided,
+    /// The paper's §3 expansion: one derivation per followable stub.
+    PerReference,
+    /// One visit witnesses everything its process owes the walk and
+    /// forwards a single chain (`GcConfig::eager_combine` starts walks
+    /// this way).
+    PerProcess,
+}
+
 /// A Cycle Detection Message.
 ///
 /// Self-contained: processes keep no state about CDMs in flight, so a lost
-/// CDM costs nothing but the work it carried.
+/// CDM costs nothing but the work it carried — and everything a receiver
+/// needs to expand it ([`Walk`], budget, slack, credit) travels in its
+/// fixed-size header, never in the receiver's configuration.
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cdm {
     /// Trace/metrics identity; not consulted by the algorithm.
     pub detection_id: DetectionId,
     /// Process that initiated the detection.
     pub initiator: ProcId,
+    /// Expansion granularity of this derivation and all its descendants.
+    pub walk: Walk,
     /// Hops travelled; bounded by the configured cap as a backstop.
     pub hops: u32,
     /// Remaining message budget for this derivation; split across
@@ -141,6 +164,7 @@ impl Cdm {
         Cdm {
             detection_id,
             initiator,
+            walk: Walk::Undivided,
             hops: 0,
             budget: u32::MAX,
             slack: 0,

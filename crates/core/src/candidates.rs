@@ -131,6 +131,8 @@ impl CandidateScan {
 /// * not invoked for `candidate_age`,
 /// * outside its retry backoff window ([`GcConfig::backoff_for`],
 ///   exponential in the number of prior attempts, capped),
+/// * the most stale among the scions with its `StubsFrom` (their walks
+///   would coincide; they are charged the attempt, not deferred),
 /// * at most `max_candidates_per_scan`.
 ///
 /// Besides the picked scions, reports how many eligible scions were
@@ -177,12 +179,35 @@ pub fn scan_candidates(
     }
     // Most-stale first; RefId tiebreak for determinism.
     eligible.sort_unstable_by_key(|(t, r)| (**t, *r));
-    deferred += eligible.len().saturating_sub(cfg.max_candidates_per_scan);
-    eligible.truncate(cfg.max_candidates_per_scan);
-    let picked: Vec<RefId> = eligible.into_iter().map(|(_, r)| r).collect();
-    for &r in &picked {
-        state.last_attempt.insert(r, now);
-        *state.attempts.entry(r).or_insert(0) += 1;
+    // One candidate per distinct `StubsFrom`: scions that reach the same
+    // stubs are each in `ScionsTo` of every stub the other follows, so
+    // their walks are identical after hop 0. The first of a group stands
+    // for it; the rest share its attempt (and its backoff) if it is picked.
+    // Only a stub that several scions lead to can make a group of two, so
+    // summaries without one (rings, chains) skip the bookkeeping.
+    let grouping =
+        eligible.len() > 1 && summary.stubs.values().any(|stub| stub.scions_to.len() > 1);
+    let mut group_picked: FxHashMap<&[RefId], bool> = FxHashMap::default();
+    let mut picked: Vec<RefId> = Vec::new();
+    for (_, r) in eligible {
+        let group = grouping.then(|| summary.scions[&r].stubs_from.as_slice());
+        let represented = group.and_then(|g| group_picked.get(g).copied());
+        let attempted = represented.unwrap_or_else(|| {
+            let pick = picked.len() < cfg.max_candidates_per_scan;
+            if pick {
+                picked.push(r);
+            } else {
+                deferred += 1;
+            }
+            if let Some(g) = group {
+                group_picked.insert(g, pick);
+            }
+            pick
+        });
+        if attempted {
+            state.last_attempt.insert(r, now);
+            *state.attempts.entry(r).or_insert(0) += 1;
+        }
     }
     CandidateScan {
         picked,
@@ -206,7 +231,7 @@ pub fn select_candidates(
 mod tests {
     use super::*;
     use acdgc_model::{ProcId, SimDuration};
-    use acdgc_snapshot::ScionSummary;
+    use acdgc_snapshot::{ScionSummary, StubSummary};
 
     fn summary_with(scions: Vec<(u64, bool, usize, u64)>) -> SummarizedGraph {
         // (ref, locally_reachable, stub_count, last_invoked_ticks)
@@ -218,7 +243,8 @@ mod tests {
                     ref_id: RefId(r),
                     from_proc: ProcId(1),
                     ic: 0,
-                    stubs_from: (100..100 + stubs as u64).map(RefId).collect(),
+                    // A range of its own: equal `StubsFrom` would group.
+                    stubs_from: (100 * r..100 * r + stubs as u64).map(RefId).collect(),
                     target_locally_reachable: local,
                     last_invoked: SimTime(last),
                     incarnation: 0,
@@ -340,6 +366,71 @@ mod tests {
         let scan = scan_candidates(&s, &mut state, SimTime(10_000), &cfg());
         assert_eq!(scan.picked.len(), 2);
         assert_eq!(scan.deferred, 1, "third eligible scion cut by the cap");
+    }
+
+    /// Make `group` reach the same stubs (those of its first member), the
+    /// way a summarizer reports it: equal `StubsFrom`, and each stub's
+    /// `ScionsTo` naming the whole group.
+    fn share_stubs(s: &mut SummarizedGraph, group: &[u64]) {
+        let shared = s.scions[&RefId(group[0])].stubs_from.clone();
+        for &r in group {
+            s.scions.get_mut(&RefId(r)).unwrap().stubs_from = shared.clone();
+        }
+        for &stub in &shared {
+            s.stubs.insert(
+                stub,
+                StubSummary {
+                    ref_id: stub,
+                    target_proc: ProcId(1),
+                    ic: 0,
+                    scions_to: group.iter().map(|&r| RefId(r)).collect(),
+                    local_reach: false,
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn scions_with_equal_stubs_from_share_one_candidate() {
+        let mut s = summary_with(vec![
+            (1, false, 2, 300),
+            (2, false, 2, 100),
+            (3, false, 2, 200),
+            (4, false, 1, 400),
+        ]);
+        share_stubs(&mut s, &[1, 2, 3]);
+        let mut state = CandidateState::new();
+        let scan = scan_candidates(&s, &mut state, SimTime(10_000), &cfg());
+        assert_eq!(
+            scan.picked,
+            vec![RefId(2), RefId(4)],
+            "the most stale of the group, then the next group: the cap counts groups"
+        );
+        assert_eq!(scan.deferred, 0, "represented scions are not pending work");
+        for r in 1..=4 {
+            assert_eq!(state.attempts_for(RefId(r)), 1, "r{r} charged the attempt");
+        }
+        // All inside their backoff now, the represented ones included.
+        let scan = scan_candidates(&s, &mut state, SimTime(10_100), &cfg());
+        assert!(scan.picked.is_empty());
+        assert_eq!(scan.deferred, 4);
+    }
+
+    #[test]
+    fn a_group_cut_by_the_cap_is_not_charged() {
+        let mut s = summary_with(vec![
+            (1, false, 1, 100),
+            (2, false, 1, 200),
+            (3, false, 1, 300),
+            (4, false, 1, 400),
+        ]);
+        share_stubs(&mut s, &[3, 4]);
+        let mut state = CandidateState::new();
+        let scan = scan_candidates(&s, &mut state, SimTime(10_000), &cfg());
+        assert_eq!(scan.picked, vec![RefId(1), RefId(2)]);
+        assert_eq!(scan.deferred, 1, "one deferred group");
+        assert_eq!(state.attempts_for(RefId(3)), 0);
+        assert_eq!(state.attempts_for(RefId(4)), 0);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! against back-tracing and group-based collectors. Everything a process
 //! ever contributes to a detection is encoded into the outbound CDMs.
 
-use crate::algebra::{Cdm, Insert, MatchResult};
+use crate::algebra::{Cdm, Insert, MatchResult, Walk};
 use acdgc_model::{GcConfig, ProcId, RefId};
-use acdgc_snapshot::SummarizedGraph;
+use acdgc_snapshot::{ScionSummary, SummarizedGraph};
 
 /// A CDM to forward, addressed by the reference it travels along.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,6 +36,19 @@ pub enum TerminateReason {
     /// candidate scan retries with a fresh budget; meanwhile the acyclic
     /// layer keeps shrinking the structure.
     BudgetExhausted,
+}
+
+impl TerminateReason {
+    /// Whether re-running this leaf on unchanged state reproduces the same
+    /// "not a cycle" conclusion: `NoStubs` and `AllStubsLocallyReachable`
+    /// are conclusive, and a `NoNewInformation` terminal only re-crossed
+    /// pairs an ancestor branch already explored past. `BudgetExhausted`
+    /// is the exception — a retry may start from a different candidate of
+    /// the same structure and get further, so it must not be laundered
+    /// into a liveness verdict.
+    pub fn is_conclusive(self) -> bool {
+        self != TerminateReason::BudgetExhausted
+    }
 }
 
 /// Result of processing a CDM (or initiating one) at a process.
@@ -100,17 +113,18 @@ impl Outcome {
 /// expand and forward.
 pub fn initiate(summary: &SummarizedGraph, cdm: Cdm, scion: RefId, cfg: &GcConfig) -> Outcome {
     debug_assert!(cdm.target.is_empty() && cdm.hops == 0, "fresh CDM expected");
-    if summary.scion(scion).is_none() {
+    let Some(scion_summary) = summary.scion(scion) else {
         return Outcome::DroppedNoScion;
-    }
+    };
     let mut cdm = cdm;
     cdm.budget = cdm.budget.min(cfg.detection_budget);
     cdm.slack = cfg.nongrowth_slack;
-    cdm.record_owner(scion, summary.proc);
-    if let Some(s) = summary.scion(scion) {
-        cdm.record_incarnation(scion, s.incarnation);
+    if cfg.eager_combine {
+        cdm.walk = Walk::PerProcess;
     }
-    expand(summary, cdm, scion, cfg)
+    cdm.record_owner(scion, summary.proc);
+    cdm.record_incarnation(scion, scion_summary.incarnation);
+    expand(summary, cdm, scion_summary, cfg)
 }
 
 /// Deliver a CDM that arrived along reference `scion` (it was forwarded
@@ -142,16 +156,122 @@ pub fn deliver(summary: &SummarizedGraph, mut cdm: Cdm, scion: RefId, cfg: &GcCo
         return Outcome::DroppedHopCap;
     }
 
-    expand(summary, cdm, scion, cfg)
+    expand(summary, cdm, scion_summary, cfg)
 }
 
-/// Common body: record the delivered scion as a dependency, run matching,
-/// and derive one outbound CDM per followable stub.
-fn expand(summary: &SummarizedGraph, cdm: Cdm, scion: RefId, cfg: &GcConfig) -> Outcome {
-    if cfg.eager_combine {
-        expand_eager(summary, cdm, scion, cfg)
-    } else {
-        expand_per_branch(summary, cdm, scion, cfg)
+/// Common body of [`initiate`] and [`deliver`]: dispatch on the walk's own
+/// granularity ([`Walk`]), never on this process's configuration.
+///
+/// An undivided walk expands per reference — on a path without fan-out the
+/// two expansions coincide, so rings are walked exactly as in the paper —
+/// until the first scion with two or more followable stubs, where it
+/// [splits](expand_split) once into both kinds. Divided walks never split
+/// again (otherwise every node of the per-reference tree spawns a chain).
+fn expand(summary: &SummarizedGraph, cdm: Cdm, at: &ScionSummary, cfg: &GcConfig) -> Outcome {
+    let scion = at.ref_id;
+    match cdm.walk {
+        Walk::PerProcess => expand_eager(summary, cdm, scion, cfg),
+        Walk::PerReference => expand_per_branch(summary, cdm, scion, cfg),
+        Walk::Undivided if !fans_out(summary, at) => expand_per_branch(summary, cdm, scion, cfg),
+        Walk::Undivided => expand_split(summary, cdm, scion, cfg),
+    }
+}
+
+/// Whether a walk may follow two or more stubs of `scion`: present in the
+/// summary and not `Local.Reach`.
+fn fans_out(summary: &SummarizedGraph, scion: &ScionSummary) -> bool {
+    let followable = |t: &&RefId| summary.stub(**t).is_some_and(|stub| !stub.local_reach);
+    scion.stubs_from.len() >= 2 && scion.stubs_from.iter().filter(followable).nth(1).is_some()
+}
+
+/// Whether a side of a split ended on a conclusive termination; anything
+/// else it dies of leaves territory unexplored.
+fn conclusive(outcome: &Outcome) -> bool {
+    matches!(outcome, Outcome::Terminated(reason) if reason.is_conclusive())
+}
+
+/// First fan-out of an undivided walk: derive one per-process chain *and*
+/// the paper's per-reference derivations from the same incoming CDM.
+///
+/// The per-reference side keeps the subset search that carves a pure cycle
+/// out of a web converging with live references; the chain proves densely
+/// shared garbage in a number of hops linear in its references, and its
+/// verdict deletes the scions under the still-doubling per-reference tree,
+/// which then dies at its next hop (safety rule 1). The chain is listed
+/// first (sent first, served first) and takes the larger half of the
+/// remaining budget and of the credit; the per-reference derivations share
+/// the rest, so the shares sum exactly to the parent's. A side that
+/// forwards nothing leaves the whole to the other, and a chain that dies
+/// here never kills the per-reference side: an inconclusive death only
+/// marks the walk incomplete, the way a budget-starved branch does.
+fn expand_split(summary: &SummarizedGraph, cdm: Cdm, scion: RefId, cfg: &GcConfig) -> Outcome {
+    let chain = expand_eager(
+        summary,
+        Cdm {
+            walk: Walk::PerProcess,
+            ..cdm.clone()
+        },
+        scion,
+        cfg,
+    );
+    // The per-reference side's share when both sides forward. The chain
+    // was derived from the whole and is cut down to the complement only
+    // then: it forwards with any nonzero share, so its outcome does not
+    // depend on which of the two it holds.
+    let (budget, credit) = (cdm.budget.saturating_sub(1) / 2, cdm.credit / 2);
+    let mut refs = Cdm {
+        walk: Walk::PerReference,
+        ..cdm
+    };
+    if matches!(chain, Outcome::Forwarded { .. }) {
+        refs.budget = budget + 1;
+        refs.credit = credit;
+    }
+    match (chain, expand_per_branch(summary, refs, scion, cfg)) {
+        (verdict @ Outcome::CycleFound { .. }, _) | (_, verdict @ Outcome::CycleFound { .. }) => {
+            verdict
+        }
+        (
+            Outcome::Forwarded { mut out, .. },
+            Outcome::Forwarded {
+                out: refs,
+                branches_pruned_local,
+                branches_no_new_info,
+                branches_starved,
+            },
+        ) => {
+            for chain in &mut out {
+                chain.cdm.budget -= budget;
+                chain.cdm.credit -= credit;
+            }
+            out.extend(refs);
+            Outcome::Forwarded {
+                out,
+                branches_pruned_local,
+                branches_no_new_info,
+                branches_starved,
+            }
+        }
+        // One side forwards: it keeps the whole, marked incomplete if the
+        // other died with territory unexplored.
+        (mut kept @ Outcome::Forwarded { .. }, dead)
+        | (dead, mut kept @ Outcome::Forwarded { .. }) => {
+            if let Outcome::Forwarded {
+                branches_no_new_info,
+                branches_starved,
+                ..
+            } = &mut kept
+            {
+                let lost = u32::from(!conclusive(&dead));
+                *branches_no_new_info += lost;
+                *branches_starved += lost;
+            }
+            kept
+        }
+        // Neither forwards: the per-reference outcome stands, unless only
+        // the chain's is inconclusive.
+        (chain, refs) if conclusive(&refs) && !conclusive(&chain) => chain,
+        (_, refs) => refs,
     }
 }
 
@@ -342,8 +462,8 @@ fn expand_per_branch(
     }
 }
 
-/// Extension beyond the paper (`GcConfig::eager_combine`): combine the CDM
-/// with the whole relevant local snapshot.
+/// Extension beyond the paper ([`Walk::PerProcess`]): combine the CDM with
+/// the whole relevant local snapshot.
 ///
 /// One visit witnesses, transitively: the delivered scion, every stub
 /// reachable from it, every local scion converging on any of those stubs
@@ -545,6 +665,7 @@ fn expand_eager(summary: &SummarizedGraph, mut cdm: Cdm, scion: RefId, cfg: &GcC
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::FULL_CREDIT;
     use acdgc_model::{DetectionId, SimTime};
     use acdgc_snapshot::{ScionSummary, StubSummary};
 
@@ -807,10 +928,19 @@ mod tests {
         assert!(hops <= bound, "and the walk stayed bounded");
     }
 
+    /// The forwards of one kind, in `Forwarded.out` order.
+    fn of_walk(out: &Outcome, walk: Walk) -> Vec<&OutboundCdm> {
+        out.forwards()
+            .iter()
+            .filter(|f| f.cdm.walk == walk)
+            .collect()
+    }
+
     #[test]
     fn budget_split_preserves_depth_on_the_growing_branch() {
         // Fan-out halves the budget geometrically instead of dividing it
-        // evenly: the first (growing) branch keeps half the remainder.
+        // evenly: the chain keeps the larger half of the remainder, the
+        // first (growing) per-reference branch half of the rest.
         let p0 = SummaryBuilder::new(0)
             .scion(1, 1, 0, &[2, 3, 4], false)
             .stub(2, 1, 0, &[1], false)
@@ -821,11 +951,114 @@ mod tests {
         cfg.detection_budget = 100;
         let out = initiate(&p0, fresh(1, 0), RefId(1), &cfg);
         let fws = out.forwards();
-        assert_eq!(fws.len(), 3);
+        assert_eq!(fws.len(), 4, "three derivations plus the chain");
         let budgets: Vec<u32> = fws.iter().map(|f| f.cdm.budget).collect();
         assert_eq!(budgets.iter().sum::<u32>(), 99, "total bounded by budget-1");
-        assert_eq!(budgets[0], 50, "first branch keeps half");
-        assert!(budgets[0] > budgets[1] && budgets[1] >= budgets[2]);
+        assert_eq!(fws[0].cdm.walk, Walk::PerProcess, "the chain goes first");
+        assert_eq!(budgets, [50, 25, 12, 12]);
+    }
+
+    #[test]
+    fn split_shares_sum_exactly_to_the_parents() {
+        // Odd budget remainder and odd credit: nothing is lost to rounding,
+        // the chain holds the larger half of both.
+        let p0 = SummaryBuilder::new(0)
+            .scion(1, 1, 0, &[2, 3, 4], false)
+            .stub(2, 1, 0, &[1], false)
+            .stub(3, 2, 0, &[1], false)
+            .stub(4, 3, 0, &[1], false)
+            .build();
+        let mut cdm = fresh(9, 0);
+        cdm.budget = 13;
+        cdm.credit = 7;
+        let out = deliver(&p0, cdm, RefId(1), &cfg());
+        let fws = out.forwards();
+        assert_eq!(fws.iter().map(|f| f.cdm.budget).sum::<u32>(), 12);
+        assert_eq!(fws.iter().map(|f| f.cdm.credit).sum::<u64>(), 7);
+        assert_eq!((fws[0].cdm.budget, fws[0].cdm.credit), (6, 4));
+        assert_eq!(of_walk(&out, Walk::PerProcess).len(), 1);
+        assert_eq!(of_walk(&out, Walk::PerReference).len(), 3);
+    }
+
+    #[test]
+    fn a_walk_splits_at_its_first_fanout_and_never_again() {
+        // P0's scion r1 reaches one stub: no fan-out, the derivation stays
+        // undivided. P1's scion r2 reaches two: the walk splits there.
+        let p0 = SummaryBuilder::new(0)
+            .scion(1, 1, 0, &[2], false)
+            .stub(2, 1, 0, &[1], false)
+            .build();
+        let p1 = SummaryBuilder::new(1)
+            .scion(2, 0, 0, &[3, 4], false)
+            .stub(3, 2, 0, &[2], false)
+            .stub(4, 3, 0, &[2], false)
+            .build();
+        let out = initiate(&p0, fresh(1, 0), RefId(1), &cfg());
+        assert_eq!(of_walk(&out, Walk::Undivided).len(), 1);
+        let undivided = out.forwards()[0].cdm.clone();
+        let out = deliver(&p1, undivided.clone(), RefId(2), &cfg());
+        assert_eq!(of_walk(&out, Walk::PerProcess).len(), 1);
+        assert_eq!(of_walk(&out, Walk::PerReference).len(), 2);
+        assert_eq!(out.forwards().len(), 3);
+        // Either kind, delivered at the same fan-out, keeps its kind.
+        for walk in [Walk::PerReference, Walk::PerProcess] {
+            let divided = Cdm {
+                walk,
+                ..undivided.clone()
+            };
+            let out = deliver(&p1, divided, RefId(2), &cfg());
+            assert!(!out.forwards().is_empty());
+            assert!(out.forwards().iter().all(|f| f.cdm.walk == walk));
+        }
+    }
+
+    #[test]
+    fn a_chain_dying_at_the_split_only_marks_the_walk_incomplete() {
+        // The walk already traversed r7 (stub side saw counter 5) and r7's
+        // scion lives here with counter 6: the chain, which witnesses every
+        // scion this process owes, aborts. The per-reference derivations do
+        // not touch r7 and go on, with the whole budget and credit.
+        let p0 = SummaryBuilder::new(0)
+            .scion(1, 1, 0, &[2, 3], false)
+            .scion(7, 2, 6, &[], false)
+            .stub(2, 1, 0, &[1], false)
+            .stub(3, 2, 0, &[1], false)
+            .build();
+        let mut cdm = fresh(9, 0);
+        cdm.add_target(RefId(7), 5);
+        cdm.budget = 11;
+        match deliver(&p0, cdm, RefId(1), &cfg()) {
+            Outcome::Forwarded {
+                out,
+                branches_starved,
+                ..
+            } => {
+                assert!(out.iter().all(|f| f.cdm.walk == Walk::PerReference));
+                assert_eq!(out.iter().map(|f| f.cdm.budget).sum::<u32>(), 10);
+                assert_eq!(out.iter().map(|f| f.cdm.credit).sum::<u64>(), FULL_CREDIT);
+                assert_eq!(branches_starved, 1, "no liveness verdict from this walk");
+            }
+            other => panic!("per-reference side must survive: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_chain_in_flight_is_expanded_per_process_whatever_the_receiver_runs() {
+        // Initiated while `eager_combine` was on, delivered after the flag
+        // was flipped (periodic mode, threaded runtime): the expansion is
+        // the message's, not the receiver's.
+        let summaries = dense_summaries();
+        let mut eager = cfg();
+        eager.eager_combine = true;
+        let out = initiate(&summaries[0], fresh(10, 0), RefId(10), &eager);
+        let [chain] = out.forwards() else {
+            panic!("one chain: {out:?}");
+        };
+        assert_eq!(chain.cdm.walk, Walk::PerProcess);
+        let at = &summaries[chain.dest.index()];
+        let flipped = deliver(at, chain.cdm.clone(), chain.via, &cfg());
+        assert_eq!(flipped, deliver(at, chain.cdm.clone(), chain.via, &eager));
+        assert_eq!(flipped.forwards().len(), 1, "still one chain: {flipped:?}");
     }
 
     /// Dense 3-process clump (every object references every remote
@@ -980,14 +1213,15 @@ mod tests {
 
     #[test]
     fn fanout_creates_one_derivation_per_stub() {
-        // §3.1 steps 1-3: StubsFrom(F) = {V, K} ⇒ two CDM derivations.
+        // §3.1 steps 1-3: StubsFrom(F) = {V, K} ⇒ two CDM derivations —
+        // plus, at a walk's first fan-out, exactly one per-process chain.
         let p0 = SummaryBuilder::new(0)
             .scion(1, 1, 0, &[2, 3], false)
             .stub(2, 1, 0, &[1], false)
             .stub(3, 2, 0, &[1], false)
             .build();
         let out = initiate(&p0, fresh(1, 0), RefId(1), &cfg());
-        let fws = out.forwards();
+        let fws = of_walk(&out, Walk::PerReference);
         assert_eq!(fws.len(), 2);
         let dests: Vec<ProcId> = fws.iter().map(|f| f.dest).collect();
         assert!(dests.contains(&ProcId(1)) && dests.contains(&ProcId(2)));
@@ -996,6 +1230,12 @@ mod tests {
             assert_eq!(f.cdm.target.len(), 1);
             assert!(f.cdm.target.contains_key(&f.via));
         }
+        // The chain records both.
+        let [chain] = of_walk(&out, Walk::PerProcess)[..] else {
+            panic!("exactly one chain: {out:?}");
+        };
+        assert_eq!(chain.cdm.target.len(), 2);
+        assert_eq!(out.forwards().len(), 3);
     }
 
     #[test]

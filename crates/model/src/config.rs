@@ -316,15 +316,19 @@ pub struct GcConfig {
     /// reclamation: later rounds retry with fresh budgets while the
     /// acyclic layer shrinks the clump.
     pub detection_budget: u32,
-    /// Extension beyond the paper: when a CDM is delivered, combine it
-    /// with the *entire* relevant local snapshot — witness every local
-    /// dependency scion and every stub reachable from any of them in one
-    /// visit — instead of expanding only the delivered scion. The walk
-    /// then needs one visit per involved *process* rather than per
-    /// *reference*, which is what makes densely-linked multi-process
-    /// garbage clumps tractable (per-reference walks branch factorially
-    /// in references; see `examples/web_cache.rs`). Off by default: the
-    /// worked examples of §3/§3.1 assume per-reference expansion.
+    /// Extension beyond the paper: detections *initiated* under this flag
+    /// start as per-process chains (`acdgc_dcda::Walk::PerProcess`) — each
+    /// visit combines the CDM with the *entire* relevant local snapshot,
+    /// witnessing every local dependency scion and every stub reachable
+    /// from the walk's spine, instead of expanding only the delivered
+    /// scion. The walk then needs one visit per involved *process* rather
+    /// than per *reference*, which is what makes densely-linked
+    /// multi-process garbage clumps tractable (per-reference walks branch
+    /// factorially in references; see `examples/web_cache.rs`). Initiators
+    /// only: a delivered CDM is expanded the way its own `walk` says,
+    /// whatever the receiver's flag. Off by default: detections start
+    /// undivided, follow the worked examples of §3/§3.1 per reference,
+    /// and derive one such chain themselves at their first fan-out.
     pub eager_combine: bool,
     /// Create stub/scion pairs for remote invocations' exported references
     /// (the paper's DGC-extended remoting). Disabled only by the Table 1

@@ -446,16 +446,7 @@ impl Process {
                 );
             }
             Outcome::Terminated(reason) => {
-                // Clean means "re-running this leaf on unchanged state
-                // reproduces the same non-cycle conclusion": NoStubs and
-                // AllStubsLocallyReachable are conclusive, and a
-                // NoNewInformation terminal only re-crossed pairs an
-                // ancestor branch already explored past. BudgetExhausted
-                // is the exception — a retry may start from a different
-                // candidate of the same structure and get further, so it
-                // must not be laundered into a verdict.
-                let clean = !matches!(reason, TerminateReason::BudgetExhausted);
-                cx.out.settle_credit(self, settle(clean));
+                cx.out.settle_credit(self, settle(reason.is_conclusive()));
                 let (field, obs_reason): (fn(&mut Metrics) -> &mut u64, _) = match reason {
                     TerminateReason::NoStubs => (
                         |m| &mut m.detections_terminated_no_stubs,

@@ -834,15 +834,16 @@ impl System {
         (global, per_proc)
     }
 
-    /// Run manual GC rounds until the system stops reclaiming (two
+    /// Run manual GC rounds until the system stops reclaiming (three
     /// consecutive quiet rounds) or `max_rounds` elapse. Returns rounds run.
     ///
-    /// Rounds alternate the detector's expansion mode: the paper's
-    /// per-reference walks explore reference subsets (they can carve a
-    /// pure cycle out of a web that converges with live references), while
-    /// eager-combine visits settle whole processes (they cover densely
-    /// shared garbage that per-reference walks cannot). The two are
-    /// complementary; both are oracle-audited and safe.
+    /// Rounds alternate how detections start: undivided in odd rounds
+    /// (the paper's per-reference walks, which explore reference subsets
+    /// and can carve a pure cycle out of a web that converges with live
+    /// references, plus the one per-process chain each derives at its
+    /// first fan-out), per-process in even rounds (`eager_combine`: chains
+    /// only, which settle densely shared garbage for a fraction of the
+    /// traffic). Both are oracle-audited and safe.
     pub fn collect_to_fixpoint(&mut self, max_rounds: usize) -> usize {
         let original_mode = self.cfg.eager_combine;
         let mut quiet = 0;

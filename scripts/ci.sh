@@ -178,6 +178,9 @@ cargo test -q --offline --release --test integration_modes \
 # mutator config flipped along) must leave every ledger bit-identical.
 cargo test -q --offline --release --test integration_modes \
     sampling_lamport_and_mutator_config_are_jointly_inert
+# Diamond ladders under optimization too: the CDM ceilings of
+# tests/ladder.rs are exact counts, the same in either profile.
+cargo test -q --offline --release --test ladder
 
 echo "==> bench smoke (1-sample compile + run gate)"
 # The vendored criterion stand-in ignores CLI filters, so the smoke mode

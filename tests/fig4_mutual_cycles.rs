@@ -5,7 +5,7 @@
 //! Term mapping: `F ≙ r_df`, `V ≙ r_fv`, `K ≙ r_fk`, `T ≙ r_wt`,
 //! `D ≙ r_td`, `ZB ≙ r_kzb`, `Y ≙ r_zby`.
 
-use acdgc::dcda::{self, Cdm, MatchResult, Outcome};
+use acdgc::dcda::{self, Cdm, MatchResult, OutboundCdm, Outcome, Walk};
 use acdgc::model::{DetectionId, GcConfig, NetConfig, ProcId, RefId, SimDuration};
 use acdgc::sim::{scenarios, System};
 
@@ -16,6 +16,18 @@ fn keys(map: &std::collections::BTreeMap<RefId, u64>) -> Vec<RefId> {
 fn sorted(mut v: Vec<RefId>) -> Vec<RefId> {
     v.sort();
     v
+}
+
+/// §3.1's derivations at the walk's first fan-out: the forwards of the
+/// per-reference side. Exactly one per-process chain rides beside them.
+fn section_3_1_derivations(out: &Outcome) -> Vec<&OutboundCdm> {
+    let (chains, derivations): (Vec<_>, Vec<_>) = out
+        .forwards()
+        .iter()
+        .partition(|f| f.cdm.walk == Walk::PerProcess);
+    assert_eq!(chains.len(), 1, "one chain beside the derivations: {out:?}");
+    assert!(derivations.iter().all(|f| f.cdm.walk == Walk::PerReference));
+    derivations
 }
 
 fn prepared() -> (System, scenarios::Fig4) {
@@ -51,7 +63,7 @@ fn algebra_trace_matches_section_3_1() {
         fig.r_df,
         &cfg,
     );
-    let fws = out.forwards();
+    let fws = section_3_1_derivations(&out);
     assert_eq!(fws.len(), 2, "steps 2-3: two CDM derivations");
     let alg1a = fws.iter().find(|f| f.via == fig.r_fv).unwrap();
     let alg1b = fws.iter().find(|f| f.via == fig.r_fk).unwrap();
@@ -213,9 +225,8 @@ fn detection_also_succeeds_from_the_other_derivation() {
         fig.r_df,
         &cfg,
     );
-    let alg1b = out
-        .forwards()
-        .iter()
+    let alg1b = section_3_1_derivations(&out)
+        .into_iter()
         .find(|f| f.via == fig.r_fk)
         .unwrap()
         .cdm

@@ -4,7 +4,8 @@
 //!
 //! Three shapes the cooperation must handle:
 //! * *downstream* — acyclic garbage hanging off a garbage cycle: the
-//!   detector breaks the cycle, the acyclic layer sweeps the tail;
+//!   detector breaks the cycle, the acyclic layer sweeps the tail (unless
+//!   a per-process chain ran down the tail and its verdict took both);
 //! * *upstream* — a garbage cycle reachable only from acyclic garbage:
 //!   the cycle's scions carry dependencies on the upstream chain, so
 //!   detection must wait for the acyclic layer (the paper's §3.1 closing
@@ -38,11 +39,10 @@ fn downstream_acyclic_tail_swept_after_cycle_breaks() {
         "ring + tail fully reclaimed in {rounds} rounds; {:?}",
         sys.metrics
     );
+    // Which layer frees the tail is not pinned: a per-process chain that
+    // follows the tail to its end witnesses the tail's scions too.
     assert!(sys.metrics.cycles_detected >= 1, "the ring needed the DCDA");
-    assert!(
-        sys.metrics.scions_reclaimed_acyclic >= 2,
-        "the tail needed only reference listing"
-    );
+    assert_eq!(sys.total_scions(), 0);
     assert_eq!(sys.metrics.safety_violations(), 0);
 }
 
@@ -113,7 +113,10 @@ fn chained_cycles_fall_in_sequence() {
         "both chained rings reclaimed in {rounds} rounds; {:?}",
         sys.metrics
     );
-    assert!(sys.metrics.cycles_detected >= 2, "{:?}", sys.metrics);
+    // One verdict may cover both rings (a per-process chain witnesses the
+    // dependency and its resolution in one walk); at least one is needed.
+    assert!(sys.metrics.cycles_detected >= 1, "{:?}", sys.metrics);
+    assert_eq!(sys.total_scions(), 0);
     assert_eq!(sys.metrics.safety_violations(), 0);
 }
 

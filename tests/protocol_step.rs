@@ -3,8 +3,9 @@
 //! the driver — including the credit rules that a runtime can otherwise
 //! only show through its channels.
 
-use acdgc::dcda::{Cdm, OutboundCdm, Outcome, TerminateReason, FULL_CREDIT};
-use acdgc::model::{DetectionId, GcConfig, ProcId, RefId, SimTime, TraceConfig};
+use acdgc::dcda::{Cdm, OutboundCdm, Outcome, TerminateReason, Walk, FULL_CREDIT};
+use acdgc::heap::HeapRef;
+use acdgc::model::{DetectionId, GcConfig, ObjId, ProcId, RefId, SimTime, TraceConfig};
 use acdgc::obs::Event;
 use acdgc::sim::{Credit, Metrics, Outbox, Process, Step};
 
@@ -21,12 +22,14 @@ enum Effect {
     Credit(Credit),
 }
 
+/// The effects in order, and beside them every CDM sent.
 #[derive(Default)]
-struct FakeOutbox(Vec<Effect>);
+struct FakeOutbox(Vec<Effect>, Vec<Cdm>);
 
 impl Outbox for FakeOutbox {
-    fn send_cdm(&mut self, _from: &mut Process, dest: ProcId, via: RefId, _cdm: Cdm) {
+    fn send_cdm(&mut self, _from: &mut Process, dest: ProcId, via: RefId, cdm: Cdm) {
         self.0.push(Effect::Cdm { dest, via });
+        self.1.push(cdm);
     }
     fn send_delete_scion(&mut self, _: &mut Process, owner: ProcId, scion: RefId, _: u32, _: u64) {
         self.0.push(Effect::Delete { owner, scion });
@@ -256,6 +259,46 @@ fn starved_branches_add_one_zero_credit_unclean_settlement() {
             }
         ]
     );
+}
+
+#[test]
+fn a_split_sends_the_chain_first_and_its_credits_sum_to_the_arriving_one() {
+    // The scion's target holds references into two other processes: an
+    // undivided walk arriving through it splits here.
+    let cfg = traced();
+    let r = RefId(1);
+    let mut p = process_with_scion(&cfg, r);
+    let obj = p.tables.scion(r).unwrap().target;
+    for (stub, at) in [(RefId(4), PEER), (RefId(5), INITIATOR)] {
+        p.tables.add_stub(stub, ObjId::new(at, 0, 0), SimTime(0));
+        p.heap.add_ref(obj, HeapRef::Remote(stub)).unwrap();
+    }
+    p.refresh_summary(SimTime(2));
+    let mut cdm = Cdm::initiate(ID, INITIATOR, RefId(9), 0);
+    (cdm.budget, cdm.credit) = (64, ARRIVING + 1);
+    let mut out = FakeOutbox::default();
+    let mut cx = Step {
+        cfg: &cfg,
+        now: SimTime(5),
+        merged: None,
+        out: &mut out,
+    };
+    p.on_cdm(&mut cx, r, cdm, PEER, 0);
+    let FakeOutbox(effects, sent) = out;
+    assert!(
+        effects.iter().all(|e| matches!(e, Effect::Cdm { .. })),
+        "nothing settles, the credit rides the forwards: {effects:?}"
+    );
+    let walks: Vec<Walk> = sent.iter().map(|c| c.walk).collect();
+    assert_eq!(
+        walks,
+        [Walk::PerProcess, Walk::PerReference, Walk::PerReference],
+        "the chain first, then the paper's derivations"
+    );
+    assert_eq!(sent.iter().map(|c| c.credit).sum::<u64>(), ARRIVING + 1);
+    assert_eq!(sent[0].credit, ARRIVING / 2 + 1, "the larger half");
+    assert_eq!(sent.iter().map(|c| c.budget).sum::<u32>(), 63);
+    assert_eq!(p.metrics.cdms_sent, 3);
 }
 
 #[test]
