@@ -4,8 +4,11 @@
 //! make a guess that this object is, in fact, part of a distributed cycle
 //! of garbage." The paper leaves heuristics to the literature; this module
 //! implements the age heuristic it sketches, plus per-scion backoff so a
-//! failed detection is not immediately retried.
+//! failed detection is not immediately retried, and a scan cap that every
+//! process cuts in an order of its own so the processes a cycle spans do
+//! not all start on it at once.
 
+use acdgc_model::rng::splitmix64;
 use acdgc_model::{GcConfig, RefId, SimTime};
 use acdgc_snapshot::SummarizedGraph;
 use rustc_hash::FxHashMap;
@@ -19,7 +22,9 @@ pub struct CandidateState {
     /// retry backoff: a detection whose CDMs were lost leaves no trace at
     /// the initiator, so failures are indistinguishable from slowness and
     /// every attempt is treated as a failure until the scion disappears
-    /// (success deletes it; `retain_known` then clears both maps).
+    /// (success deletes it; `retain_known` then clears both maps). Also
+    /// the first key under the scan cap: fewest attempts are kept first,
+    /// so nothing already tried holds a place an untried scion could use.
     attempts: FxHashMap<RefId, u32>,
     /// Scions a completed detection proved *live* (every branch of the
     /// walk terminated conclusively without a cycle — see the credit
@@ -89,7 +94,10 @@ impl CandidateState {
 /// Result of one candidate scan.
 #[derive(Clone, Debug, Default)]
 pub struct CandidateScan {
-    /// Scions to initiate detections from, most-stale first.
+    /// Scions to initiate detections from, in `(last_invoked, RefId)`
+    /// order. That is the order walks are *issued* in; which scions the
+    /// scan cap keeps is decided by attempts and a per-process salt, not
+    /// by staleness (see [`scan_candidates`]).
     pub picked: Vec<RefId>,
     /// Scions that are eligible but were *not* picked this scan — still
     /// inside their retry backoff window, or cut by
@@ -120,7 +128,7 @@ impl CandidateScan {
     }
 }
 
-/// Pick scions worth starting a detection from, most-stale first:
+/// Pick scions worth starting a detection from:
 ///
 /// * not locally reachable (a reachable target is trivially live),
 /// * at least one stub transitively reachable (a distributed cycle needs an
@@ -128,12 +136,23 @@ impl CandidateScan {
 /// * not pinned (an in-flight export or invocation is mutator activity on
 ///   the reference: the IC barrier would reject the verdict anyway, so the
 ///   detection would be wasted work),
-/// * not invoked for `candidate_age`,
+/// * not invoked for `candidate_age` — staleness is this threshold (§2.1),
+///   not a rank,
 /// * outside its retry backoff window ([`GcConfig::backoff_for`],
 ///   exponential in the number of prior attempts, capped),
 /// * the most stale among the scions with its `StubsFrom` (their walks
 ///   would coincide; they are charged the attempt, not deferred),
-/// * at most `max_candidates_per_scan`.
+/// * at most `max_candidates_per_scan`, and when that cap cuts, the
+///   fewest-tried first, ties in this process's own salted order.
+///
+/// Why the cap does not cut by staleness: `last_invoked` and `RefId` both
+/// follow global creation order, so every process a cycle spans would keep
+/// the *same* oldest cycles and cut the same younger ones — k processes
+/// convict one k-ring k times while the rest of the garbage waits. And a
+/// scion whose detections always fail (live, not locally rooted) would
+/// hold its place under the cap at zero backoff forever. Fewest-tried
+/// first makes the cap a round-robin; the per-process salt makes
+/// different processes drain the same garbage in different orders.
 ///
 /// Besides the picked scions, reports how many eligible scions were
 /// deferred (backoff or scan cap) so callers can tell "nothing to do"
@@ -147,7 +166,8 @@ pub fn scan_candidates(
     let mut deferred = 0usize;
     let mut pinned = 0usize;
     let mut suppressed = 0usize;
-    let mut eligible: Vec<(&SimTime, RefId)> = Vec::new();
+    // (last invoked, scion, attempts so far) of every eligible scion.
+    let mut eligible: Vec<(SimTime, RefId, u32)> = Vec::new();
     for scion in summary.scions.values() {
         if scion.target_locally_reachable {
             continue;
@@ -168,17 +188,18 @@ pub fn scan_candidates(
             suppressed += 1;
             continue;
         }
+        let mut tried = 0;
         if let Some(last) = state.last_attempt.get(&scion.ref_id) {
-            let tried = state.attempts.get(&scion.ref_id).copied().unwrap_or(1);
+            tried = state.attempts.get(&scion.ref_id).copied().unwrap_or(1);
             if now.since(*last) < cfg.backoff_for(tried) {
                 deferred += 1;
                 continue;
             }
         }
-        eligible.push((&scion.last_invoked, scion.ref_id));
+        eligible.push((scion.last_invoked, scion.ref_id, tried));
     }
-    // Most-stale first; RefId tiebreak for determinism.
-    eligible.sort_unstable_by_key(|(t, r)| (**t, *r));
+    // Issue order: most-stale first; RefId tiebreak for determinism.
+    eligible.sort_unstable();
     // One candidate per distinct `StubsFrom`: scions that reach the same
     // stubs are each in `ScionsTo` of every stub the other follows, so
     // their walks are identical after hop 0. The first of a group stands
@@ -187,27 +208,55 @@ pub fn scan_candidates(
     // summaries without one (rings, chains) skip the bookkeeping.
     let grouping =
         eligible.len() > 1 && summary.stubs.values().any(|stub| stub.scions_to.len() > 1);
-    let mut group_picked: FxHashMap<&[RefId], bool> = FxHashMap::default();
-    let mut picked: Vec<RefId> = Vec::new();
-    for (_, r) in eligible {
-        let group = grouping.then(|| summary.scions[&r].stubs_from.as_slice());
-        let represented = group.and_then(|g| group_picked.get(g).copied());
-        let attempted = represented.unwrap_or_else(|| {
-            let pick = picked.len() < cfg.max_candidates_per_scan;
-            if pick {
-                picked.push(r);
-            } else {
-                deferred += 1;
-            }
-            if let Some(g) = group {
-                group_picked.insert(g, pick);
-            }
-            pick
-        });
-        if attempted {
-            state.last_attempt.insert(r, now);
-            *state.attempts.entry(r).or_insert(0) += 1;
+    let grouped: Vec<usize> = if grouping {
+        let mut first_of: FxHashMap<&[RefId], usize> = FxHashMap::default();
+        let group = |(i, &(_, r, _))| {
+            let stubs_from = summary.scions[&r].stubs_from.as_slice();
+            *first_of.entry(stubs_from).or_insert(i)
+        };
+        eligible.iter().enumerate().map(group).collect()
+    } else {
+        Vec::new()
+    };
+    // Position in `eligible` of the scion that stands for the `i`th
+    // (itself when nothing is grouped).
+    let rep_of = |i: usize| grouped.get(i).copied().unwrap_or(i);
+    let reps = (0..eligible.len()).filter(|&i| rep_of(i) == i);
+    // The cap keeps the candidates with the smallest `(attempts, salted
+    // hash)` and leaves the issue order alone, so a scan it does not cut is
+    // unchanged. The salt is a pure function of this process's id — no
+    // clock, no `RandomState` — so a run replays, and two processes rank
+    // the same references differently.
+    let cap = cfg.max_candidates_per_scan;
+    let candidates = reps.clone().count();
+    // By position in `eligible`; stays empty when the cap cuts nothing.
+    let mut cut: Vec<bool> = Vec::new();
+    if candidates > cap {
+        let salt = splitmix64(u64::from(summary.proc.0));
+        let mut by_key: Vec<(u32, u64, usize)> = reps
+            .map(|i| {
+                let (_, r, tried) = eligible[i];
+                (tried, splitmix64(r.0 ^ salt), i)
+            })
+            .collect();
+        by_key.select_nth_unstable(cap);
+        cut.resize(eligible.len(), false);
+        for &(_, _, i) in &by_key[cap..] {
+            cut[i] = true;
         }
+        deferred += candidates - cap;
+    }
+    let mut picked: Vec<RefId> = Vec::new();
+    for (i, &(_, r, _)) in eligible.iter().enumerate() {
+        let rep = rep_of(i);
+        if cut.get(rep).copied().unwrap_or(false) {
+            continue;
+        }
+        if rep == i {
+            picked.push(r);
+        }
+        state.last_attempt.insert(r, now);
+        *state.attempts.entry(r).or_insert(0) += 1;
     }
     CandidateScan {
         picked,
@@ -312,7 +361,19 @@ mod tests {
         ]);
         let mut state = CandidateState::new();
         let picked = select_candidates(&s, &mut state, SimTime(10_000), &cfg());
-        assert_eq!(picked, vec![RefId(2), RefId(3)], "two most stale");
+        assert_eq!(picked.len(), 2, "the cap cuts one of three");
+        let stale = |r: &RefId| s.scions[r].last_invoked;
+        assert!(
+            stale(&picked[0]) < stale(&picked[1]),
+            "whichever two the cap keeps are issued most-stale first"
+        );
+        let cut = (1..=3).map(RefId).find(|r| !picked.contains(r)).unwrap();
+        assert_eq!(state.attempts_for(cut), 0, "the cut scion is not charged");
+        // Staleness does not rank under the cap: once the backoff of the
+        // two tried scions has run out, the untried one still goes first.
+        let picked = select_candidates(&s, &mut state, SimTime(20_000), &cfg());
+        assert_eq!(picked.len(), 2);
+        assert!(picked.contains(&cut), "fewest-tried first");
     }
 
     #[test]
@@ -414,23 +475,164 @@ mod tests {
         let scan = scan_candidates(&s, &mut state, SimTime(10_100), &cfg());
         assert!(scan.picked.is_empty());
         assert_eq!(scan.deferred, 4);
+        // A third, untried group arrives once the backoffs have run out:
+        // the cap cuts one of the two tried groups, never the new one, and
+        // a kept group is still stood for by its most stale member.
+        s.scions
+            .extend(summary_with(vec![(5, false, 1, 500)]).scions);
+        let scan = scan_candidates(&s, &mut state, SimTime(20_000), &cfg());
+        assert_eq!(scan.picked.len(), 2);
+        assert_eq!(
+            scan.picked[1],
+            RefId(5),
+            "untried: kept; least stale: issued last"
+        );
+        assert!([RefId(2), RefId(4)].contains(&scan.picked[0]));
+        assert_eq!(
+            scan.deferred, 1,
+            "one group cut, however many scions it holds"
+        );
+        let group_tried = state.attempts_for(RefId(2));
+        assert_eq!(group_tried + state.attempts_for(RefId(4)), 3);
+        for r in [1, 3] {
+            assert_eq!(state.attempts_for(RefId(r)), group_tried, "r{r} follows r2");
+        }
     }
 
     #[test]
     fn a_group_cut_by_the_cap_is_not_charged() {
-        let mut s = summary_with(vec![
-            (1, false, 1, 100),
-            (2, false, 1, 200),
-            (3, false, 1, 300),
-            (4, false, 1, 400),
-        ]);
+        let mut s = summary_with(vec![(3, false, 1, 300), (4, false, 1, 400)]);
         share_stubs(&mut s, &[3, 4]);
         let mut state = CandidateState::new();
         let scan = scan_candidates(&s, &mut state, SimTime(10_000), &cfg());
+        assert_eq!(scan.picked, vec![RefId(3)], "one group, one candidate");
+        // Two untried scions join; with the group that makes three
+        // candidates for a cap of two, and the tried group is the one cut.
+        s.scions
+            .extend(summary_with(vec![(1, false, 1, 100), (2, false, 1, 200)]).scions);
+        let scan = scan_candidates(&s, &mut state, SimTime(20_000), &cfg());
         assert_eq!(scan.picked, vec![RefId(1), RefId(2)]);
         assert_eq!(scan.deferred, 1, "one deferred group");
-        assert_eq!(state.attempts_for(RefId(3)), 0);
-        assert_eq!(state.attempts_for(RefId(4)), 0);
+        assert_eq!(state.attempts_for(RefId(3)), 1, "not charged again");
+        assert_eq!(
+            state.attempts_for(RefId(4)),
+            1,
+            "nor the scion it stands for"
+        );
+    }
+
+    /// `n` eligible scions `1..=n`, all equally stale, scanned by `proc`.
+    fn uniform(proc: u16, n: u64) -> SummarizedGraph {
+        let mut s = summary_with((1..=n).map(|r| (r, false, 1, 0)).collect());
+        s.proc = ProcId(proc);
+        s
+    }
+
+    #[test]
+    fn processes_cut_the_same_eligible_set_differently() {
+        let cfg = GcConfig {
+            max_candidates_per_scan: 1,
+            ..cfg()
+        };
+        let first = |proc: u16| {
+            let mut state = CandidateState::new();
+            select_candidates(&uniform(proc, 64), &mut state, SimTime(10_000), &cfg)[0]
+        };
+        assert_ne!(
+            first(0),
+            first(1),
+            "neighbours do not start on the same scion"
+        );
+        let mut firsts: Vec<RefId> = (0..16).map(first).collect();
+        firsts.sort_unstable();
+        firsts.dedup();
+        assert!(
+            firsts.len() >= 12,
+            "16 processes herd onto {} of 64 scions",
+            firsts.len()
+        );
+    }
+
+    #[test]
+    fn the_cap_is_a_round_robin_at_zero_backoff() {
+        let cfg = GcConfig {
+            candidate_backoff: SimDuration::ZERO,
+            max_candidates_per_scan: 4,
+            ..cfg()
+        };
+        // Nothing ever succeeds: every scion stays in the summary.
+        let s = uniform(3, 10);
+        let mut state = CandidateState::new();
+        for scan in 1..=6u64 {
+            let picked = select_candidates(&s, &mut state, SimTime(1_000 + scan), &cfg);
+            assert_eq!(picked.len(), 4);
+            let tried: Vec<u32> = (1..=10).map(|r| state.attempts_for(RefId(r))).collect();
+            let (lo, hi) = (tried.iter().min().unwrap(), tried.iter().max().unwrap());
+            assert!(
+                hi - lo <= 1,
+                "scan {scan}: nothing tried twice before all once"
+            );
+            if scan >= 3 {
+                assert!(*lo >= 1, "all 10 attempted within ceil(10 / 4) scans");
+            }
+        }
+    }
+
+    #[test]
+    fn a_scan_the_cap_does_not_cut_issues_in_staleness_order() {
+        for proc in 0..8 {
+            let mut s = summary_with(vec![
+                (1, false, 1, 300),
+                (2, false, 1, 100),
+                (3, false, 1, 200),
+                (4, false, 1, 100),
+            ]);
+            s.proc = ProcId(proc);
+            let cfg = GcConfig {
+                max_candidates_per_scan: 4,
+                ..cfg()
+            };
+            let mut state = CandidateState::new();
+            let scan = scan_candidates(&s, &mut state, SimTime(10_000), &cfg);
+            assert_eq!(
+                scan.picked,
+                vec![RefId(2), RefId(4), RefId(3), RefId(1)],
+                "(last_invoked, RefId) order, whoever scans"
+            );
+            assert_eq!(scan.deferred, 0);
+        }
+    }
+
+    #[test]
+    fn selection_depends_on_process_reference_and_attempts_only() {
+        let cfg = GcConfig {
+            candidate_backoff: SimDuration::ZERO,
+            ..cfg()
+        };
+        let run = |s: &SummarizedGraph, from: u64| {
+            let mut state = CandidateState::new();
+            (0..8)
+                .map(|scan| select_candidates(s, &mut state, SimTime(from + scan), &cfg))
+                .collect::<Vec<_>>()
+        };
+        let s = uniform(5, 12);
+        let picks = run(&s, 10_000);
+        assert_eq!(
+            picks,
+            run(&s, 10_000),
+            "a second state and a second run agree"
+        );
+        // Neither the clock nor how long ago a scion was invoked moves the
+        // cut (only the order the kept ones are issued in).
+        let mut later = s.clone();
+        for scion in later.scions.values_mut() {
+            scion.last_invoked = SimTime(50 * (13 - scion.ref_id.0));
+        }
+        let sorted = |mut picks: Vec<Vec<RefId>>| {
+            picks.iter_mut().for_each(|p| p.sort_unstable());
+            picks
+        };
+        assert_eq!(sorted(run(&later, 70_000)), sorted(picks));
     }
 
     #[test]

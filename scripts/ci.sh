@@ -181,6 +181,10 @@ cargo test -q --offline --release --test integration_modes \
 # Diamond ladders under optimization too: the CDM ceilings of
 # tests/ladder.rs are exact counts, the same in either profile.
 cargo test -q --offline --release --test ladder
+# And the scan cap: a 256-ring wave drained without the processes of a
+# ring herding onto it, and untried garbage reached past scions whose
+# detections always fail (docs/ALGORITHM.md deviation #18).
+cargo test -q --offline --release --test rings_herding --test regression_scan_starvation
 
 echo "==> bench smoke (1-sample compile + run gate)"
 # The vendored criterion stand-in ignores CLI filters, so the smoke mode

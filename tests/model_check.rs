@@ -18,7 +18,7 @@
 //! The enumeration runs twice — under `collect_to_fixpoint`'s alternation
 //! of how detections start, and with `eager_combine` off in every round —
 //! and each pass is also a traffic gate: the CDMs sent over all systems
-//! must stay under [`CDM_CEILING`].
+//! must stay under the pass's ceiling.
 
 use acdgc::model::{GcConfig, NetConfig, ObjId, ProcId};
 use acdgc::sim::System;
@@ -96,24 +96,32 @@ fn per_reference_rounds_to_fixpoint(sys: &mut System) {
     }
 }
 
-/// Ceiling on the CDMs either pass may send over the whole enumeration
-/// (the alternating pass sent 9,134,526 before walks split at their first
-/// fan-out).
-const CDM_CEILING: u64 = 3_000_000;
+/// Ceilings on the CDMs a pass may send over the whole enumeration: the
+/// measured totals (1,411,188 alternating, 2,038,916 per-reference only)
+/// plus 10 %. No scan of this model meets `max_candidates_per_scan`, so
+/// how the cap cuts does not move them; the alternating pass sent
+/// 9,134,526 before walks split at their first fan-out.
+const CDM_CEILING_ALTERNATING: u64 = 1_552_306;
+const CDM_CEILING_PER_REFERENCE: u64 = 2_242_807;
 
 #[test]
 fn every_small_configuration_collects_exactly_the_garbage() {
-    type Pass = (&'static str, fn(&mut System));
+    type Pass = (&'static str, fn(&mut System), u64);
     let passes: [Pass; 2] = [
-        ("alternating", |sys| {
-            sys.collect_to_fixpoint(16);
-        }),
+        (
+            "alternating",
+            |sys| {
+                sys.collect_to_fixpoint(16);
+            },
+            CDM_CEILING_ALTERNATING,
+        ),
         (
             "per-reference rounds only",
             per_reference_rounds_to_fixpoint,
+            CDM_CEILING_PER_REFERENCE,
         ),
     ];
-    for (pass, collect) in passes {
+    for (pass, collect, cdm_ceiling) in passes {
         let mut checked = 0u64;
         let mut cyclic_configs = 0u64;
         let mut cdms_sent = 0u64;
@@ -159,8 +167,8 @@ fn every_small_configuration_collects_exactly_the_garbage() {
         // The traffic gate: completeness must not be bought with path
         // multiplicity.
         assert!(
-            cdms_sent <= CDM_CEILING,
-            "{pass}: {cdms_sent} CDMs over the enumeration"
+            cdms_sent <= cdm_ceiling,
+            "{pass}: {cdms_sent} CDMs over the enumeration, ceiling {cdm_ceiling}"
         );
         eprintln!("model check, {pass}: {cdms_sent} CDMs, {cyclic_configs} cyclic configurations");
     }
