@@ -3,10 +3,9 @@
 //! Every paper table/figure reproduction lives in
 //! `src/bin/experiments.rs` — the deterministic harness that prints the
 //! paper-shaped tables (rows and series, counts and ratios) and emits JSON
-//! consumed by EXPERIMENTS.md. Wall-time cost per layer is the repo
-//! benchmark's job (`benchmark/`, `--trace 1`); the one Criterion bench
-//! kept here, `benches/trace_overhead.rs`, is the only measurement of
-//! what tracing costs when switched on.
+//! consumed by EXPERIMENTS.md. Wall-time cost per layer, and what tracing
+//! costs when switched on (`bench.trace_overhead_pct`), is the repo
+//! benchmark's job (`benchmark/`, `--trace 1`).
 
 use acdgc_heap::{Heap, HeapRef};
 use acdgc_model::{GcConfig, NetConfig, ObjId, ProcId, RefId, SimDuration};

@@ -10,8 +10,9 @@
 //! * **reordering** — per-sender sequence numbers; a stale message is
 //!   ignored entirely (applying an old set could resurrect-delete a scion
 //!   for a stub created since),
-//! * **loss** — nothing is retransmitted; the next LGC round sends a fresh
-//!   set, so loss only delays reclamation,
+//! * **loss** — a sender either sends the set every collection builds, so
+//!   loss only delays reclamation, or follows [`RemotingTables::offer_nss`]:
+//!   on a stub change, then again until acknowledged, then silence,
 //! * **in-flight exports** — scions created for references still traveling
 //!   inside an application message are *pinned* and never deleted, and
 //!   scions newer than the sender's collection are protected by the
@@ -111,7 +112,7 @@ pub fn apply_new_set_stubs(tables: &mut RemotingTables, msg: &NewSetStubs) -> Ap
         .filter_map(|r| tables.remove_scion(r))
         .collect();
     // Scions skipped above *only* because they were pinned would leak: a
-    // content-settled set is never resent. Save the accepted set so
+    // settled set is never resent. Save the accepted set so
     // `RemotingTables::sweep_deferred_nss` can re-judge them once unpinned.
     tables.save_live_set(msg.from, msg.lgc_at, live);
     AppliedNss {
@@ -219,7 +220,7 @@ mod tests {
 
     #[test]
     fn pinned_scion_reclaimed_by_deferred_sweep_without_resend() {
-        // The ack/retry layer never resends a content-settled set, so a
+        // The ack/retry rule never resends a settled set, so a
         // scion that dodged judgement only by being pinned must be caught
         // by the saved-set sweep once the pin drops.
         let (mut holder, mut owner) = pair();

@@ -14,7 +14,8 @@
 //!   peer the set of its live stubs targeting that peer; the peer deletes
 //!   scions absent from the set. Per-sender sequence numbers make stale or
 //!   reordered messages harmless, and loss merely delays reclamation —
-//!   the properties the paper relies on.
+//!   the properties the paper relies on. A sender that must fall silent
+//!   follows [`RemotingTables::offer_nss`] instead.
 //! * [`lifecycle`] — establishing one reference, written once: the owner
 //!   opens (reuses, repairs or mints) the scion and pins it, the importer
 //!   opens the stub, the owner closes (refresh, then unpin). A half
@@ -39,4 +40,4 @@ pub mod tables;
 pub use acyclic::{apply_new_set_stubs, build_new_set_stubs, AppliedNss, NewSetStubs};
 pub use lifecycle::OpenedPair;
 pub use messages::{ExportedRef, InvokePayload, ReplyPayload};
-pub use tables::{RemotingStats, RemotingTables, Scion, Stub};
+pub use tables::{RemotingStats, RemotingTables, Scion, Stub, NSS_RETRY_SWEEPS};

@@ -48,6 +48,26 @@ pub struct Scion {
     pub incarnation: u32,
 }
 
+/// Sender half of the `NewSetStubs` protocol toward one peer.
+#[derive(Clone, Copy, Debug, Default)]
+struct NssOutbound {
+    /// Bumped when a stub toward the peer is born or dies — one that does
+    /// both between two collections orphans a scion without changing the set.
+    changes: u64,
+    /// `changes` as of the last transmission.
+    sent_changes: u64,
+    /// Sequence number of the last transmission (0: none yet); an ack for
+    /// an older sequence does not confirm newer content.
+    last_seq: u64,
+    acked: bool,
+    /// Sets built and withheld since the last transmission (retry pacing).
+    waited: u64,
+}
+
+/// Resend an unacknowledged `NewSetStubs` after this many collections: a
+/// lost final set would leak acyclic garbage no cycle detection reclaims.
+pub const NSS_RETRY_SWEEPS: u64 = 8;
+
 /// Aggregate remoting counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RemotingStats {
@@ -79,6 +99,8 @@ pub struct RemotingTables {
     scion_by_source: FxHashMap<(ProcId, ObjId), RefId>,
     /// Monotone sequence for outgoing `NewSetStubs`.
     nss_seq_out: u64,
+    /// Sender half of the `NewSetStubs` protocol, per peer.
+    nss_out: FxHashMap<ProcId, NssOutbound>,
     /// Highest `NewSetStubs` sequence applied, per sender.
     nss_seq_seen: FxHashMap<ProcId, u64>,
     /// Next incarnation number per reference id (tombstones survive scion
@@ -87,9 +109,9 @@ pub struct RemotingTables {
     /// Last accepted `NewSetStubs` content per sender: `(lgc_at, live set)`.
     ///
     /// A scion that survived its judgement only because it was pinned would
-    /// otherwise leak: the sender's content-change detection never resends a
-    /// settled set. [`Self::sweep_deferred_nss`] re-applies these saved sets
-    /// once the pin is released.
+    /// otherwise leak: the sender never resends a settled set.
+    /// [`Self::sweep_deferred_nss`] re-applies these saved sets once the pin
+    /// is released.
     saved_live: FxHashMap<ProcId, (SimTime, FxHashSet<RefId>)>,
     stats: RemotingStats,
 }
@@ -103,6 +125,7 @@ impl RemotingTables {
             stub_by_target: FxHashMap::default(),
             scion_by_source: FxHashMap::default(),
             nss_seq_out: 0,
+            nss_out: FxHashMap::default(),
             nss_seq_seen: FxHashMap::default(),
             incarnations: FxHashMap::default(),
             saved_live: FxHashMap::default(),
@@ -127,6 +150,7 @@ impl RemotingTables {
             "one stub per target: look up stub_for_target first"
         );
         self.stats.stubs_created += 1;
+        self.nss_out.entry(target.proc).or_default().changes += 1;
         self.stub_by_target.insert(target, ref_id);
         self.stubs.insert(
             ref_id,
@@ -144,6 +168,7 @@ impl RemotingTables {
         let removed = self.stubs.remove(&ref_id);
         if let Some(stub) = &removed {
             self.stub_by_target.remove(&stub.target);
+            self.nss_out.entry(stub.target.proc).or_default().changes += 1;
             self.stats.stubs_removed += 1;
         }
         removed
@@ -415,6 +440,35 @@ impl RemotingTables {
     pub fn next_nss_seq(&mut self) -> u64 {
         self.nss_seq_out += 1;
         self.nss_seq_out
+    }
+
+    /// The sender's rule for set number `seq`, just built toward `dest` (no
+    /// stub may change in between): `Some(retry)` says transmit — `false`
+    /// when a stub toward `dest` was born or died since the last transmission,
+    /// `true` every [`NSS_RETRY_SWEEPS`]th collection while unacknowledged.
+    pub fn offer_nss(&mut self, dest: ProcId, seq: u64) -> Option<bool> {
+        let out = self.nss_out.entry(dest).or_default();
+        let changed = out.last_seq == 0 || out.sent_changes != out.changes;
+        if !changed {
+            out.waited += 1;
+            if out.acked || out.waited < NSS_RETRY_SWEEPS {
+                return None;
+            }
+        }
+        (out.sent_changes, out.last_seq, out.acked, out.waited) = (out.changes, seq, false, 0);
+        Some(!changed)
+    }
+
+    /// `peer` acknowledged the set with sequence `seq`.
+    pub fn confirm_nss(&mut self, peer: ProcId, seq: u64) {
+        if let Some(out) = self.nss_out.get_mut(&peer) {
+            out.acked |= seq >= out.last_seq;
+        }
+    }
+
+    /// Whether a transmitted set still awaits its acknowledgement.
+    pub fn nss_unconfirmed(&self) -> bool {
+        self.nss_out.values().any(|o| o.last_seq != 0 && !o.acked)
     }
 
     /// Returns `true` (and records it) if `seq` from `sender` is fresher

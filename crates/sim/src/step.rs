@@ -4,13 +4,13 @@
 //! The paper's processes only ever react, and the reaction is the same
 //! whoever delivers the stimulus. Each reaction is a method on
 //! [`Process`] — [`Process::lgc_step`], [`Process::monitor_step`],
-//! [`Process::initiate`], [`Process::on_cdm`], [`Process::on_nss`],
-//! [`Process::on_delete_scion`] — that mutates only that process, counts
-//! into one [`Metrics`] ledger, records the trace events, and hands the
-//! resulting traffic to its driver through an [`Outbox`]. The drivers
-//! ([`crate::System`]: event queue + simulated clock + oracle audit;
-//! [`crate::threaded`]: channels + locks + quiescence + the NSS/credit
-//! reliability layer) decide only *how* a message travels.
+//! [`Process::publish_nss`], [`Process::initiate`], [`Process::on_cdm`],
+//! [`Process::on_nss`], [`Process::on_delete_scion`] — that mutates only
+//! that process, counts into one [`Metrics`] ledger, records the trace
+//! events, and hands the resulting traffic to its driver through an
+//! [`Outbox`]. The drivers ([`crate::System`]: event queue + simulated
+//! clock + oracle audit; [`crate::threaded`]: channels + locks + quiescence
+//! + the credit ledger) decide only *how* a message travels.
 
 use crate::metrics::Metrics;
 use crate::process::Process;
@@ -57,6 +57,8 @@ pub trait Outbox {
     );
     /// Return a dead derivation's credit to its initiator.
     fn settle_credit(&mut self, from: &mut Process, credit: Credit);
+    /// Carry one reference-listing set to `dest`.
+    fn send_nss(&mut self, from: &mut Process, dest: ProcId, nss: NewSetStubs);
 }
 
 /// Everything a message-driven step needs from its driver: configuration,
@@ -112,11 +114,8 @@ impl LgcWork {
 impl Process {
     /// The surviving stub sets, one `NewSetStubs` per peer in index order.
     fn nss_broadcast(&mut self, num_procs: usize, now: SimTime) -> Vec<(ProcId, NewSetStubs)> {
-        let me = self.proc();
-        let peers: Vec<ProcId> = (0..num_procs as u16)
-            .map(ProcId)
-            .filter(|&q| q != me)
-            .collect();
+        // `build_new_set_stubs` skips this process itself.
+        let peers: Vec<ProcId> = (0..num_procs as u16).map(ProcId).collect();
         build_new_set_stubs(&mut self.tables, &peers, now)
     }
 
@@ -183,8 +182,51 @@ impl Process {
         self.nss_broadcast(num_procs, cx.now)
     }
 
+    /// Put one built set on the wire: the only sender of `NewSetStubs`.
+    pub fn send_nss<O: Outbox>(
+        &mut self,
+        cx: &mut Step<'_, O>,
+        dest: ProcId,
+        nss: NewSetStubs,
+        retry: bool,
+    ) {
+        cx.count(&mut self.metrics, |m| {
+            m.nss_sent += 1;
+            m.nss_retries += u64::from(retry);
+        });
+        self.obs.record(
+            cx.now,
+            Event::NssSent {
+                to: dest,
+                seq: nss.seq,
+                live_refs: nss.live_refs.len() as u32,
+                retry,
+            },
+        );
+        cx.out.send_nss(self, dest, nss);
+    }
+
+    /// Send those of the sets one collection just built that the sender's
+    /// rule ([`acdgc_remoting::RemotingTables::offer_nss`]) picks — for a
+    /// driver that acknowledges sets and must fall silent to terminate.
+    /// Returns whether any peer still owes an acknowledgement.
+    pub fn publish_nss<O: Outbox>(
+        &mut self,
+        cx: &mut Step<'_, O>,
+        sets: Vec<(ProcId, NewSetStubs)>,
+    ) -> bool {
+        for (dest, nss) in sets {
+            if let Some(retry) = self.tables.offer_nss(dest, nss.seq) {
+                self.send_nss(cx, dest, nss, retry);
+            }
+        }
+        self.tables.nss_unconfirmed()
+    }
+
     /// Apply a `NewSetStubs` from a peer (reference-listing acyclic DGC).
-    pub fn on_nss<O: Outbox>(&mut self, cx: &mut Step<'_, O>, nss: &NewSetStubs) {
+    /// Returns the sequence number a driver that acknowledges sets sends
+    /// back — a stale one too: the receiver holds fresher information.
+    pub fn on_nss<O: Outbox>(&mut self, cx: &mut Step<'_, O>, nss: &NewSetStubs) -> u64 {
         let applied = apply_new_set_stubs(&mut self.tables, nss);
         // Recorded for stale rejections too: the case post-mortems need.
         self.obs.record(
@@ -205,6 +247,7 @@ impl Process {
                 m.scions_reclaimed_acyclic += removed;
             });
         }
+        nss.seq
     }
 
     /// Start one detection from candidate `scion`. `next_id` is called

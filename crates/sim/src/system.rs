@@ -11,7 +11,7 @@ use acdgc_model::{
     GcConfig, IdAllocator, ModelError, NetConfig, ObjId, ProcId, RefId, SimDuration, SimTime,
 };
 use acdgc_net::{Envelope, MessageClass, NetStats, Network};
-use acdgc_obs::{Event, Sample, Sampler, Trace};
+use acdgc_obs::{Sample, Sampler, Trace};
 use acdgc_remoting::{ExportedRef, InvokePayload, NewSetStubs, ReplyPayload};
 use rayon::prelude::*;
 use rustc_hash::FxHashSet;
@@ -498,27 +498,14 @@ impl System {
         self.send_nss(p, work.nss);
     }
 
-    /// Put `p`'s reference-listing broadcast on the wire, in peer order.
+    /// Put `p`'s reference-listing broadcast on the wire, in peer order:
+    /// every set built is sent (the paper's rule), none is acknowledged.
     fn send_nss(&mut self, p: ProcId, msgs: Vec<(ProcId, NewSetStubs)>) {
-        let now = self.clock;
-        for (dest, m) in msgs {
-            self.bump(p, |mm| mm.nss_sent += 1);
-            let proc = &mut self.procs[p.index()];
-            proc.obs.record(
-                now,
-                Event::NssSent {
-                    to: dest,
-                    seq: m.seq,
-                    live_refs: m.live_refs.len() as u32,
-                    retry: false,
-                },
-            );
-            SimOutbox {
-                net: &mut self.net,
-                now,
+        self.step_at(p, |proc, cx| {
+            for (dest, m) in msgs {
+                proc.send_nss(cx, dest, m, false);
             }
-            .send_gc(proc, dest, SysMessage::Nss(m));
-        }
+        });
     }
 
     /// The OBIWAN monitor pass: reclaim condemned stubs at `p` and send the
@@ -608,7 +595,9 @@ impl System {
                 receiver,
             } => self.dispatch_invoke(env.src, dst, payload, reply_exports, receiver),
             SysMessage::Reply { payload, receiver } => self.dispatch_reply(dst, payload, receiver),
-            SysMessage::Nss(nss) => self.step_at(dst, |proc, cx| proc.on_nss(cx, &nss)),
+            SysMessage::Nss(nss) => {
+                self.step_at(dst, |proc, cx| proc.on_nss(cx, &nss));
+            }
             SysMessage::Cdm { via, cdm } => {
                 let (from, sent_lc) = (env.src, env.lamport);
                 let deleted =
@@ -971,6 +960,10 @@ impl Outbox for SimOutbox<'_> {
     /// Credit feeds termination detection, which only a runtime racing a
     /// live mutator needs; the sequential walk sends no echoes.
     fn settle_credit(&mut self, _from: &mut Process, _credit: Credit) {}
+
+    fn send_nss(&mut self, from: &mut Process, dest: ProcId, nss: NewSetStubs) {
+        self.send_gc(from, dest, SysMessage::Nss(nss));
+    }
 }
 
 /// Run `f` over every process — on worker threads when there is more than

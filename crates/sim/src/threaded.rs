@@ -38,13 +38,11 @@
 //! [`acdgc_net::Network`]: `NetConfig::gc_drop_probability` and
 //! `gc_duplicate_probability` apply to every message here (all threaded
 //! traffic is collector traffic; latency fields are unused — the channel
-//! *is* the latency). On top of injected faults, a full bounded inbox
-//! still drops rather than blocks. Recovery is layered: lost CDMs are
-//! retried by the initiator's exponential candidate backoff; lost
-//! `DeleteScion`s are subsumed by the acyclic layer (the peer whose stub
-//! died republishes a live set without the ref); and lost `NewSetStubs`
-//! are retried until acknowledged, because a final NSS that never lands
-//! would leak acyclic garbage the cycle detector cannot see.
+//! *is* the latency), and a full bounded inbox drops rather than blocks.
+//! Every message class recovers (DESIGN.md "Drop recovery"): CDMs by the
+//! initiator's candidate backoff, `DeleteScion`s by the acyclic layer, and
+//! `NewSetStubs` by the step's ack/retry rule ([`Process::publish_nss`]) —
+//! this driver only carries the sets and their acknowledgements.
 //!
 //! # Concurrent mutation
 //!
@@ -61,8 +59,8 @@
 //!   scion across the callee-side window so a cycle verdict cannot delete
 //!   a reference mid-call.
 //! * **deferred NSS re-judgement** — a scion that survived a live set
-//!   only because it was pinned would leak (a content-settled set is
-//!   never resent); each sweep re-applies the saved per-sender sets via
+//!   only because it was pinned would leak (a settled set is never
+//!   resent); each sweep re-applies the saved per-sender sets via
 //!   `RemotingTables::sweep_deferred_nss`.
 //! * **mutation-aware quiescence** — every applied op bumps a shared
 //!   `mutation_events` counter; a worker that observes a new count
@@ -111,10 +109,7 @@ enum ThreadMsg {
     Nss(NewSetStubs),
     /// Confirms receipt of the sender's `NewSetStubs` with this sequence
     /// number (the ack itself may be lost; the NSS is then resent).
-    NssAck {
-        from: ProcId,
-        seq: u64,
-    },
+    NssAck(u64),
     Cdm {
         via: RefId,
         cdm: Cdm,
@@ -436,7 +431,6 @@ pub fn run_concurrent_collection_observed(
             rng: component_rng(seed, &format!("threaded-faults-{i}")),
             quiescence: Arc::clone(&quiescence),
             detection_ids: Arc::clone(&detection_ids),
-            nss_out: FxHashMap::default(),
             hb: Arc::clone(&heartbeats),
             hook: sweep_hook.clone(),
             started: start,
@@ -730,18 +724,6 @@ fn build_health_report(
     }
 }
 
-/// Outbound `NewSetStubs` bookkeeping towards one peer.
-struct NssOutbound {
-    /// Content of the last transmission (sorted live refs).
-    live_refs: Vec<RefId>,
-    /// Sequence number of the last transmission; an ack for an older
-    /// sequence does not confirm newer content.
-    last_seq: u64,
-    acked: bool,
-    /// Sweep index of the last transmission, for retry pacing.
-    sent_round: u64,
-}
-
 /// Per-worker context: everything a worker touches besides its process
 /// cell and inbox.
 struct WorkerCtx {
@@ -752,7 +734,6 @@ struct WorkerCtx {
     rng: SmallRng,
     quiescence: Arc<Quiescence>,
     detection_ids: Arc<AtomicU64>,
-    nss_out: FxHashMap<ProcId, NssOutbound>,
     /// Shared heartbeat slots: this worker publishes into slot
     /// `me.index()`, reads nothing. The watchdog monitor reads all slots.
     hb: Arc<Heartbeats>,
@@ -801,11 +782,6 @@ struct Outstanding {
     clean: bool,
 }
 
-/// Resend an unacknowledged `NewSetStubs` after this many sweeps. The
-/// acyclic layer's messages are acknowledged (and retried until confirmed)
-/// because a lost final NSS would leak acyclic garbage forever — the cycle
-/// detector cannot reclaim it.
-const NSS_RETRY_SWEEPS: u64 = 8;
 /// Cap on the dedup window (tags remembered per worker).
 const SEEN_TAG_WINDOW: usize = 8192;
 /// Cap on the outstanding-detection ledger; beyond this the oldest
@@ -982,23 +958,14 @@ impl WorkerCtx {
             }
             match env.msg {
                 ThreadMsg::Nss(nss) => {
-                    self.step(p, |p, cx| p.on_nss(cx, &nss));
+                    let seq = self.step(p, self.now(), |p, cx| p.on_nss(cx, &nss));
                     if mode == DrainMode::Live {
-                        // Ack even stale sequences: the receiver already
-                        // holds fresher information, so the sender may
-                        // stop retrying this transmission.
-                        let (me, from, seq) = (self.me, nss.from, nss.seq);
-                        p.obs.record(self.now(), Event::NssAcked { to: from, seq });
-                        self.send(p, from, ThreadMsg::NssAck { from: me, seq }, MsgKind::Ack);
+                        let to = nss.from;
+                        p.obs.record(self.now(), Event::NssAcked { to, seq });
+                        self.send(p, to, ThreadMsg::NssAck(seq), MsgKind::Ack);
                     }
                 }
-                ThreadMsg::NssAck { from, seq } => {
-                    if let Some(out) = self.nss_out.get_mut(&from) {
-                        if seq >= out.last_seq {
-                            out.acked = true;
-                        }
-                    }
-                }
+                ThreadMsg::NssAck(seq) => p.tables.confirm_nss(env.from, seq),
                 // After the stop flag no peers remain to continue a walk
                 // or settle its credit; the loss is counted like any other
                 // dropped CDM so the ledgers cannot silently diverge.
@@ -1009,30 +976,31 @@ impl WorkerCtx {
                 }
                 ThreadMsg::Cdm { via, cdm } => {
                     let (from, sent_lc) = (env.from, env.lamport);
-                    self.step(p, |p, cx| p.on_cdm(cx, via, cdm, from, sent_lc));
+                    self.step(p, self.now(), |p, cx| p.on_cdm(cx, via, cdm, from, sent_lc));
                 }
                 ThreadMsg::DetectionCredit { id, credit, clean } => {
                     self.apply_credit(p, id, credit, clean);
                 }
                 ThreadMsg::DeleteScion(r, inc, ic) => {
-                    self.step(p, |p, cx| p.on_delete_scion(cx, r, inc, ic));
+                    self.step(p, self.now(), |p, cx| p.on_delete_scion(cx, r, inc, ic));
                 }
             }
         }
         drained
     }
 
-    /// Run one protocol step on this worker's (locked) process, with this
-    /// worker as the outbox.
+    /// Run one protocol step at `now` on this worker's (locked) process,
+    /// with this worker as the outbox.
     fn step<R>(
         &mut self,
         p: &mut Process,
+        now: SimTime,
         f: impl FnOnce(&mut Process, &mut Step<'_, WorkerCtx>) -> R,
     ) -> R {
         let cfg = Arc::clone(&self.cfg);
         let mut cx = Step {
             cfg: &cfg,
-            now: self.now(),
+            now,
             merged: None,
             out: self,
         };
@@ -1067,33 +1035,28 @@ impl WorkerCtx {
     /// candidate scan, detection initiation. Returns whether the sweep saw
     /// or produced any activity — including *pending* work (unacked NSS,
     /// backing-off candidates), which must hold off the quiescence vote.
-    fn sweep(&mut self, cell: &Arc<Mutex<Process>>, start: Instant) -> bool {
-        let t = SimTime(start.elapsed().as_micros() as u64 + 1);
+    fn sweep(&mut self, cell: &Arc<Mutex<Process>>) -> bool {
         let cfg = Arc::clone(&self.cfg);
         let num_procs = self.txs.len();
         let mut guard = cell.lock();
         let p = &mut *guard;
+        // Read under the lock: `t` is the sets' `lgc_at`, and one read while
+        // a mutator held the process could predate its `close_scion` at a
+        // peer — a set that saw the reference dropped yet may not judge it.
+        let t = self.now();
 
         let work = p.lgc_step(&cfg, num_procs, t, None);
         let mut active = work.freed > 0 || work.dead_stubs > 0;
-        let mut cx = Step {
-            cfg: &cfg,
-            now: t,
-            merged: None,
-            out: self,
-        };
         // No separate monitor thread here: condemned stubs are reclaimed
         // in the same sweep, and the corrected sets (built under the same
         // lock, later sequence numbers) supersede the LGC's.
-        let corrected = p.monitor_step(&mut cx, num_procs);
-        let nss = if corrected.is_empty() {
-            work.nss
-        } else {
-            corrected
-        };
-        for (dest, m) in nss {
-            active |= self.offer_nss(p, t, dest, m);
-        }
+        active |= self.step(p, t, |p, cx| {
+            let mut nss = p.monitor_step(cx, num_procs);
+            if nss.is_empty() {
+                nss = work.nss;
+            }
+            p.publish_nss(cx, nss)
+        });
 
         // Re-judge scions that an earlier NSS application skipped because
         // they were pinned (mutator export/invocation in flight). The
@@ -1120,13 +1083,7 @@ impl WorkerCtx {
         for scion in scan.picked {
             let id = DetectionId(self.detection_ids.fetch_add(1, Ordering::Relaxed));
             self.open_credit(id, scion);
-            let mut cx = Step {
-                cfg: &cfg,
-                now: t,
-                merged: None,
-                out: self,
-            };
-            p.initiate(&mut cx, scion, || id);
+            self.step(p, t, |p, cx| p.initiate(cx, scion, || id));
         }
         active
     }
@@ -1155,62 +1112,6 @@ impl WorkerCtx {
             },
         );
     }
-
-    /// Decide whether `m` (this sweep's live set towards `dest`) needs the
-    /// wire: transmit on content change, retransmit while unacknowledged,
-    /// stay silent once the peer confirmed the current content. Returns
-    /// whether NSS work is still in flight towards `dest`.
-    fn offer_nss(&mut self, p: &mut Process, now: SimTime, dest: ProcId, m: NewSetStubs) -> bool {
-        enum Action {
-            Transmit { retry: bool },
-            AwaitAck,
-            Settled,
-        }
-        let action = match self.nss_out.get_mut(&dest) {
-            Some(out) if out.live_refs == m.live_refs => {
-                if out.acked {
-                    Action::Settled
-                } else if self.round.saturating_sub(out.sent_round) >= NSS_RETRY_SWEEPS {
-                    out.last_seq = m.seq;
-                    out.sent_round = self.round;
-                    Action::Transmit { retry: true }
-                } else {
-                    Action::AwaitAck
-                }
-            }
-            _ => {
-                self.nss_out.insert(
-                    dest,
-                    NssOutbound {
-                        live_refs: m.live_refs.clone(),
-                        last_seq: m.seq,
-                        acked: false,
-                        sent_round: self.round,
-                    },
-                );
-                Action::Transmit { retry: false }
-            }
-        };
-        match action {
-            Action::Transmit { retry } => {
-                p.metrics.nss_retries += u64::from(retry);
-                p.metrics.nss_sent += 1;
-                p.obs.record(
-                    now,
-                    Event::NssSent {
-                        to: dest,
-                        seq: m.seq,
-                        live_refs: m.live_refs.len() as u32,
-                        retry,
-                    },
-                );
-                self.send(p, dest, ThreadMsg::Nss(m), MsgKind::Nss);
-                true
-            }
-            Action::AwaitAck => true,
-            Action::Settled => false,
-        }
-    }
 }
 
 /// The threaded outbox: traffic goes through [`WorkerCtx::send`] (seeded
@@ -1235,6 +1136,10 @@ impl Outbox for WorkerCtx {
     ) {
         let msg = ThreadMsg::DeleteScion(scion, incarnation, ic);
         self.send(from, owner, msg, MsgKind::Delete);
+    }
+
+    fn send_nss(&mut self, from: &mut Process, dest: ProcId, nss: NewSetStubs) {
+        self.send(from, dest, ThreadMsg::Nss(nss), MsgKind::Nss);
     }
 
     fn settle_credit(&mut self, from: &mut Process, c: Credit) {
@@ -1318,7 +1223,7 @@ fn worker(
 
         if !ctx.voted {
             hb.slot(me).set_stage(WorkerStage::Sweeping, now_us(start));
-            let active = ctx.sweep(&cell, start);
+            let active = ctx.sweep(&cell);
             if active || received > 0 {
                 ctx.quiet_streak = 0;
             } else {
@@ -1460,7 +1365,6 @@ impl MutatorCtx {
         }
         let t = targets[self.rng.gen_range(0..targets.len())];
         let (a, b) = (h.proc.index(), t.proc.index());
-        let now = self.now(start);
         let (cell_a, cell_b) = (Arc::clone(&self.cells[a]), Arc::clone(&self.cells[b]));
 
         // Both `h` and `t` are this thread's objects, so any stub/scion for
@@ -1469,16 +1373,20 @@ impl MutatorCtx {
         // topology's (see `ref_ids`).
         let (opened, fresh) = {
             let (mut ga, mut gb) = lock_pair(&cell_a, &cell_b, a, b);
+            // Read under both locks: `now` becomes the scion's horizon, and
+            // one read before the wait lets a set the holder's worker built
+            // meanwhile (stub swept) judge the scion this export re-establishes.
+            let now = self.now(start);
             let mint = || RefId(self.ref_ids.fetch_add(1, Ordering::Relaxed));
             let stub = ga.tables.stub_for_target(t);
             let opened = gb.tables.open_scion(h.proc, t, stub, mint, now);
             let fresh = !(opened.had_stub || opened.had_scion);
             if !fresh {
-                if !opened.had_scion {
-                    // A stub that outlived its scion means the collector
-                    // deleted a reference the mutator still holds — never
-                    // legal. Count it (stress tests assert zero); the pair
-                    // is repaired all the same.
+                if !opened.had_scion && self.edges.iter().any(|e| e.1 == opened.ref_id) {
+                    // The scion of a reference this mutator still holds is
+                    // gone: the collector deleted a live reference — never
+                    // legal (stress tests assert zero). A stub held only by
+                    // convicted garbage may outlive its scion; both are repaired.
                     gb.metrics.invoke_on_missing_scion += 1;
                 }
                 self.import_at(&mut ga, h, t, &opened, start);
@@ -1572,8 +1480,8 @@ impl MutatorCtx {
         }
         thread::yield_now();
         {
-            let now2 = self.now(start);
             let mut gb = cell_b.lock();
+            let now2 = self.now(start);
             gb.tables
                 .record_receive_through_scion(r, now2)
                 .expect("a pinned scion cannot vanish");

@@ -53,6 +53,12 @@ echo "==> concurrent mutator stress matrix (release, hard time budget)"
 ACDGC_TRACE_ARTIFACT="$trace_dir" \
     timeout 300 cargo test -q --offline --release --test concurrent_mutator
 
+echo "==> flake gate (scripts/flake.sh 20: 60 dev-profile runs of the threaded tests)"
+# One green run of a wall-clock-racy test says little; twenty of each of
+# the three threaded test binaries must all pass. On a failure the tally
+# by `file:line` is the thing to compare with the parent commit's.
+scripts/flake.sh 20
+
 echo "==> trace forensics gate (acdgc-report --check)"
 # Every artifact the stress stage exported must reconstruct with balanced
 # detection ledgers, monotonic hop counters, and — the stress config runs
@@ -185,13 +191,6 @@ cargo test -q --offline --release --test ladder
 # ring herding onto it, and untried garbage reached past scions whose
 # detections always fail (docs/ALGORITHM.md deviation #18).
 cargo test -q --offline --release --test rings_herding --test regression_scan_starvation
-
-echo "==> bench smoke (1-sample compile + run gate)"
-# The vendored criterion stand-in ignores CLI filters, so the smoke mode
-# is selected by the ACDGC_BENCH_SMOKE env var read in the bench sources:
-# tiny inputs, 2 samples. This catches bit-rot in the bench harness
-# without paying a full run.
-ACDGC_BENCH_SMOKE=1 cargo bench --offline -p acdgc-bench --bench trace_overhead
 
 echo "==> benchmark (its own workspace, built against these crates)"
 # benchmark/ path-depends on crates/* but is not a member of this

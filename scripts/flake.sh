@@ -5,8 +5,8 @@
 #   scripts/flake.sh N          # default 20
 #
 # Prints one line per failing `file:line` with its count, then the total
-# `failed/attempted` test-binary runs. Exits 0 either way: the output is a
-# measurement to compare between two commits, not a gate.
+# `failed/attempted` test-binary runs. Exits 1 if any run failed (the
+# tally is printed either way, so it still compares two commits).
 set -uo pipefail
 cd "$(dirname "$0")/.."
 n="${1:-20}"
@@ -31,3 +31,4 @@ for _ in $(seq "$n"); do
 done
 sort "$sites" | uniq -c | sort -rn
 echo "failed $failed of $((n * ${#tests[@]})) runs"
+[ "$failed" -eq 0 ]

@@ -7,6 +7,7 @@ use acdgc::dcda::{Cdm, OutboundCdm, Outcome, TerminateReason, Walk, FULL_CREDIT}
 use acdgc::heap::HeapRef;
 use acdgc::model::{DetectionId, GcConfig, ObjId, ProcId, RefId, SimTime, TraceConfig};
 use acdgc::obs::Event;
+use acdgc::remoting::NewSetStubs;
 use acdgc::sim::{Credit, Metrics, Outbox, Process, Step};
 
 const ME: ProcId = ProcId(0);
@@ -36,6 +37,9 @@ impl Outbox for FakeOutbox {
     }
     fn settle_credit(&mut self, _from: &mut Process, credit: Credit) {
         self.0.push(Effect::Credit(credit));
+    }
+    fn send_nss(&mut self, _: &mut Process, _: ProcId, _: NewSetStubs) {
+        unreachable!("no test here builds a stub set");
     }
 }
 
