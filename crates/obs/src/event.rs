@@ -386,7 +386,8 @@ events! {
         removed: u32,
         stale: bool,
     }
-    /// Threaded runtime: an NSS acknowledgement left for `to`.
+    /// A bare NSS acknowledgement left for `to`: one owed at a collection
+    /// that sent `to` no set to carry it.
     NssAcked = "nss_acked" in Nss {
         to: ProcId,
         seq: u64 = "nss_seq",

@@ -10,9 +10,11 @@
 //! * **reordering** — per-sender sequence numbers; a stale message is
 //!   ignored entirely (applying an old set could resurrect-delete a scion
 //!   for a stub created since),
-//! * **loss** — a sender either sends the set every collection builds, so
-//!   loss only delays reclamation, or follows [`RemotingTables::offer_nss`]:
-//!   on a stub change, then again until acknowledged, then silence,
+//! * **loss** — the sender follows [`RemotingTables::offer_nss`]: a set on
+//!   a stub change, then a rebuilt one after every round trip until the
+//!   peer acknowledges it, then silence. The acknowledgement rides the
+//!   next set going the other way (`ack`), or travels bare when there is
+//!   none; a lost set or acknowledgement costs one round trip,
 //! * **in-flight exports** — scions created for references still traveling
 //!   inside an application message are *pinned* and never deleted, and
 //!   scions newer than the sender's collection are protected by the
@@ -33,12 +35,15 @@ pub struct NewSetStubs {
     pub lgc_at: SimTime,
     /// Live stubs at `from` whose targets live in the receiving process.
     pub live_refs: Vec<RefId>,
+    /// The newest sequence number `from` has applied from the receiver
+    /// (0: none): the acknowledgement that rides this set.
+    pub ack: u64,
 }
 
 impl NewSetStubs {
     /// Approximate wire size for byte accounting.
     pub fn size_bytes(&self) -> usize {
-        24 + 8 * self.live_refs.len()
+        32 + 8 * self.live_refs.len()
     }
 }
 
@@ -71,6 +76,7 @@ pub fn build_new_set_stubs(
                 seq: tables.next_nss_seq(),
                 lgc_at,
                 live_refs,
+                ack: tables.nss_seen(peer),
             },
         ));
     }
@@ -285,7 +291,8 @@ mod tests {
             seq: 1,
             lgc_at: SimTime(0),
             live_refs: vec![RefId(1), RefId(2), RefId(3)],
+            ack: 0,
         };
-        assert_eq!(msg.size_bytes(), 24 + 24);
+        assert_eq!(msg.size_bytes(), 32 + 24);
     }
 }

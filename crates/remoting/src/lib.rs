@@ -13,16 +13,19 @@
 //!   algorithm [Shapiro et al. 92]: after each LGC a process sends every
 //!   peer the set of its live stubs targeting that peer; the peer deletes
 //!   scions absent from the set. Per-sender sequence numbers make stale or
-//!   reordered messages harmless, and loss merely delays reclamation —
-//!   the properties the paper relies on. A sender that must fall silent
-//!   follows [`RemotingTables::offer_nss`] instead.
+//!   reordered messages harmless. Where the paper resends every set after
+//!   every collection, the sender here follows [`RemotingTables::offer_nss`]:
+//!   a set when a stub toward the peer changed, acknowledged by the peer,
+//!   retried after one round trip while unacknowledged.
 //! * [`lifecycle`] — establishing one reference, written once: the owner
 //!   opens (reuses, repairs or mints) the scion and pins it, the importer
-//!   opens the stub, the owner closes (refresh, then unpin). A half
-//!   re-created beside a survivor adopts the survivor's counter. Every
-//!   driver — `System::create_remote_ref`, `System::invoke`'s export
-//!   marshalling and import, the threaded mutator's export — calls these
-//!   and nothing else to create or re-create half of a pair.
+//!   opens the stub, the owner closes (refresh, then unpin); an import
+//!   nobody holds is abandoned at the importer and only unpinned at the
+//!   owner. A half re-created beside a survivor adopts the survivor's
+//!   counter. Every driver — `System::create_remote_ref`,
+//!   `System::invoke`'s export marshalling and import, the threaded
+//!   mutator's export — calls these and nothing else to create or
+//!   re-create half of a pair.
 //! * [`messages`] — the wire payloads for invocations, replies and
 //!   `NewSetStubs`, with size models for byte accounting.
 //!
@@ -40,4 +43,4 @@ pub mod tables;
 pub use acyclic::{apply_new_set_stubs, build_new_set_stubs, AppliedNss, NewSetStubs};
 pub use lifecycle::OpenedPair;
 pub use messages::{ExportedRef, InvokePayload, ReplyPayload};
-pub use tables::{RemotingStats, RemotingTables, Scion, Stub, NSS_RETRY_SWEEPS};
+pub use tables::{NssPeerState, RemotingStats, RemotingTables, Scion, Stub, NSS_RETRY_SWEEPS};

@@ -16,8 +16,10 @@
 //!    *then* unpin, so no live set accepted while the reference was in
 //!    flight can be re-applied against the scion
 //!    ([`RemotingTables::sweep_deferred_nss`]). An import nobody holds
-//!    closes with a bare [`RemotingTables::unpin_scion`] instead: the
-//!    orphan scion must stay judgeable.
+//!    closes with a bare [`RemotingTables::unpin_scion`] instead, after
+//!    [`RemotingTables::abandon_import`] at the importer: the orphan scion
+//!    must stay judgeable, and only a set the importer builds after the
+//!    import can judge it.
 //!
 //! **Counter adoption.** The pair's counters count invocations in flight
 //! (sent at the stub minus received at the scion); when one half is
@@ -100,6 +102,14 @@ impl RemotingTables {
     pub fn close_scion(&mut self, ref_id: RefId, now: SimTime) -> Result<(), ModelError> {
         self.refresh_scion(ref_id, now);
         self.unpin_scion(ref_id)
+    }
+
+    /// Importer half of an import nobody holds: no stub opens, but the
+    /// scion `owner` made for it is newer than every set this process has
+    /// sent, and an unchanged set is not sent again. Counted as a stub born
+    /// and dead at once, so the next set toward `owner` travels.
+    pub fn abandon_import(&mut self, owner: ProcId) {
+        self.note_stub_change(owner);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Stub and scion tables of one process.
 
-use acdgc_model::{ModelError, ObjId, ProcId, RefId, SimTime, Slot};
+use acdgc_model::{ModelError, ObjId, ProcId, RefId, SimDuration, SimTime, Slot};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Outgoing remote reference: lives in the process that *holds* the
@@ -62,11 +62,35 @@ struct NssOutbound {
     acked: bool,
     /// Sets built and withheld since the last transmission (retry pacing).
     waited: u64,
+    /// `lgc_at` of the last transmission (retry pacing).
+    sent_at: SimTime,
 }
 
-/// Resend an unacknowledged `NewSetStubs` after this many collections: a
-/// lost final set would leak acyclic garbage no cycle detection reclaims.
-pub const NSS_RETRY_SWEEPS: u64 = 8;
+/// Resend an unacknowledged `NewSetStubs` after this many collections, or
+/// sooner once one LGC period has passed since the transmission: a lost
+/// final set would leak acyclic garbage no cycle detection reclaims. The
+/// peer acknowledges at its next collection, so either bound is one round
+/// trip — two collections when every process collects in the same phase,
+/// one period when collections are periodic.
+pub const NSS_RETRY_SWEEPS: u64 = 2;
+
+/// Both halves of the `NewSetStubs` protocol toward one peer, as
+/// [`RemotingTables::nss_peer_state`] reads them (diagnostics only).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NssPeerState {
+    /// Stub births and deaths toward the peer so far.
+    pub changes: u64,
+    /// `changes` as of the last transmission to the peer.
+    pub sent_changes: u64,
+    /// Sequence number of the last transmission (0: none yet).
+    pub last_seq: u64,
+    /// Whether the peer acknowledged `last_seq`.
+    pub acked: bool,
+    /// Newest sequence number applied from the peer (0: none yet).
+    pub seen: u64,
+    /// Whether `seen` still awaits its acknowledgement.
+    pub ack_owed: bool,
+}
 
 /// Aggregate remoting counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -103,6 +127,8 @@ pub struct RemotingTables {
     nss_out: FxHashMap<ProcId, NssOutbound>,
     /// Highest `NewSetStubs` sequence applied, per sender.
     nss_seq_seen: FxHashMap<ProcId, u64>,
+    /// Senders whose newest applied set this process has not acknowledged.
+    nss_ack_owed: FxHashSet<ProcId>,
     /// Next incarnation number per reference id (tombstones survive scion
     /// deletion so recreations are distinguishable).
     incarnations: FxHashMap<RefId, u32>,
@@ -127,6 +153,7 @@ impl RemotingTables {
             nss_seq_out: 0,
             nss_out: FxHashMap::default(),
             nss_seq_seen: FxHashMap::default(),
+            nss_ack_owed: FxHashSet::default(),
             incarnations: FxHashMap::default(),
             saved_live: FxHashMap::default(),
             stats: RemotingStats::default(),
@@ -150,7 +177,7 @@ impl RemotingTables {
             "one stub per target: look up stub_for_target first"
         );
         self.stats.stubs_created += 1;
-        self.nss_out.entry(target.proc).or_default().changes += 1;
+        self.note_stub_change(target.proc);
         self.stub_by_target.insert(target, ref_id);
         self.stubs.insert(
             ref_id,
@@ -168,10 +195,16 @@ impl RemotingTables {
         let removed = self.stubs.remove(&ref_id);
         if let Some(stub) = &removed {
             self.stub_by_target.remove(&stub.target);
-            self.nss_out.entry(stub.target.proc).or_default().changes += 1;
+            self.note_stub_change(stub.target.proc);
             self.stats.stubs_removed += 1;
         }
         removed
+    }
+
+    /// A stub toward `owner` was born or died (or, for an import nobody
+    /// holds, both at once): the next set toward `owner` must travel.
+    pub(crate) fn note_stub_change(&mut self, owner: ProcId) {
+        self.nss_out.entry(owner).or_default().changes += 1;
     }
 
     /// The existing stub for `target`, if this process already references
@@ -442,24 +475,35 @@ impl RemotingTables {
         self.nss_seq_out
     }
 
-    /// The sender's rule for set number `seq`, just built toward `dest` (no
-    /// stub may change in between): `Some(retry)` says transmit — `false`
-    /// when a stub toward `dest` was born or died since the last transmission,
-    /// `true` every [`NSS_RETRY_SWEEPS`]th collection while unacknowledged.
-    pub fn offer_nss(&mut self, dest: ProcId, seq: u64) -> Option<bool> {
+    /// The sender's rule for set number `seq`, built toward `dest` by the
+    /// collection at `at` (no stub may change in between): `Some(retry)`
+    /// says transmit — `false` when a stub toward `dest` was born or died
+    /// since the last transmission, `true` while unacknowledged once one
+    /// round trip has passed: [`NSS_RETRY_SWEEPS`] collections, or one
+    /// `lgc_period` if that comes first.
+    pub fn offer_nss(
+        &mut self,
+        dest: ProcId,
+        seq: u64,
+        at: SimTime,
+        lgc_period: SimDuration,
+    ) -> Option<bool> {
         let out = self.nss_out.entry(dest).or_default();
         let changed = out.last_seq == 0 || out.sent_changes != out.changes;
         if !changed {
             out.waited += 1;
-            if out.acked || out.waited < NSS_RETRY_SWEEPS {
+            let due = out.waited >= NSS_RETRY_SWEEPS
+                || at.0.saturating_sub(out.sent_at.0) >= lgc_period.0;
+            if out.acked || !due {
                 return None;
             }
         }
-        (out.sent_changes, out.last_seq, out.acked, out.waited) = (out.changes, seq, false, 0);
+        (out.sent_changes, out.last_seq, out.acked) = (out.changes, seq, false);
+        (out.waited, out.sent_at) = (0, at);
         Some(!changed)
     }
 
-    /// `peer` acknowledged the set with sequence `seq`.
+    /// `peer` acknowledged the sets it received up to sequence `seq`.
     pub fn confirm_nss(&mut self, peer: ProcId, seq: u64) {
         if let Some(out) = self.nss_out.get_mut(&peer) {
             out.acked |= seq >= out.last_seq;
@@ -471,15 +515,41 @@ impl RemotingTables {
         self.nss_out.values().any(|o| o.last_seq != 0 && !o.acked)
     }
 
-    /// Returns `true` (and records it) if `seq` from `sender` is fresher
-    /// than anything applied so far.
+    /// Returns `true` (and records it, owing `sender` an acknowledgement)
+    /// if `seq` from `sender` is fresher than anything applied so far.
     pub fn accept_nss_seq(&mut self, sender: ProcId, seq: u64) -> bool {
         let seen = self.nss_seq_seen.entry(sender).or_insert(0);
         if seq > *seen {
             *seen = seq;
+            self.nss_ack_owed.insert(sender);
             true
         } else {
             false
+        }
+    }
+
+    /// The newest sequence number applied from `peer` (0: none yet) — the
+    /// acknowledgement every set toward `peer` carries.
+    pub fn nss_seen(&self, peer: ProcId) -> u64 {
+        self.nss_seq_seen.get(&peer).copied().unwrap_or(0)
+    }
+
+    /// The acknowledgement still owed to `peer`, if any; no longer owed
+    /// after this call.
+    pub fn take_nss_ack(&mut self, peer: ProcId) -> Option<u64> {
+        self.nss_ack_owed.remove(&peer).then(|| self.nss_seen(peer))
+    }
+
+    /// Both halves of the `NewSetStubs` protocol toward `peer`.
+    pub fn nss_peer_state(&self, peer: ProcId) -> NssPeerState {
+        let out = self.nss_out.get(&peer).copied().unwrap_or_default();
+        NssPeerState {
+            changes: out.changes,
+            sent_changes: out.sent_changes,
+            last_seq: out.last_seq,
+            acked: out.acked,
+            seen: self.nss_seen(peer),
+            ack_owed: self.nss_ack_owed.contains(&peer),
         }
     }
 }
@@ -567,6 +637,40 @@ mod tests {
         assert!(!t.accept_nss_seq(ProcId(1), 1), "stale rejected");
         assert!(t.accept_nss_seq(ProcId(1), 3));
         assert!(t.accept_nss_seq(ProcId(2), 1), "independent per sender");
+    }
+
+    #[test]
+    fn a_fresh_set_owes_one_ack() {
+        let mut t = tables();
+        assert_eq!(t.take_nss_ack(ProcId(1)), None);
+        assert!(t.accept_nss_seq(ProcId(1), 3));
+        assert!(!t.accept_nss_seq(ProcId(1), 2));
+        assert!(t.nss_peer_state(ProcId(1)).ack_owed);
+        assert_eq!(t.take_nss_ack(ProcId(1)), Some(3));
+        assert_eq!(t.take_nss_ack(ProcId(1)), None, "discharged");
+        assert_eq!(t.nss_seen(ProcId(1)), 3, "what every set to P1 carries");
+    }
+
+    #[test]
+    fn an_unacknowledged_set_is_retried_after_one_round_trip() {
+        let mut t = tables();
+        let (peer, period) = (ProcId(1), SimDuration(10));
+        assert_eq!(t.offer_nss(peer, 1, SimTime(0), period), Some(false));
+        // Collections closer than a period apart: the second one retries.
+        assert_eq!(t.offer_nss(peer, 2, SimTime(1), period), None);
+        assert_eq!(t.offer_nss(peer, 3, SimTime(2), period), Some(true));
+        // One period after the transmission: the next collection retries.
+        assert_eq!(t.offer_nss(peer, 4, SimTime(12), period), Some(true));
+        t.confirm_nss(peer, 3);
+        assert_eq!(
+            t.offer_nss(peer, 5, SimTime(30), period),
+            Some(true),
+            "old ack"
+        );
+        t.confirm_nss(peer, 5);
+        assert_eq!(t.offer_nss(peer, 6, SimTime(50), period), None, "settled");
+        t.add_stub(RefId(1), obj(1, 0), SimTime(51));
+        assert_eq!(t.offer_nss(peer, 7, SimTime(52), period), Some(false));
     }
 
     #[test]

@@ -26,6 +26,12 @@ pub enum SysMessage {
     },
     /// Reference-listing update (GC class, droppable).
     Nss(NewSetStubs),
+    /// Acknowledges the sender's `NewSetStubs` up to `seq` when no set
+    /// goes back to carry it (GC class, droppable: the set is retried).
+    NssAck {
+        /// The newest sequence number applied from the receiver.
+        seq: u64,
+    },
     /// A cycle detection message travelling along reference `via`
     /// (GC class, droppable).
     Cdm {
@@ -57,6 +63,7 @@ impl SysMessage {
             SysMessage::Invoke { payload, .. } => payload.size_bytes(),
             SysMessage::Reply { payload, .. } => payload.size_bytes(),
             SysMessage::Nss(nss) => nss.size_bytes(),
+            SysMessage::NssAck { .. } => 16,
             SysMessage::Cdm { cdm, .. } => 8 + cdm.size_bytes(),
             SysMessage::DeleteScion { .. } => 24,
         }
@@ -64,10 +71,7 @@ impl SysMessage {
 
     /// Whether this is collector traffic (subject to fault injection).
     pub fn is_gc(&self) -> bool {
-        matches!(
-            self,
-            SysMessage::Nss(_) | SysMessage::Cdm { .. } | SysMessage::DeleteScion { .. }
-        )
+        !matches!(self, SysMessage::Invoke { .. } | SysMessage::Reply { .. })
     }
 }
 
@@ -126,8 +130,10 @@ mod tests {
             seq: 1,
             lgc_at: SimTime(0),
             live_refs: vec![],
+            ack: 0,
         });
         assert!(nss.is_gc());
+        assert!(SysMessage::NssAck { seq: 1 }.is_gc());
         let cdm = SysMessage::Cdm {
             via: RefId(1),
             cdm: Cdm::initiate(DetectionId(0), ProcId(0), RefId(1), 0),

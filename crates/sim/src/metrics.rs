@@ -55,6 +55,9 @@ pub struct Metrics {
     pub nss_applied: u64,
     /// `NewSetStubs` messages discarded as stale (older sequence).
     pub nss_stale: u64,
+    /// Bare `NewSetStubs` acknowledgements sent: owed to a peer that got no
+    /// set to carry them at that collection.
+    pub nss_acks_sent: u64,
     /// Scions reclaimed by the reference-listing acyclic DGC.
     pub scions_reclaimed_acyclic: u64,
 
@@ -160,6 +163,7 @@ macro_rules! for_each_counter {
             nss_sent,
             nss_applied,
             nss_stale,
+            nss_acks_sent,
             scions_reclaimed_acyclic,
             detections_started,
             cdms_sent,
@@ -436,8 +440,8 @@ mod tests {
         assert_eq!(parsed["acdgc_votes_cast_total"], 8);
         assert_eq!(parsed["acdgc_nss_sent_total"], 0, "zeroes still exposed");
         assert_eq!(parsed["acdgc_max_cdm_bytes"], 4096);
-        // One sample per field: 49 counters + the gauge.
-        assert_eq!(parsed.len(), 50, "{text}");
+        // One sample per field: 50 counters + the gauge.
+        assert_eq!(parsed.len(), 51, "{text}");
     }
 
     #[test]
@@ -449,7 +453,7 @@ mod tests {
         };
         match m.to_json() {
             Value::Object(obj) => {
-                assert_eq!(obj.iter().count(), 50, "49 counters + gauge");
+                assert_eq!(obj.iter().count(), 51, "50 counters + gauge");
                 assert_eq!(obj.get("cdms_sent"), Some(&Value::from(3u64)));
                 assert_eq!(obj.get("max_cdm_bytes"), Some(&Value::from(128u64)));
             }

@@ -5,7 +5,8 @@
 //! whoever delivers the stimulus. Each reaction is a method on
 //! [`Process`] — [`Process::lgc_step`], [`Process::monitor_step`],
 //! [`Process::publish_nss`], [`Process::initiate`], [`Process::on_cdm`],
-//! [`Process::on_nss`], [`Process::on_delete_scion`] — that mutates only
+//! [`Process::on_nss`], [`Process::on_nss_ack`],
+//! [`Process::on_delete_scion`] — that mutates only
 //! that process, counts into one [`Metrics`] ledger, records the trace
 //! events, and hands the resulting traffic to its driver through an
 //! [`Outbox`]. The drivers ([`crate::System`]: event queue + simulated
@@ -59,6 +60,9 @@ pub trait Outbox {
     fn settle_credit(&mut self, from: &mut Process, credit: Credit);
     /// Carry one reference-listing set to `dest`.
     fn send_nss(&mut self, from: &mut Process, dest: ProcId, nss: NewSetStubs);
+    /// Acknowledge to `dest` the sets applied from it up to `seq`, when no
+    /// set goes to `dest` to carry the acknowledgement.
+    fn send_nss_ack(&mut self, from: &mut Process, dest: ProcId, seq: u64);
 }
 
 /// Everything a message-driven step needs from its driver: configuration,
@@ -94,6 +98,9 @@ pub struct LgcWork {
     pub freed: u64,
     /// Stubs the mark did not reach (removed or condemned, per mode).
     pub dead_stubs: usize,
+    /// Scions removed before the mark by a saved set that could not judge
+    /// them while they were pinned (`sweep_deferred_nss`).
+    pub rejudged_scions: u64,
     /// Freed objects the oracle considered live — the safety audit; zero
     /// in safe configurations and when no oracle set was supplied.
     pub unsafe_freed: u64,
@@ -108,6 +115,7 @@ impl LgcWork {
         m.lgc_runs += 1;
         m.objects_reclaimed += self.freed;
         m.unsafe_frees += self.unsafe_freed;
+        m.scions_reclaimed_acyclic += self.rejudged_scions;
     }
 }
 
@@ -119,12 +127,14 @@ impl Process {
         build_new_set_stubs(&mut self.tables, &peers, now)
     }
 
-    /// One local collection: trace + sweep the heap, audit the freed set
-    /// against `oracle_live` when given, handle stub death per integration
-    /// mode, and build (but do not send) the `NewSetStubs` broadcast.
-    /// Touches only this process and counts into its own ledger, so many
-    /// processes can run it concurrently; a driver with a merged ledger
-    /// mirrors [`LgcWork::count_into`] afterwards.
+    /// One local collection: re-judge scions a saved set skipped while
+    /// they were pinned (an unchanged set is never resent, so nothing else
+    /// would), trace + sweep the heap, audit the freed set against
+    /// `oracle_live` when given, handle stub death per integration mode,
+    /// and build (but do not send) the `NewSetStubs` broadcast. Touches
+    /// only this process and counts into its own ledger, so many processes
+    /// can run it concurrently; a driver with a merged ledger mirrors
+    /// [`LgcWork::count_into`] afterwards.
     pub fn lgc_step(
         &mut self,
         cfg: &GcConfig,
@@ -132,6 +142,7 @@ impl Process {
         now: SimTime,
         oracle_live: Option<&FxHashSet<ObjId>>,
     ) -> LgcWork {
+        let rejudged_scions = self.tables.sweep_deferred_nss().len() as u64;
         let targets = self.tables.scion_target_slots();
         let started = self.obs.begin(now, Phase::Lgc);
         let result = lgc::collect(&mut self.heap, &targets);
@@ -157,6 +168,7 @@ impl Process {
         let work = LgcWork {
             freed: freed.len() as u64,
             dead_stubs: dead.len(),
+            rejudged_scions,
             unsafe_freed,
             nss: self.nss_broadcast(num_procs, now),
         };
@@ -183,7 +195,7 @@ impl Process {
     }
 
     /// Put one built set on the wire: the only sender of `NewSetStubs`.
-    pub fn send_nss<O: Outbox>(
+    fn send_nss<O: Outbox>(
         &mut self,
         cx: &mut Step<'_, O>,
         dest: ProcId,
@@ -207,26 +219,44 @@ impl Process {
     }
 
     /// Send those of the sets one collection just built that the sender's
-    /// rule ([`acdgc_remoting::RemotingTables::offer_nss`]) picks — for a
-    /// driver that acknowledges sets and must fall silent to terminate.
-    /// Returns whether any peer still owes an acknowledgement.
+    /// rule ([`acdgc_remoting::RemotingTables::offer_nss`]) picks, and
+    /// discharge every acknowledgement owed to a peer: it rides the set
+    /// going to that peer, or travels bare when no set goes. Returns
+    /// whether a transmitted set still awaits its acknowledgement.
     pub fn publish_nss<O: Outbox>(
         &mut self,
         cx: &mut Step<'_, O>,
         sets: Vec<(ProcId, NewSetStubs)>,
     ) -> bool {
         for (dest, nss) in sets {
-            if let Some(retry) = self.tables.offer_nss(dest, nss.seq) {
-                self.send_nss(cx, dest, nss, retry);
+            let owed = self.tables.take_nss_ack(dest);
+            match self
+                .tables
+                .offer_nss(dest, nss.seq, nss.lgc_at, cx.cfg.lgc_period)
+            {
+                Some(retry) => self.send_nss(cx, dest, nss, retry),
+                None => {
+                    if let Some(seq) = owed {
+                        self.send_nss_ack(cx, dest, seq);
+                    }
+                }
             }
         }
         self.tables.nss_unconfirmed()
     }
 
-    /// Apply a `NewSetStubs` from a peer (reference-listing acyclic DGC).
-    /// Returns the sequence number a driver that acknowledges sets sends
-    /// back — a stale one too: the receiver holds fresher information.
-    pub fn on_nss<O: Outbox>(&mut self, cx: &mut Step<'_, O>, nss: &NewSetStubs) -> u64 {
+    /// Put one bare acknowledgement on the wire.
+    fn send_nss_ack<O: Outbox>(&mut self, cx: &mut Step<'_, O>, dest: ProcId, seq: u64) {
+        cx.count(&mut self.metrics, |m| m.nss_acks_sent += 1);
+        self.obs.record(cx.now, Event::NssAcked { to: dest, seq });
+        cx.out.send_nss_ack(self, dest, seq);
+    }
+
+    /// Apply a `NewSetStubs` from a peer (reference-listing acyclic DGC),
+    /// and the acknowledgement it carries. A fresh set leaves an
+    /// acknowledgement owed to its sender until the next `publish_nss`.
+    pub fn on_nss<O: Outbox>(&mut self, cx: &mut Step<'_, O>, nss: &NewSetStubs) {
+        self.tables.confirm_nss(nss.from, nss.ack);
         let applied = apply_new_set_stubs(&mut self.tables, nss);
         // Recorded for stale rejections too: the case post-mortems need.
         self.obs.record(
@@ -247,7 +277,12 @@ impl Process {
                 m.scions_reclaimed_acyclic += removed;
             });
         }
-        nss.seq
+    }
+
+    /// A bare acknowledgement from `from`: it applied this process's sets
+    /// up to `seq`.
+    pub fn on_nss_ack(&mut self, from: ProcId, seq: u64) {
+        self.tables.confirm_nss(from, seq);
     }
 
     /// Start one detection from candidate `scion`. `next_id` is called

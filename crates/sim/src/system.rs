@@ -422,9 +422,9 @@ impl System {
                 // Nobody to hold the reference: release the pin and let the
                 // acyclic DGC reclaim the orphan scion.
                 None => {
-                    let _ = self.procs[export.target.proc.index()]
-                        .tables
-                        .unpin_scion(export.ref_id);
+                    let owner = export.target.proc;
+                    self.procs[importer.index()].tables.abandon_import(owner);
+                    let _ = self.procs[owner.index()].tables.unpin_scion(export.ref_id);
                 }
             }
         }
@@ -453,7 +453,7 @@ impl System {
         f(&mut self.procs[p.index()], &mut cx)
     }
 
-    /// Run one local collection at `p` and broadcast `NewSetStubs`.
+    /// Run one local collection at `p` and publish its `NewSetStubs`.
     pub fn run_lgc(&mut self, p: ProcId) {
         let oracle_live = self.check_safety.then(|| oracle::global_live(&*self));
         let num_procs = self.procs.len();
@@ -490,30 +490,23 @@ impl System {
         }
     }
 
-    /// Apply stage of a local collection: the merged ledger and the
-    /// `NewSetStubs` sends. Every effect here reaches shared state, so
-    /// callers invoke it sequentially in process-index order.
+    /// Apply stage of a local collection: the merged ledger, then the sets
+    /// and acknowledgements the sender's rule picks, in peer order. Every
+    /// effect here reaches shared state, so callers invoke it sequentially
+    /// in process-index order.
     fn lgc_apply(&mut self, p: ProcId, work: LgcWork) {
         work.count_into(&mut self.metrics);
-        self.send_nss(p, work.nss);
+        self.step_at(p, |proc, cx| proc.publish_nss(cx, work.nss));
     }
 
-    /// Put `p`'s reference-listing broadcast on the wire, in peer order:
-    /// every set built is sent (the paper's rule), none is acknowledged.
-    fn send_nss(&mut self, p: ProcId, msgs: Vec<(ProcId, NewSetStubs)>) {
-        self.step_at(p, |proc, cx| {
-            for (dest, m) in msgs {
-                proc.send_nss(cx, dest, m, false);
-            }
-        });
-    }
-
-    /// The OBIWAN monitor pass: reclaim condemned stubs at `p` and send the
-    /// corrected stub sets.
+    /// The OBIWAN monitor pass: reclaim condemned stubs at `p` and publish
+    /// the corrected stub sets.
     pub fn run_monitor(&mut self, p: ProcId) {
         let num_procs = self.procs.len();
-        let msgs = self.step_at(p, |proc, cx| proc.monitor_step(cx, num_procs));
-        self.send_nss(p, msgs);
+        self.step_at(p, |proc, cx| {
+            let sets = proc.monitor_step(cx, num_procs);
+            proc.publish_nss(cx, sets)
+        });
     }
 
     /// Snapshot + summarize `p`, publishing a new summary atomically.
@@ -595,9 +588,8 @@ impl System {
                 receiver,
             } => self.dispatch_invoke(env.src, dst, payload, reply_exports, receiver),
             SysMessage::Reply { payload, receiver } => self.dispatch_reply(dst, payload, receiver),
-            SysMessage::Nss(nss) => {
-                self.step_at(dst, |proc, cx| proc.on_nss(cx, &nss));
-            }
+            SysMessage::Nss(nss) => self.step_at(dst, |proc, cx| proc.on_nss(cx, &nss)),
+            SysMessage::NssAck { seq } => self.procs[dst.index()].on_nss_ack(env.src, seq),
             SysMessage::Cdm { via, cdm } => {
                 let (from, sent_lc) = (env.src, env.lamport);
                 let deleted =
@@ -963,6 +955,10 @@ impl Outbox for SimOutbox<'_> {
 
     fn send_nss(&mut self, from: &mut Process, dest: ProcId, nss: NewSetStubs) {
         self.send_gc(from, dest, SysMessage::Nss(nss));
+    }
+
+    fn send_nss_ack(&mut self, from: &mut Process, dest: ProcId, seq: u64) {
+        self.send_gc(from, dest, SysMessage::NssAck { seq });
     }
 }
 

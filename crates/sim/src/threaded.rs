@@ -41,15 +41,16 @@
 //! *is* the latency), and a full bounded inbox drops rather than blocks.
 //! Every message class recovers (DESIGN.md "Drop recovery"): CDMs by the
 //! initiator's candidate backoff, `DeleteScion`s by the acyclic layer, and
-//! `NewSetStubs` by the step's ack/retry rule ([`Process::publish_nss`]) —
-//! this driver only carries the sets and their acknowledgements.
+//! `NewSetStubs` by the step's ack/retry rule ([`Process::publish_nss`]),
+//! which `System` runs too — this driver only carries the sets and the
+//! bare acknowledgements the step sends.
 //!
 //! # Concurrent mutation
 //!
 //! Mutator threads partition the processes round-robin and only ever hold
 //! objects on (and export between) their own processes, so two mutator
 //! threads never touch the same stub/scion table; every mutator-vs-
-//! collector race is mediated by the per-process lock. Three disciplines
+//! collector race is mediated by the per-process lock. Two disciplines
 //! keep the races safe and observable:
 //!
 //! * **pin/unpin handshake** — an export opens the scion pinned, then the
@@ -57,11 +58,9 @@
 //!   `acdgc_remoting::lifecycle`'s; `MutatorCtx::op_export` only decides
 //!   which locks are held across them. Invocations likewise pin the target
 //!   scion across the callee-side window so a cycle verdict cannot delete
-//!   a reference mid-call.
-//! * **deferred NSS re-judgement** — a scion that survived a live set
-//!   only because it was pinned would leak (a settled set is never
-//!   resent); each sweep re-applies the saved per-sender sets via
-//!   `RemotingTables::sweep_deferred_nss`.
+//!   a reference mid-call. A set that skipped a scion because it was
+//!   pinned is re-applied by the next [`Process::lgc_step`] after the pin
+//!   drops.
 //! * **mutation-aware quiescence** — every applied op bumps a shared
 //!   `mutation_events` counter; a worker that observes a new count
 //!   rescinds any held vote and resets its quiet streak, and
@@ -107,8 +106,9 @@ use std::time::{Duration, Instant};
 #[derive(Clone)]
 enum ThreadMsg {
     Nss(NewSetStubs),
-    /// Confirms receipt of the sender's `NewSetStubs` with this sequence
-    /// number (the ack itself may be lost; the NSS is then resent).
+    /// Confirms the receiver's `NewSetStubs` up to this sequence number
+    /// when no set goes back to carry it (the ack itself may be lost; the
+    /// NSS is then resent).
     NssAck(u64),
     Cdm {
         via: RefId,
@@ -792,7 +792,7 @@ const OUTSTANDING_CAP: usize = 1024;
 /// How a drained message should be handled.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum DrainMode {
-    /// Normal in-loop drain: process everything, acknowledge NSS.
+    /// Normal in-loop drain: process everything.
     Live,
     /// Post-stop drain: apply idempotent state (NSS, scion deletes) so
     /// buffered messages from peers that stopped after us are not lost,
@@ -957,15 +957,8 @@ impl WorkerCtx {
                 continue;
             }
             match env.msg {
-                ThreadMsg::Nss(nss) => {
-                    let seq = self.step(p, self.now(), |p, cx| p.on_nss(cx, &nss));
-                    if mode == DrainMode::Live {
-                        let to = nss.from;
-                        p.obs.record(self.now(), Event::NssAcked { to, seq });
-                        self.send(p, to, ThreadMsg::NssAck(seq), MsgKind::Ack);
-                    }
-                }
-                ThreadMsg::NssAck(seq) => p.tables.confirm_nss(env.from, seq),
+                ThreadMsg::Nss(nss) => self.step(p, self.now(), |p, cx| p.on_nss(cx, &nss)),
+                ThreadMsg::NssAck(seq) => p.on_nss_ack(env.from, seq),
                 // After the stop flag no peers remain to continue a walk
                 // or settle its credit; the loss is counted like any other
                 // dropped CDM so the ledgers cannot silently diverge.
@@ -1046,7 +1039,7 @@ impl WorkerCtx {
         let t = self.now();
 
         let work = p.lgc_step(&cfg, num_procs, t, None);
-        let mut active = work.freed > 0 || work.dead_stubs > 0;
+        let mut active = work.freed > 0 || work.dead_stubs > 0 || work.rejudged_scions > 0;
         // No separate monitor thread here: condemned stubs are reclaimed
         // in the same sweep, and the corrected sets (built under the same
         // lock, later sequence numbers) supersede the LGC's.
@@ -1057,16 +1050,6 @@ impl WorkerCtx {
             }
             p.publish_nss(cx, nss)
         });
-
-        // Re-judge scions that an earlier NSS application skipped because
-        // they were pinned (mutator export/invocation in flight). The
-        // accepted live sets are saved in the tables; a scion that has
-        // since been unpinned without a refresh is retroactively dead.
-        let deferred = p.tables.sweep_deferred_nss();
-        if !deferred.is_empty() {
-            p.metrics.scions_reclaimed_acyclic += deferred.len() as u64;
-            active = true;
-        }
 
         p.refresh_summary(t);
 
@@ -1140,6 +1123,10 @@ impl Outbox for WorkerCtx {
 
     fn send_nss(&mut self, from: &mut Process, dest: ProcId, nss: NewSetStubs) {
         self.send(from, dest, ThreadMsg::Nss(nss), MsgKind::Nss);
+    }
+
+    fn send_nss_ack(&mut self, from: &mut Process, dest: ProcId, seq: u64) {
+        self.send(from, dest, ThreadMsg::NssAck(seq), MsgKind::Ack);
     }
 
     fn settle_credit(&mut self, from: &mut Process, c: Credit) {

@@ -16,6 +16,15 @@ if grep -nE 'add_stub|add_scion|pardon_stub|sync_(stub|scion)_ic' \
     exit 1
 fi
 
+echo "==> NSS sender gate (drivers publish stub sets only through the step's rule)"
+# Which sets travel, and the acknowledgements riding them, are
+# Process::publish_nss's decision in both runtimes; a driver sending a set
+# itself would bring back a second rule.
+if grep -nF '.send_nss(' crates/sim/src/system.rs crates/sim/src/threaded.rs; then
+    echo "a driver sends NewSetStubs itself instead of calling publish_nss" >&2
+    exit 1
+fi
+
 echo "==> build (release)"
 cargo build --release --offline --workspace
 
@@ -191,6 +200,10 @@ cargo test -q --offline --release --test ladder
 # ring herding onto it, and untried garbage reached past scions whose
 # detections always fail (docs/ALGORITHM.md deviation #18).
 cargo test -q --offline --release --test rings_herding --test regression_scan_starvation
+# And the reference-listing rule: every set lost to loss or a partition
+# retried after one round trip, the pinned-scion re-judgement, and the
+# piggybacked acknowledgement, under optimization too.
+cargo test -q --offline --release --test fault_tolerance --test regression_nss_settled
 
 echo "==> benchmark (its own workspace, built against these crates)"
 # benchmark/ path-depends on crates/* but is not a member of this

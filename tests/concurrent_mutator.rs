@@ -24,7 +24,7 @@
 //! clocks and must not break happens-before.
 
 use acdgc::model::{
-    GcConfig, MutatorConfig, NetConfig, ProcId, SamplingConfig, SimDuration, TraceConfig,
+    GcConfig, MutatorConfig, NetConfig, ObjId, ProcId, SamplingConfig, SimDuration, TraceConfig,
     WatchdogConfig,
 };
 use acdgc::obs::{HealthReport, Sample, Trace};
@@ -95,6 +95,38 @@ fn dump_trace(
     path
 }
 
+/// Name what outlived quiescence: every surviving object `live` calls
+/// garbage, each scion protecting it, and for each such scion the
+/// `NewSetStubs` state of both ends — the owner's toward the holder and
+/// the holder's toward the owner.
+fn leak_report(procs: &[Process], live: impl Fn(ObjId) -> bool) -> String {
+    let mut report = String::new();
+    for owner in procs {
+        let leaked = owner
+            .heap
+            .iter()
+            .filter_map(|(slot, _)| owner.heap.id_of_slot(slot))
+            .filter(|&obj| !live(obj));
+        for obj in leaked {
+            report += &format!("  leaked {obj:?}\n");
+            for s in owner.tables.scions().filter(|s| s.target == obj) {
+                let holder = &procs[s.from_proc.index()];
+                report += &format!(
+                    "    scion {} from {} pinned {} created_at {:?}\n      \
+                     owner  {:?}\n      holder {:?}\n",
+                    s.ref_id,
+                    s.from_proc,
+                    s.pinned,
+                    s.created_at,
+                    owner.tables.nss_peer_state(s.from_proc),
+                    holder.tables.nss_peer_state(owner.proc()),
+                );
+            }
+        }
+    }
+    report
+}
+
 macro_rules! check {
     ($run:expr, $name:expr, $cond:expr, $($msg:tt)+) => {
         if !$cond {
@@ -162,8 +194,9 @@ fn run_cell(name: &str, seed: u64, mutator: MutatorConfig, net: NetConfig) -> Th
         name,
         live_total == expected.len(),
         "{name}: {live_total} objects survive but the mutated graph proves \
-         {} live — garbage outlived quiescence",
-        expected.len()
+         {} live — garbage outlived quiescence:\n{}",
+        expected.len(),
+        leak_report(&run.procs, |obj| expected.contains(&obj))
     );
     let actual = global_live_procs(&run.procs);
     check!(

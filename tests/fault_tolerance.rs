@@ -66,8 +66,10 @@ fn total_partition_then_heal() {
     );
     assert_eq!(sys.metrics.safety_violations(), 0);
 
-    // Heal: every protocol message is regenerated each round, so the
-    // distributed collection simply resumes and completes.
+    // Heal: every set lost to the partition is still unacknowledged and
+    // is rebuilt after one round trip, and every lost CDM's candidate is
+    // retried after its backoff, so the distributed collection resumes and
+    // completes.
     sys.heal_all_partitions();
     sys.run_for(SimDuration::from_millis(4_000));
     assert_eq!(sys.total_live_objects(), 0, "{:?}", sys.metrics);

@@ -41,6 +41,9 @@ impl Outbox for FakeOutbox {
     fn send_nss(&mut self, _: &mut Process, _: ProcId, _: NewSetStubs) {
         unreachable!("no test here builds a stub set");
     }
+    fn send_nss_ack(&mut self, _: &mut Process, _: ProcId, _: u64) {
+        unreachable!("no test here applies a stub set");
+    }
 }
 
 fn traced() -> GcConfig {

@@ -1,6 +1,7 @@
 //! The `NewSetStubs` sender's rule (docs/ALGORITHM.md deviation #12),
-//! driven deterministically: processes stepped by hand over a queueing
-//! outbox, every delivery, acknowledgement and loss chosen by the test.
+//! driven deterministically: first processes stepped by hand over a
+//! queueing outbox, every delivery and loss chosen by the test; then the
+//! same rule as `System` runs it.
 //!
 //! Before the rule moved into the step it compared the content of
 //! consecutive sets, so a stub born and dead between two collections of
@@ -11,9 +12,9 @@
 
 use acdgc::dcda::Cdm;
 use acdgc::heap::HeapRef;
-use acdgc::model::{DetectionId, GcConfig, ObjId, ProcId, RefId, SimTime};
+use acdgc::model::{DetectionId, GcConfig, NetConfig, ObjId, ProcId, RefId, SimTime};
 use acdgc::remoting::{NewSetStubs, NSS_RETRY_SWEEPS};
-use acdgc::sim::{Credit, Outbox, Process, Step};
+use acdgc::sim::{scenarios, Credit, InvokeSpec, Outbox, Process, Step, System};
 use std::collections::VecDeque;
 
 const P0: ProcId = ProcId(0);
@@ -21,6 +22,7 @@ const P1: ProcId = ProcId(1);
 
 enum Msg {
     Nss(NewSetStubs),
+    Ack(u64),
     Cdm { via: RefId, cdm: Cdm },
     Delete(RefId, u32, u64),
 }
@@ -39,6 +41,9 @@ impl Outbox for Wire {
     fn settle_credit(&mut self, _: &mut Process, _: Credit) {}
     fn send_nss(&mut self, from: &mut Process, dest: ProcId, nss: NewSetStubs) {
         self.0.push_back((from.proc(), dest, Msg::Nss(nss)));
+    }
+    fn send_nss_ack(&mut self, from: &mut Process, dest: ProcId, seq: u64) {
+        self.0.push_back((from.proc(), dest, Msg::Ack(seq)));
     }
 }
 
@@ -90,20 +95,17 @@ impl Pair {
         })
     }
 
-    /// Deliver everything on the wire (and what the deliveries send);
-    /// every set delivered is acknowledged at once iff `ack`. Returns the
-    /// sets delivered, as (sender, set).
-    fn deliver(&mut self, ack: bool) -> Vec<(ProcId, NewSetStubs)> {
+    /// Deliver everything on the wire (and what the deliveries send).
+    /// Returns the sets delivered, as (sender, set).
+    fn deliver(&mut self) -> Vec<(ProcId, NewSetStubs)> {
         let mut sets = Vec::new();
         while let Some((from, dest, msg)) = self.wire.0.pop_front() {
             match msg {
                 Msg::Nss(nss) => {
-                    let seq = self.step(dest, |proc, cx| proc.on_nss(cx, &nss));
-                    if ack {
-                        self.procs[from.index()].tables.confirm_nss(dest, seq);
-                    }
+                    self.step(dest, |proc, cx| proc.on_nss(cx, &nss));
                     sets.push((from, nss));
                 }
+                Msg::Ack(seq) => self.procs[dest.index()].on_nss_ack(from, seq),
                 Msg::Cdm { via, cdm } => {
                     self.step(dest, |proc, cx| proc.on_cdm(cx, via, cdm, from, 0));
                 }
@@ -115,12 +117,12 @@ impl Pair {
         sets
     }
 
-    /// Collect both processes and deliver with acknowledgements until
-    /// neither has reference-listing work in flight.
+    /// Collect both processes and deliver until neither has
+    /// reference-listing work in flight.
     fn settle(&mut self) {
         for _ in 0..4 {
             let pending = self.collect(P0) | self.collect(P1);
-            self.deliver(true);
+            self.deliver();
             if !pending {
                 return;
             }
@@ -210,7 +212,7 @@ fn a_stub_born_and_dead_between_two_collections_still_gets_its_scion_judged() {
     // P0's stub table is what it was when P1 acknowledged it, and still
     // the set must travel: only it can judge the scion made for `r`.
     assert!(net.collect(P0), "a stub was born and died: not settled");
-    let sets = net.deliver(true);
+    let sets = net.deliver();
     assert_eq!(sets.len(), 1);
     assert!(sets[0].1.live_refs.is_empty(), "same content as confirmed");
     assert!(
@@ -249,9 +251,9 @@ fn an_orphan_scion_feeding_a_garbage_ring_is_judged_and_the_ring_reclaimed() {
         assert!(rounds <= 6, "ring not reclaimed after {rounds} rounds");
         net.collect(P0);
         net.collect(P1);
-        net.deliver(true);
+        net.deliver();
         net.detect();
-        net.deliver(true);
+        net.deliver();
     }
     assert!(net.alive(h), "the rooted bystander survives");
     for (p, gone) in [(1, ab), (0, ba), (1, r)] {
@@ -265,32 +267,185 @@ fn an_old_ack_does_not_settle_newer_content_and_an_unacknowledged_set_is_resent_
     let mut net = Pair::new();
     let h = net.rooted(P0);
     let (t1, t2) = (net.rooted(P1), net.rooted(P1));
+    net.settle();
+    let (sender, receiver) = (net.procs[0].metrics, net.procs[1].metrics);
     let r1 = net.export(h, t1);
 
     assert!(net.collect(P0));
-    let first = net.deliver(false).remove(0).1;
+    let first = net.deliver().remove(0).1;
     assert_eq!(first.live_refs, vec![r1]);
+    // P1 owes the acknowledgement and has no set for P0 to carry it.
+    net.collect(P1);
+    let ack = net.wire.0.pop_back().expect("a bare ack");
+    assert!(matches!(ack, (P1, P0, Msg::Ack(seq)) if seq == first.seq));
+    net.wire.0.clear();
 
-    // New content goes out at once, unacknowledged or not...
+    // New content goes out at once, unacknowledged or not, and is lost...
     let r2 = net.export(h, t2);
     assert!(net.collect(P0));
-    let second = net.deliver(false).remove(0).1;
+    let (_, _, Msg::Nss(second)) = net.wire.0.pop_front().expect("a set") else {
+        panic!("expected a set");
+    };
     assert_eq!(second.live_refs, vec![r1, r2]);
-    // ...and an acknowledgement of the older set does not confirm it.
-    net.procs[0].tables.confirm_nss(P1, first.seq);
+    // ...and the late acknowledgement of the older set does not confirm it.
+    net.wire.0.push_back(ack);
+    net.deliver();
 
     for sweep in 1..NSS_RETRY_SWEEPS {
         assert!(net.collect(P0), "sweep {sweep}: still unconfirmed");
         assert!(net.wire.0.is_empty(), "sweep {sweep}: not yet due");
     }
     assert!(net.collect(P0));
-    let resent = net.deliver(true).remove(0).1;
+    let resent = net.deliver().remove(0).1;
     assert_eq!(resent.live_refs, second.live_refs);
     assert!(resent.seq > second.seq && resent.lgc_at > second.lgc_at);
-    let m = net.procs[0].metrics;
+    let m = net.procs[0].metrics.since(&sender);
     assert_eq!((m.nss_sent, m.nss_retries), (3, 1));
 
+    net.collect(P1);
+    net.deliver();
     assert!(!net.collect(P0), "confirmed: settled");
     assert!(net.wire.0.is_empty());
-    assert_eq!(net.procs[1].metrics.nss_stale, 0);
+    let m = net.procs[1].metrics.since(&receiver);
+    assert_eq!((m.nss_stale, m.nss_acks_sent), (0, 2));
+}
+
+/// `n` processes in manual rounds over an instant network.
+fn manual(n: usize) -> System {
+    System::new(n, GcConfig::manual(), NetConfig::instant(), 1)
+}
+
+#[test]
+fn a_settled_system_sends_no_sets() {
+    let mut sys = manual(16);
+    let ids: Vec<ProcId> = (0..16).map(ProcId).collect();
+    let live = scenarios::ring(&mut sys, &ids, 2, true);
+    scenarios::ring(&mut sys, &ids, 1, false);
+    sys.collect_to_fixpoint(40);
+    assert_eq!(sys.total_live_objects(), 33, "the anchored ring and anchor");
+    assert!(live.anchor.is_some());
+
+    let before = sys.metrics;
+    sys.gc_round();
+    let round = sys.metrics.since(&before);
+    assert_eq!((round.nss_sent, round.nss_acks_sent), (0, 0), "{round:?}");
+    assert_eq!(sys.metrics.safety_violations(), 0);
+}
+
+#[test]
+fn a_lost_set_is_retransmitted_after_one_round_trip() {
+    let mut sys = manual(2);
+    let a = sys.alloc(P0, 1);
+    let b = sys.alloc(P1, 1);
+    sys.add_root(a).unwrap();
+    let r = sys.create_remote_ref(a, b).unwrap();
+    sys.collect_to_fixpoint(8);
+
+    // The stub dies at P0's next collection; the set saying so is lost.
+    sys.drop_remote_ref(a, r).unwrap();
+    sys.partition_pair(P0, P1);
+    sys.gc_round();
+    sys.heal_all_partitions();
+    assert!(sys.proc(P1).tables.scion(r).is_some(), "the set was lost");
+
+    let mut rounds = 0;
+    while sys.total_live_objects() > 1 {
+        rounds += 1;
+        assert!(rounds <= 3, "orphan not reclaimed in 3 rounds");
+        sys.gc_round();
+    }
+    assert!(sys.proc(P1).tables.scion(r).is_none());
+    assert!(sys.metrics.nss_retries >= 1);
+    assert_eq!(sys.metrics.safety_violations(), 0);
+}
+
+#[test]
+fn an_ack_rides_the_reverse_set() {
+    let mut sys = manual(2);
+    let (a, b) = (sys.alloc(P0, 1), sys.alloc(P1, 1));
+    sys.add_root(a).unwrap();
+    sys.add_root(b).unwrap();
+    sys.collect_to_fixpoint(8);
+
+    // Every round both processes gain a stub toward each other, so each
+    // owes its acknowledgement to a peer it sends a set to anyway.
+    let before = sys.metrics;
+    for _ in 0..4 {
+        let (fresh_a, fresh_b) = (sys.alloc(P0, 1), sys.alloc(P1, 1));
+        sys.create_remote_ref(a, fresh_b).unwrap();
+        sys.create_remote_ref(b, fresh_a).unwrap();
+        sys.gc_round();
+    }
+    let changing = sys.metrics.since(&before);
+    assert_eq!((changing.nss_sent, changing.nss_acks_sent), (8, 0));
+
+    // Once the stubs stand still, the last sets are acknowledged bare.
+    let before = sys.metrics;
+    sys.gc_round();
+    sys.gc_round();
+    let settling = sys.metrics.since(&before);
+    assert_eq!((settling.nss_sent, settling.nss_acks_sent), (0, 2));
+    for (p, peer) in [(P0, P1), (P1, P0)] {
+        let state = sys.proc(p).tables.nss_peer_state(peer);
+        assert!(state.acked && !state.ack_owed, "{p}: {state:?}");
+    }
+}
+
+#[test]
+fn a_scion_pinned_when_its_set_arrived_is_judged_once_unpinned() {
+    let mut sys = manual(2);
+    let a = sys.alloc(P0, 1);
+    let b = sys.alloc(P1, 1);
+    sys.add_root(a).unwrap();
+    let r = sys.create_remote_ref(a, b).unwrap();
+    sys.collect_to_fixpoint(8);
+
+    // An invocation through `r` is in flight while its stub dies: the set
+    // saying so arrives at a pinned scion and may not judge it.
+    sys.proc_mut(P1).tables.pin_scion(r).unwrap();
+    sys.drop_remote_ref(a, r).unwrap();
+    sys.gc_round();
+    assert!(sys.proc(P1).tables.scion(r).is_some(), "pinned: skipped");
+
+    // The call lands. P0's stubs do not change again, so no set comes;
+    // the saved one judges the scion before P1's next mark.
+    sys.proc_mut(P1).tables.unpin_scion(r).unwrap();
+    let before = sys.metrics;
+    sys.gc_round();
+    assert!(sys.proc(P1).tables.scion(r).is_none());
+    assert!(
+        !sys.proc(P1).heap.contains(b),
+        "freed in the same collection"
+    );
+    assert_eq!(sys.metrics.since(&before).nss_sent, 0);
+    assert_eq!(sys.metrics.safety_violations(), 0);
+}
+
+#[test]
+fn an_import_nobody_holds_is_still_judged() {
+    let mut sys = manual(2);
+    let a = sys.alloc(P0, 1);
+    let b = sys.alloc(P1, 1);
+    let c = sys.alloc(P1, 1);
+    sys.add_root(a).unwrap();
+    sys.add_root(b).unwrap();
+    sys.add_local_ref(b, c).unwrap();
+    let r = sys.create_remote_ref(a, b).unwrap();
+    sys.collect_to_fixpoint(8);
+
+    // The reply exports `c` to P0 with no object to receive it: P1 holds a
+    // scion for a stub P0 never opens, and P0's stub table does not change.
+    let spec = InvokeSpec {
+        reply_exports: vec![c],
+        ..InvokeSpec::default()
+    };
+    sys.invoke(P0, r, spec).unwrap();
+    sys.drain_network();
+    sys.remove_local_ref(b, c).unwrap();
+    assert_eq!(sys.total_scions(), 2);
+
+    sys.collect_to_fixpoint(8);
+    assert_eq!(sys.total_scions(), 1, "the orphan scion is judged");
+    assert!(!sys.proc(P1).heap.contains(c), "its target is reclaimed");
+    assert_eq!(sys.metrics.safety_violations(), 0);
 }
