@@ -247,8 +247,8 @@ fn report_timeline(trace: &Trace) {
             samples.len(),
             human_ns(span_us.saturating_mul(1_000)),
         );
-        for (name, get) in GAUGE_FIELDS {
-            let values: Vec<u64> = samples.iter().map(get).collect();
+        for (name, field) in GAUGE_FIELDS {
+            let values: Vec<u64> = samples.iter().map(|s| s.get(field)).collect();
             let max = values.iter().copied().max().unwrap_or(0);
             println!(
                 "    {:<20} {:<width$} max={max}",

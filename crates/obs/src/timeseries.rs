@@ -28,9 +28,10 @@ use crate::event::{field_str, field_u16, field_u64};
 use acdgc_model::{ProcId, SamplingConfig, SimTime};
 use serde_json::{Map, Value};
 
-/// One named accessor into a [`Sample`] field, as listed in
-/// [`COUNTER_FIELDS`] and [`GAUGE_FIELDS`].
-pub type SampleField = (&'static str, fn(&Sample) -> u64);
+/// One named field of a [`Sample`], as listed in [`COUNTER_FIELDS`] and
+/// [`GAUGE_FIELDS`]. The accessor serves writing, and reading through
+/// [`Sample::get`].
+pub type SampleField = (&'static str, fn(&mut Sample) -> &mut u64);
 
 /// One exported sample paired with the declared capacity of the series it
 /// came from — the form sample JSONL lines round-trip through, letting
@@ -38,29 +39,29 @@ pub type SampleField = (&'static str, fn(&Sample) -> u64);
 pub type SampleRow = (Sample, usize);
 
 /// The monotone-counter fields of a [`Sample`], in export order. One list
-/// drives encode, decode, monotonicity checking, and rate derivation, so
-/// the four can never disagree on what a counter is.
+/// drives encode, decode, aggregation, monotonicity checking, and rate
+/// derivation, so they can never disagree on what a counter is.
 pub const COUNTER_FIELDS: [SampleField; 7] = [
-    ("lgc_runs", |s| s.lgc_runs),
-    ("snapshots", |s| s.snapshots),
-    ("cdms_sent", |s| s.cdms_sent),
-    ("cycles_detected", |s| s.cycles_detected),
-    ("objects_reclaimed", |s| s.objects_reclaimed),
-    ("scions_reclaimed", |s| s.scions_reclaimed),
-    ("mutator_ops", |s| s.mutator_ops),
+    ("lgc_runs", |s| &mut s.lgc_runs),
+    ("snapshots", |s| &mut s.snapshots),
+    ("cdms_sent", |s| &mut s.cdms_sent),
+    ("cycles_detected", |s| &mut s.cycles_detected),
+    ("objects_reclaimed", |s| &mut s.objects_reclaimed),
+    ("scions_reclaimed", |s| &mut s.scions_reclaimed),
+    ("mutator_ops", |s| &mut s.mutator_ops),
 ];
 
 /// The point-in-time gauge fields of a [`Sample`], in export order.
 /// Gauges may move in either direction; only the counters above carry a
 /// monotonicity invariant.
 pub const GAUGE_FIELDS: [SampleField; 7] = [
-    ("live_objects", |s| s.live_objects),
-    ("candidates", |s| s.candidates),
-    ("max_backoff_attempt", |s| s.max_backoff_attempt),
-    ("in_flight_cdms", |s| s.in_flight_cdms),
-    ("inbox_depth", |s| s.inbox_depth),
-    ("votes_held", |s| s.votes_held),
-    ("pinned_scions", |s| s.pinned_scions),
+    ("live_objects", |s| &mut s.live_objects),
+    ("candidates", |s| &mut s.candidates),
+    ("max_backoff_attempt", |s| &mut s.max_backoff_attempt),
+    ("in_flight_cdms", |s| &mut s.in_flight_cdms),
+    ("inbox_depth", |s| &mut s.inbox_depth),
+    ("votes_held", |s| &mut s.votes_held),
+    ("pinned_scions", |s| &mut s.pinned_scions),
 ];
 
 /// One telemetry snapshot. `proc` is `None` for the system-wide aggregate
@@ -108,6 +109,11 @@ pub struct Sample {
 }
 
 impl Sample {
+    /// The value of one listed field.
+    pub fn get(mut self, field: fn(&mut Sample) -> &mut u64) -> u64 {
+        *field(&mut self)
+    }
+
     /// The system-wide row over one tick's per-process rows: every gauge
     /// and counter summed, except `max_backoff_attempt`, which is a max.
     pub fn aggregate(at: SimTime, round: u64, per_proc: &[Sample]) -> Sample {
@@ -117,20 +123,13 @@ impl Sample {
             ..Sample::default()
         };
         for s in per_proc {
-            g.live_objects += s.live_objects;
-            g.candidates += s.candidates;
-            g.max_backoff_attempt = g.max_backoff_attempt.max(s.max_backoff_attempt);
-            g.in_flight_cdms += s.in_flight_cdms;
-            g.inbox_depth += s.inbox_depth;
-            g.votes_held += s.votes_held;
-            g.pinned_scions += s.pinned_scions;
-            g.lgc_runs += s.lgc_runs;
-            g.snapshots += s.snapshots;
-            g.cdms_sent += s.cdms_sent;
-            g.cycles_detected += s.cycles_detected;
-            g.objects_reclaimed += s.objects_reclaimed;
-            g.scions_reclaimed += s.scions_reclaimed;
-            g.mutator_ops += s.mutator_ops;
+            for &(name, field) in GAUGE_FIELDS.iter().chain(&COUNTER_FIELDS) {
+                let (total, v) = (field(&mut g), s.get(field));
+                *total = match name {
+                    "max_backoff_attempt" => (*total).max(v),
+                    _ => *total + v,
+                };
+            }
         }
         g
     }
@@ -147,11 +146,8 @@ impl Sample {
             m.insert("proc".into(), Value::from(p.0));
         }
         m.insert("cap".into(), Value::from(cap as u64));
-        for (name, get) in GAUGE_FIELDS {
-            m.insert(name.into(), Value::from(get(self)));
-        }
-        for (name, get) in COUNTER_FIELDS {
-            m.insert(name.into(), Value::from(get(self)));
+        for (name, field) in GAUGE_FIELDS.iter().chain(&COUNTER_FIELDS) {
+            m.insert((*name).into(), Value::from(self.get(*field)));
         }
         Value::Object(m)
     }
@@ -173,20 +169,9 @@ impl Sample {
             ..Sample::default()
         };
         let cap = field_u64(m, "cap")? as usize;
-        s.live_objects = field_u64(m, "live_objects")?;
-        s.candidates = field_u64(m, "candidates")?;
-        s.max_backoff_attempt = field_u64(m, "max_backoff_attempt")?;
-        s.in_flight_cdms = field_u64(m, "in_flight_cdms")?;
-        s.inbox_depth = field_u64(m, "inbox_depth")?;
-        s.votes_held = field_u64(m, "votes_held")?;
-        s.pinned_scions = field_u64(m, "pinned_scions")?;
-        s.lgc_runs = field_u64(m, "lgc_runs")?;
-        s.snapshots = field_u64(m, "snapshots")?;
-        s.cdms_sent = field_u64(m, "cdms_sent")?;
-        s.cycles_detected = field_u64(m, "cycles_detected")?;
-        s.objects_reclaimed = field_u64(m, "objects_reclaimed")?;
-        s.scions_reclaimed = field_u64(m, "scions_reclaimed")?;
-        s.mutator_ops = field_u64(m, "mutator_ops")?;
+        for (name, field) in GAUGE_FIELDS.iter().chain(&COUNTER_FIELDS) {
+            *field(&mut s) = field_u64(m, name)?;
+        }
         Some((s, cap))
     }
 
@@ -196,14 +181,14 @@ impl Sample {
     /// exposition already owns the `_total` namespace.
     pub fn to_prometheus_into(&self, out: &mut String) {
         use std::fmt::Write as _;
-        for (name, get) in GAUGE_FIELDS {
+        for (name, field) in GAUGE_FIELDS {
             let _ = writeln!(
                 out,
                 "# HELP acdgc_{name} Point-in-time {} gauge from the latest telemetry sample.",
                 name.replace('_', " ")
             );
             let _ = writeln!(out, "# TYPE acdgc_{name} gauge");
-            let _ = writeln!(out, "acdgc_{name} {}", get(self));
+            let _ = writeln!(out, "acdgc_{name} {}", self.get(field));
         }
     }
 }
@@ -310,15 +295,15 @@ pub fn counter_rates(samples: &[Sample]) -> Vec<RateRow> {
     }
     COUNTER_FIELDS
         .iter()
-        .map(|&(name, get)| {
-            let total = get(last).saturating_sub(get(first));
+        .map(|&(name, field)| {
+            let total = last.get(field).saturating_sub(first.get(field));
             let mut peak = 0.0f64;
             for w in samples.windows(2) {
                 let dt = w[1].at.0.saturating_sub(w[0].at.0);
                 if dt == 0 {
                     continue;
                 }
-                let dv = get(&w[1]).saturating_sub(get(&w[0]));
+                let dv = w[1].get(field).saturating_sub(w[0].get(field));
                 peak = peak.max(dv as f64 * 1e6 / dt as f64);
             }
             RateRow {
@@ -391,13 +376,12 @@ pub fn check_series(label: &str, samples: &[(Sample, usize)]) -> Vec<String> {
                 b.round, a.round
             ));
         }
-        for (name, get) in COUNTER_FIELDS {
-            if get(b) < get(a) {
+        for (name, field) in COUNTER_FIELDS {
+            let (before, after) = (a.get(field), b.get(field));
+            if after < before {
                 violations.push(format!(
-                    "{label}: counter {name} went backwards at round {}: {} after {}",
-                    b.round,
-                    get(b),
-                    get(a)
+                    "{label}: counter {name} went backwards at round {}: {after} after {before}",
+                    b.round
                 ));
             }
         }

@@ -46,6 +46,6 @@ pub use messages::{InvokeSpec, SysMessage};
 pub use metrics::Metrics;
 pub use oracle::{global_live, global_live_procs, live_count_by_proc, MutOp, ShadowGraph};
 pub use process::Process;
-pub use step::{Credit, Outbox, Step};
+pub use step::{Credit, Effect, GcMsg, Step};
 pub use system::System;
 pub use threaded::{merged_metrics, ReportHook, SweepHook, ThreadedOptions, ThreadedRun};

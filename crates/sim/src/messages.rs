@@ -1,8 +1,8 @@
 //! System-level message set: everything that travels between processes.
 
-use acdgc_dcda::Cdm;
-use acdgc_model::{ObjId, RefId};
-use acdgc_remoting::{InvokePayload, NewSetStubs, ReplyPayload};
+use crate::step::GcMsg;
+use acdgc_model::ObjId;
+use acdgc_remoting::{InvokePayload, ReplyPayload};
 
 /// All inter-process traffic in the simulation.
 #[derive(Clone, Debug)]
@@ -24,36 +24,8 @@ pub enum SysMessage {
         /// Caller-side object that receives the returned references.
         receiver: Option<ObjId>,
     },
-    /// Reference-listing update (GC class, droppable).
-    Nss(NewSetStubs),
-    /// Acknowledges the sender's `NewSetStubs` up to `seq` when no set
-    /// goes back to carry it (GC class, droppable: the set is retried).
-    NssAck {
-        /// The newest sequence number applied from the receiver.
-        seq: u64,
-    },
-    /// A cycle detection message travelling along reference `via`
-    /// (GC class, droppable).
-    Cdm {
-        /// The reference the CDM travels along.
-        via: RefId,
-        /// The detection message itself.
-        cdm: Cdm,
-    },
-    /// Cycle verdict follow-up: the sender proved the cycle containing
-    /// this scion garbage; the owner deletes it (idempotent, droppable —
-    /// a lost deletion is finished off by reference listing once the
-    /// other deletions let the LGCs unravel the objects). `ic` is the
-    /// invocation counter the verdict witnessed: the owner re-checks it
-    /// before deleting (lazy IC barrier against a concurrent mutator).
-    DeleteScion {
-        /// The scion proven part of a garbage cycle.
-        scion: RefId,
-        /// The incarnation the verdict witnessed (ABA guard).
-        incarnation: u32,
-        /// The invocation counter the verdict witnessed.
-        ic: u64,
-    },
+    /// Collector traffic (GC class, droppable).
+    Gc(GcMsg),
 }
 
 impl SysMessage {
@@ -62,16 +34,8 @@ impl SysMessage {
         match self {
             SysMessage::Invoke { payload, .. } => payload.size_bytes(),
             SysMessage::Reply { payload, .. } => payload.size_bytes(),
-            SysMessage::Nss(nss) => nss.size_bytes(),
-            SysMessage::NssAck { .. } => 16,
-            SysMessage::Cdm { cdm, .. } => 8 + cdm.size_bytes(),
-            SysMessage::DeleteScion { .. } => 24,
+            SysMessage::Gc(msg) => msg.size_bytes(),
         }
-    }
-
-    /// Whether this is collector traffic (subject to fault injection).
-    pub fn is_gc(&self) -> bool {
-        !matches!(self, SysMessage::Invoke { .. } | SysMessage::Reply { .. })
     }
 }
 
@@ -121,36 +85,43 @@ impl InvokeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acdgc_model::{DetectionId, ProcId, SimTime};
+    use acdgc_dcda::Cdm;
+    use acdgc_model::{DetectionId, ProcId, RefId, SimTime};
+    use acdgc_remoting::NewSetStubs;
 
+    /// The wire sizes every GC byte count is computed from.
     #[test]
     fn gc_classification() {
-        let nss = SysMessage::Nss(NewSetStubs {
+        let nss = |n: u64| NewSetStubs {
             from: ProcId(0),
             seq: 1,
             lgc_at: SimTime(0),
-            live_refs: vec![],
+            live_refs: (0..n).map(RefId).collect(),
             ack: 0,
-        });
-        assert!(nss.is_gc());
-        assert!(SysMessage::NssAck { seq: 1 }.is_gc());
-        let cdm = SysMessage::Cdm {
-            via: RefId(1),
-            cdm: Cdm::initiate(DetectionId(0), ProcId(0), RefId(1), 0),
         };
-        assert!(cdm.is_gc());
-        let invoke = SysMessage::Invoke {
-            payload: InvokePayload {
-                ref_id: RefId(1),
-                exports: vec![],
-                arg_bytes: 0,
-                wants_reply: false,
-            },
-            reply_exports: vec![],
-            receiver: None,
+        let via = RefId(1);
+        let cdm = Cdm::initiate(DetectionId(0), ProcId(0), via, 0);
+        let delete = GcMsg::DeleteScion {
+            scion: via,
+            incarnation: 0,
+            ic: 0,
         };
-        assert!(!invoke.is_gc());
-        assert!(invoke.size_bytes() > 0);
-        assert!(cdm.size_bytes() > 0);
+        let sizes = [
+            (GcMsg::Nss(nss(0)), 32),
+            (GcMsg::Nss(nss(3)), 32 + 8 * 3),
+            (GcMsg::NssAck { seq: 1 }, 16),
+            (
+                GcMsg::Cdm {
+                    via,
+                    cdm: cdm.clone(),
+                },
+                8 + cdm.size_bytes(),
+            ),
+            (delete, 24),
+        ];
+        for (msg, size) in sizes {
+            assert_eq!(msg.size_bytes(), size, "{msg:?}");
+            assert_eq!(SysMessage::Gc(msg).size_bytes(), size);
+        }
     }
 }

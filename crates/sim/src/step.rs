@@ -4,14 +4,15 @@
 //! The paper's processes only ever react, and the reaction is the same
 //! whoever delivers the stimulus. Each reaction is a method on
 //! [`Process`] — [`Process::lgc_step`], [`Process::monitor_step`],
-//! [`Process::publish_nss`], [`Process::initiate`], [`Process::on_cdm`],
-//! [`Process::on_nss`], [`Process::on_nss_ack`],
-//! [`Process::on_delete_scion`] — that mutates only
-//! that process, counts into one [`Metrics`] ledger, records the trace
-//! events, and hands the resulting traffic to its driver through an
-//! [`Outbox`]. The drivers ([`crate::System`]: event queue + simulated
-//! clock + oracle audit; [`crate::threaded`]: channels + locks + quiescence
-//! + the credit ledger) decide only *how* a message travels.
+//! [`Process::publish_nss`], [`Process::initiate`] and, for every arriving
+//! [`GcMsg`], [`Process::on_message`] — that mutates only that process,
+//! counts into one [`Metrics`] ledger, records the trace events, and
+//! returns its traffic as data: every send and every credit settlement is
+//! appended, in call order, to the [`Effect`] buffer its [`Step`] carries.
+//! The drivers ([`crate::System`]: event queue + simulated clock + oracle
+//! audit; [`crate::threaded`]: channels + locks + quiescence + the credit
+//! ledger) drain that buffer after each step and decide only *how* a
+//! message travels; a test can hold, reorder, drop or replay it.
 
 use crate::metrics::Metrics;
 use crate::process::Process;
@@ -25,7 +26,7 @@ use rustc_hash::FxHashSet;
 /// A dying derivation's credit on its way back to the detection's
 /// initiator (Dijkstra–Scholten weight throwing). `clean` is true only
 /// for terminal outcomes that re-running on unchanged state would
-/// reproduce as "not a cycle" (see [`Process::on_cdm`]).
+/// reproduce as "not a cycle" (see [`Process::apply_outcome`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Credit {
     /// The detection the credit belongs to.
@@ -38,53 +39,99 @@ pub struct Credit {
     pub clean: bool,
 }
 
-/// Where a step's traffic goes. `from` is the stepping process: its id,
-/// its Lamport clock as of the send, which every copy of the message
-/// must carry verbatim (a `send_cdm` follows its `CdmSent` record with no
-/// tick in between, so that clock is the CDM's trace identity), and its
-/// ledger, where a driver counts what became of the send.
-pub trait Outbox {
-    /// Forward one CDM derivation to `dest` through reference `via`.
-    fn send_cdm(&mut self, from: &mut Process, dest: ProcId, via: RefId, cdm: Cdm);
-    /// Ask `owner` to delete a scion a cycle verdict proved garbage,
-    /// re-checking the witnessed incarnation and invocation counter.
-    fn send_delete_scion(
-        &mut self,
-        from: &mut Process,
-        owner: ProcId,
+/// One collector message: what a step sends and what
+/// [`Process::on_message`] reacts to. Every kind may be lost, duplicated
+/// or reordered (DESIGN.md "Drop recovery").
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum GcMsg {
+    /// Reference-listing update.
+    Nss(NewSetStubs),
+    /// Acknowledges the receiver's `NewSetStubs` up to `seq` when no set
+    /// goes back to carry it (a lost one is covered by the set's retry).
+    NssAck {
+        /// The newest sequence number applied from the receiver.
+        seq: u64,
+    },
+    /// A cycle detection message travelling along reference `via`.
+    Cdm {
+        /// The reference the CDM travels along.
+        via: RefId,
+        /// The detection message itself.
+        cdm: Cdm,
+    },
+    /// Cycle verdict follow-up: the sender proved the cycle containing
+    /// this scion garbage; the owner deletes it (idempotent — a lost
+    /// deletion is finished off by reference listing once the other
+    /// deletions let the LGCs unravel the objects). `ic` is the invocation
+    /// counter the verdict witnessed: the owner re-checks it before
+    /// deleting (lazy IC barrier against a concurrent mutator).
+    DeleteScion {
+        /// The scion proven part of a garbage cycle.
         scion: RefId,
+        /// The incarnation the verdict witnessed (ABA guard).
         incarnation: u32,
+        /// The invocation counter the verdict witnessed.
         ic: u64,
-    );
-    /// Return a dead derivation's credit to its initiator.
-    fn settle_credit(&mut self, from: &mut Process, credit: Credit);
-    /// Carry one reference-listing set to `dest`.
-    fn send_nss(&mut self, from: &mut Process, dest: ProcId, nss: NewSetStubs);
-    /// Acknowledge to `dest` the sets applied from it up to `seq`, when no
-    /// set goes to `dest` to carry the acknowledgement.
-    fn send_nss_ack(&mut self, from: &mut Process, dest: ProcId, seq: u64);
+    },
 }
 
-/// Everything a message-driven step needs from its driver: configuration,
-/// the current time, the driver's own merged ledger (every count goes to
-/// the process's ledger *and* here), and the outbox.
-pub struct Step<'a, O: Outbox> {
+impl GcMsg {
+    /// Approximate wire size for byte accounting.
+    pub fn size_bytes(&self) -> usize {
+        match self {
+            GcMsg::Nss(nss) => nss.size_bytes(),
+            GcMsg::NssAck { .. } => 16,
+            GcMsg::Cdm { cdm, .. } => 8 + cdm.size_bytes(),
+            GcMsg::DeleteScion { .. } => 24,
+        }
+    }
+}
+
+/// One thing a step hands its driver, in the order the step produced it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Effect {
+    /// A message for `dest`.
+    Send {
+        /// The receiving process.
+        dest: ProcId,
+        /// The sender's Lamport clock right after the send's trace record
+        /// (`CdmSent`, `NssSent`, `NssAcked`). Every copy carries it
+        /// verbatim: for a CDM it is the send's trace identity.
+        lamport: u64,
+        /// The message.
+        msg: GcMsg,
+    },
+    /// A dead derivation's credit, for its detection's initiator.
+    Settle(Credit),
+}
+
+/// Everything a step needs from its driver: configuration, the current
+/// time, the driver's own merged ledger (every count goes to the
+/// process's ledger *and* here), and the buffer the step's effects go to.
+pub struct Step<'a> {
     /// The collector configuration.
     pub cfg: &'a GcConfig,
     /// The driver's clock at this step.
     pub now: SimTime,
     /// The driver's merged ledger, if it keeps one beside the processes'.
     pub merged: Option<&'a mut Metrics>,
-    /// Where the step's traffic goes.
-    pub out: &'a mut O,
+    /// Where the step appends what it sends and settles. The driver owns
+    /// it, drains it after the step and reuses it.
+    pub out: &'a mut Vec<Effect>,
 }
 
-impl<O: Outbox> Step<'_, O> {
+impl Step<'_> {
     fn count(&mut self, own: &mut Metrics, f: impl Fn(&mut Metrics)) {
         f(own);
         if let Some(merged) = self.merged.as_deref_mut() {
             f(merged);
         }
+    }
+
+    /// Append a message from `from`, stamped with its clock as of now.
+    fn send(&mut self, from: &Process, dest: ProcId, msg: GcMsg) {
+        let lamport = from.obs.clock_value();
+        self.out.push(Effect::Send { dest, lamport, msg });
     }
 }
 
@@ -179,9 +226,9 @@ impl Process {
     /// The OBIWAN monitor pass: reclaim condemned stubs and build the
     /// corrected stub sets for the driver to send. Empty outside
     /// [`IntegrationMode::WeakRefMonitor`] and when nothing was reclaimed.
-    pub fn monitor_step<O: Outbox>(
+    pub fn monitor_step(
         &mut self,
-        cx: &mut Step<'_, O>,
+        cx: &mut Step<'_>,
         num_procs: usize,
     ) -> Vec<(ProcId, NewSetStubs)> {
         if cx.cfg.integration != IntegrationMode::WeakRefMonitor {
@@ -194,68 +241,77 @@ impl Process {
         self.nss_broadcast(num_procs, cx.now)
     }
 
-    /// Put one built set on the wire: the only sender of `NewSetStubs`.
-    fn send_nss<O: Outbox>(
-        &mut self,
-        cx: &mut Step<'_, O>,
-        dest: ProcId,
-        nss: NewSetStubs,
-        retry: bool,
-    ) {
-        cx.count(&mut self.metrics, |m| {
-            m.nss_sent += 1;
-            m.nss_retries += u64::from(retry);
-        });
-        self.obs.record(
-            cx.now,
-            Event::NssSent {
-                to: dest,
-                seq: nss.seq,
-                live_refs: nss.live_refs.len() as u32,
-                retry,
-            },
-        );
-        cx.out.send_nss(self, dest, nss);
-    }
-
     /// Send those of the sets one collection just built that the sender's
     /// rule ([`acdgc_remoting::RemotingTables::offer_nss`]) picks, and
     /// discharge every acknowledgement owed to a peer: it rides the set
-    /// going to that peer, or travels bare when no set goes. Returns
+    /// going to that peer, or travels bare when no set goes. The only
+    /// sender of `NewSetStubs` and of bare acknowledgements. Returns
     /// whether a transmitted set still awaits its acknowledgement.
-    pub fn publish_nss<O: Outbox>(
-        &mut self,
-        cx: &mut Step<'_, O>,
-        sets: Vec<(ProcId, NewSetStubs)>,
-    ) -> bool {
+    pub fn publish_nss(&mut self, cx: &mut Step<'_>, sets: Vec<(ProcId, NewSetStubs)>) -> bool {
         for (dest, nss) in sets {
             let owed = self.tables.take_nss_ack(dest);
-            match self
+            let offer = self
                 .tables
-                .offer_nss(dest, nss.seq, nss.lgc_at, cx.cfg.lgc_period)
-            {
-                Some(retry) => self.send_nss(cx, dest, nss, retry),
-                None => {
-                    if let Some(seq) = owed {
-                        self.send_nss_ack(cx, dest, seq);
-                    }
-                }
+                .offer_nss(dest, nss.seq, nss.lgc_at, cx.cfg.lgc_period);
+            if let Some(retry) = offer {
+                cx.count(&mut self.metrics, |m| {
+                    m.nss_sent += 1;
+                    m.nss_retries += u64::from(retry);
+                });
+                let (seq, live_refs) = (nss.seq, nss.live_refs.len() as u32);
+                let sent = Event::NssSent {
+                    to: dest,
+                    seq,
+                    live_refs,
+                    retry,
+                };
+                self.obs.record(cx.now, sent);
+                cx.send(self, dest, GcMsg::Nss(nss));
+            } else if let Some(seq) = owed {
+                cx.count(&mut self.metrics, |m| m.nss_acks_sent += 1);
+                self.obs.record(cx.now, Event::NssAcked { to: dest, seq });
+                cx.send(self, dest, GcMsg::NssAck { seq });
             }
         }
         self.tables.nss_unconfirmed()
     }
 
-    /// Put one bare acknowledgement on the wire.
-    fn send_nss_ack<O: Outbox>(&mut self, cx: &mut Step<'_, O>, dest: ProcId, seq: u64) {
-        cx.count(&mut self.metrics, |m| m.nss_acks_sent += 1);
-        self.obs.record(cx.now, Event::NssAcked { to: dest, seq });
-        cx.out.send_nss_ack(self, dest, seq);
+    /// React to one arriving collector message: the only arrival
+    /// dispatcher. `from` and `sent_lc` are the sender and the Lamport
+    /// clock its envelope carried (for a CDM, the stamp of the `CdmSent`
+    /// it is a copy of; trace-only). Returns the scions a cycle verdict
+    /// deleted here.
+    pub fn on_message(
+        &mut self,
+        cx: &mut Step<'_>,
+        from: ProcId,
+        sent_lc: u64,
+        msg: GcMsg,
+    ) -> DeletedScions {
+        match msg {
+            GcMsg::Nss(nss) => self.on_nss(cx, &nss),
+            // A bare acknowledgement: `from` applied this process's sets
+            // up to `seq`.
+            GcMsg::NssAck { seq } => self.tables.confirm_nss(from, seq),
+            GcMsg::Cdm { via, cdm } => return self.on_cdm(cx, via, cdm, from, sent_lc),
+            GcMsg::DeleteScion {
+                scion,
+                incarnation,
+                ic,
+            } => {
+                return self
+                    .on_delete_scion(cx, scion, incarnation, ic)
+                    .into_iter()
+                    .collect();
+            }
+        }
+        Vec::new()
     }
 
     /// Apply a `NewSetStubs` from a peer (reference-listing acyclic DGC),
     /// and the acknowledgement it carries. A fresh set leaves an
     /// acknowledgement owed to its sender until the next `publish_nss`.
-    pub fn on_nss<O: Outbox>(&mut self, cx: &mut Step<'_, O>, nss: &NewSetStubs) {
+    fn on_nss(&mut self, cx: &mut Step<'_>, nss: &NewSetStubs) {
         self.tables.confirm_nss(nss.from, nss.ack);
         let applied = apply_new_set_stubs(&mut self.tables, nss);
         // Recorded for stale rejections too: the case post-mortems need.
@@ -279,18 +335,12 @@ impl Process {
         }
     }
 
-    /// A bare acknowledgement from `from`: it applied this process's sets
-    /// up to `seq`.
-    pub fn on_nss_ack(&mut self, from: ProcId, seq: u64) {
-        self.tables.confirm_nss(from, seq);
-    }
-
     /// Start one detection from candidate `scion`. `next_id` is called
     /// only if the scion is in the published summary (an unknown scion
     /// consumes no detection id).
-    pub fn initiate<O: Outbox>(
+    pub fn initiate(
         &mut self,
-        cx: &mut Step<'_, O>,
+        cx: &mut Step<'_>,
         scion: RefId,
         next_id: impl FnOnce() -> DetectionId,
     ) -> DeletedScions {
@@ -312,12 +362,10 @@ impl Process {
     }
 
     /// Deliver one CDM that arrived through reference `via`: expand it
-    /// against the published summary and act on the outcome. `from` and
-    /// `sent_lc` are the sender and the Lamport clock its envelope carried
-    /// — the stamp of the `CdmSent` this is a copy of; trace-only.
-    pub fn on_cdm<O: Outbox>(
+    /// against the published summary and act on the outcome.
+    fn on_cdm(
         &mut self,
-        cx: &mut Step<'_, O>,
+        cx: &mut Step<'_>,
         via: RefId,
         cdm: Cdm,
         from: ProcId,
@@ -356,15 +404,15 @@ impl Process {
     /// since the verdict witnessed it, so the mutator used the reference
     /// after the walk and the verdict is stale; part of the barrier, so
     /// the A1 ablation disables it too and stays demonstrably unsafe).
-    /// Returns the process that held the reference if the scion was
-    /// deleted.
-    pub fn on_delete_scion<O: Outbox>(
+    /// Returns the scion and the process that held the reference if the
+    /// scion was deleted.
+    fn on_delete_scion(
         &mut self,
-        cx: &mut Step<'_, O>,
+        cx: &mut Step<'_>,
         scion: RefId,
         incarnation: u32,
         ic: u64,
-    ) -> Option<ProcId> {
+    ) -> Option<(RefId, ProcId)> {
         let barrier = cx.cfg.ic_barrier;
         self.tables.scion(scion).filter(|s| {
             s.pinned == 0 && s.incarnation == incarnation && (!barrier || s.ic == ic)
@@ -374,7 +422,7 @@ impl Process {
             .record(cx.now, Event::ScionDeleted { scion, incarnation });
         cx.count(&mut self.metrics, |m| m.scions_deleted_by_dcda += 1);
         self.summary.scions.remove(&scion);
-        Some(removed.from_proc)
+        Some((scion, removed.from_proc))
     }
 
     /// Act on one processing step's [`Outcome`]: counters, trace events,
@@ -382,9 +430,9 @@ impl Process {
     /// 0 for initiations); `initiator` and `credit` are what the expanded
     /// CDM carried. Every terminal outcome settles exactly that credit
     /// once; forwarded branches carry it onward.
-    pub fn apply_outcome<O: Outbox>(
+    pub fn apply_outcome(
         &mut self,
-        cx: &mut Step<'_, O>,
+        cx: &mut Step<'_>,
         id: DetectionId,
         hop: u32,
         initiator: ProcId,
@@ -421,7 +469,7 @@ impl Process {
                         credit: 0,
                         ..settle(false)
                     };
-                    cx.out.settle_credit(self, starved);
+                    cx.out.push(Effect::Settle(starved));
                 }
                 self.obs.record(
                     now,
@@ -453,7 +501,8 @@ impl Process {
                             bytes: size as u32,
                         },
                     );
-                    cx.out.send_cdm(self, ob.dest, ob.via, ob.cdm);
+                    let (via, cdm) = (ob.via, ob.cdm);
+                    cx.send(self, ob.dest, GcMsg::Cdm { via, cdm });
                 }
             }
             Outcome::CycleFound { delete } => {
@@ -461,7 +510,7 @@ impl Process {
                 // opposite of a liveness proof: unclean, so a concurrent
                 // sibling branch can never launder it into a "proven
                 // live" suppression.
-                cx.out.settle_credit(self, settle(false));
+                cx.out.push(Effect::Settle(settle(false)));
                 cx.count(&mut self.metrics, |m| m.cycles_detected += 1);
                 self.obs.record(
                     now,
@@ -474,15 +523,19 @@ impl Process {
                 let me = self.proc();
                 for (owner, scion, incarnation, ic) in delete {
                     if owner != me {
-                        cx.out
-                            .send_delete_scion(self, owner, scion, incarnation, ic);
-                    } else if let Some(holder) = self.on_delete_scion(cx, scion, incarnation, ic) {
-                        deleted.push((scion, holder));
+                        let msg = GcMsg::DeleteScion {
+                            scion,
+                            incarnation,
+                            ic,
+                        };
+                        cx.send(self, owner, msg);
+                    } else {
+                        deleted.extend(self.on_delete_scion(cx, scion, incarnation, ic));
                     }
                 }
             }
             Outcome::DroppedNoScion => {
-                cx.out.settle_credit(self, settle(false));
+                cx.out.push(Effect::Settle(settle(false)));
                 cx.count(&mut self.metrics, |m| m.detections_dropped_no_scion += 1);
                 self.obs.record(
                     now,
@@ -498,7 +551,7 @@ impl Process {
                 source_ic,
                 target_ic,
             } => {
-                cx.out.settle_credit(self, settle(false));
+                cx.out.push(Effect::Settle(settle(false)));
                 cx.count(&mut self.metrics, |m| m.detections_aborted_ic += 1);
                 self.obs.record(
                     now,
@@ -512,7 +565,7 @@ impl Process {
                 );
             }
             Outcome::DroppedHopCap => {
-                cx.out.settle_credit(self, settle(false));
+                cx.out.push(Effect::Settle(settle(false)));
                 cx.count(&mut self.metrics, |m| m.detections_dropped_hops += 1);
                 self.obs.record(
                     now,
@@ -524,7 +577,7 @@ impl Process {
                 );
             }
             Outcome::Terminated(reason) => {
-                cx.out.settle_credit(self, settle(reason.is_conclusive()));
+                cx.out.push(Effect::Settle(settle(reason.is_conclusive())));
                 let (field, obs_reason): (fn(&mut Metrics) -> &mut u64, _) = match reason {
                     TerminateReason::NoStubs => (
                         |m| &mut m.detections_terminated_no_stubs,

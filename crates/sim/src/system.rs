@@ -4,15 +4,14 @@ use crate::messages::{InvokeSpec, SysMessage};
 use crate::metrics::Metrics;
 use crate::oracle;
 use crate::process::Process;
-use crate::step::{Credit, LgcWork, Outbox, Step};
-use acdgc_dcda::Cdm;
+use crate::step::{Effect, LgcWork, Step};
 use acdgc_heap::HeapRef;
 use acdgc_model::{
     GcConfig, IdAllocator, ModelError, NetConfig, ObjId, ProcId, RefId, SimDuration, SimTime,
 };
 use acdgc_net::{Envelope, MessageClass, NetStats, Network};
 use acdgc_obs::{Sample, Sampler, Trace};
-use acdgc_remoting::{ExportedRef, InvokePayload, NewSetStubs, ReplyPayload};
+use acdgc_remoting::{ExportedRef, InvokePayload, ReplyPayload};
 use rayon::prelude::*;
 use rustc_hash::FxHashSet;
 
@@ -35,6 +34,8 @@ pub struct System {
     /// Completed [`System::gc_round`] calls — the sequential sampling
     /// clock.
     rounds: u64,
+    /// The effect buffer every step appends to, drained after each step.
+    out: Vec<Effect>,
 }
 
 impl System {
@@ -64,6 +65,7 @@ impl System {
             metrics: Metrics::default(),
             sampler,
             rounds: 0,
+            out: Vec::new(),
         }
     }
 
@@ -433,24 +435,35 @@ impl System {
     // --- GC phases --------------------------------------------------------------
 
     /// Run `f` as one protocol step at `p`: the process, plus a [`Step`]
-    /// whose ledger mirrors every count into the merged `self.metrics` and
-    /// whose outbox sends through the seeded network.
-    fn step_at<R>(
-        &mut self,
-        p: ProcId,
-        f: impl FnOnce(&mut Process, &mut Step<'_, SimOutbox<'_>>) -> R,
-    ) -> R {
-        let mut out = SimOutbox {
-            net: &mut self.net,
-            now: self.clock,
-        };
+    /// whose ledger mirrors every count into the merged `self.metrics`;
+    /// then send what the step returned.
+    fn step_at<R>(&mut self, p: ProcId, f: impl FnOnce(&mut Process, &mut Step<'_>) -> R) -> R {
         let mut cx = Step {
             cfg: &self.cfg,
             now: self.clock,
             merged: Some(&mut self.metrics),
-            out: &mut out,
+            out: &mut self.out,
         };
-        f(&mut self.procs[p.index()], &mut cx)
+        let r = f(&mut self.procs[p.index()], &mut cx);
+        self.flush(p);
+        r
+    }
+
+    /// Send what the step at `p` returned through the seeded network, in
+    /// its order: the network draws loss, duplication and latency per
+    /// send. Credit feeds termination detection, which only a runtime
+    /// racing a live mutator needs; the sequential walk discards
+    /// settlements. Kept out of the generic `step_at`, so that its
+    /// instances share one copy of the loop.
+    fn flush(&mut self, p: ProcId) {
+        for effect in self.out.drain(..) {
+            if let Effect::Send { dest, lamport, msg } = effect {
+                let msg = SysMessage::Gc(msg);
+                let (class, size) = (MessageClass::Gc, msg.size_bytes());
+                self.net
+                    .send_clocked(self.clock, p, dest, class, size, lamport, msg);
+            }
+        }
     }
 
     /// Run one local collection at `p` and publish its `NewSetStubs`.
@@ -558,18 +571,12 @@ impl System {
     /// Start one detection from `scion` at `p` (used by scans and directly
     /// by tests that pick their own candidates).
     pub fn initiate_detection(&mut self, p: ProcId, scion: RefId) {
-        let mut out = SimOutbox {
-            net: &mut self.net,
-            now: self.clock,
-        };
-        let mut cx = Step {
-            cfg: &self.cfg,
-            now: self.clock,
-            merged: Some(&mut self.metrics),
-            out: &mut out,
-        };
-        let ids = &mut self.ids;
-        let deleted = self.procs[p.index()].initiate(&mut cx, scion, || ids.next_detection_id());
+        // The id source is lent to the step; nothing else reads it meanwhile.
+        let mut ids = std::mem::take(&mut self.ids);
+        let deleted = self.step_at(p, |proc, cx| {
+            proc.initiate(cx, scion, || ids.next_detection_id())
+        });
+        self.ids = ids;
         self.audit_scion_deletes(p, deleted);
     }
 
@@ -588,23 +595,10 @@ impl System {
                 receiver,
             } => self.dispatch_invoke(env.src, dst, payload, reply_exports, receiver),
             SysMessage::Reply { payload, receiver } => self.dispatch_reply(dst, payload, receiver),
-            SysMessage::Nss(nss) => self.step_at(dst, |proc, cx| proc.on_nss(cx, &nss)),
-            SysMessage::NssAck { seq } => self.procs[dst.index()].on_nss_ack(env.src, seq),
-            SysMessage::Cdm { via, cdm } => {
-                let (from, sent_lc) = (env.src, env.lamport);
-                let deleted =
-                    self.step_at(dst, |proc, cx| proc.on_cdm(cx, via, cdm, from, sent_lc));
+            SysMessage::Gc(msg) => {
+                let (src, lamport) = (env.src, env.lamport);
+                let deleted = self.step_at(dst, |proc, cx| proc.on_message(cx, src, lamport, msg));
                 self.audit_scion_deletes(dst, deleted);
-            }
-            SysMessage::DeleteScion {
-                scion,
-                incarnation,
-                ic,
-            } => {
-                let holder = self.step_at(dst, |proc, cx| {
-                    proc.on_delete_scion(cx, scion, incarnation, ic)
-                });
-                self.audit_scion_deletes(dst, holder.map(|h| (scion, h)));
             }
         }
     }
@@ -903,62 +897,6 @@ impl System {
             "drain the network before extracting processes"
         );
         self.procs
-    }
-}
-
-/// The simulator's outbox: every message goes through the seeded network,
-/// which draws loss, duplication and latency per send in call order.
-struct SimOutbox<'a> {
-    net: &'a mut Network<SysMessage>,
-    now: SimTime,
-}
-
-impl SimOutbox<'_> {
-    fn send_gc(&mut self, from: &Process, dest: ProcId, msg: SysMessage) {
-        let (size, lamport) = (msg.size_bytes(), from.obs.clock_value());
-        self.net.send_clocked(
-            self.now,
-            from.proc(),
-            dest,
-            MessageClass::Gc,
-            size,
-            lamport,
-            msg,
-        );
-    }
-}
-
-impl Outbox for SimOutbox<'_> {
-    fn send_cdm(&mut self, from: &mut Process, dest: ProcId, via: RefId, cdm: Cdm) {
-        self.send_gc(from, dest, SysMessage::Cdm { via, cdm });
-    }
-
-    fn send_delete_scion(
-        &mut self,
-        from: &mut Process,
-        owner: ProcId,
-        scion: RefId,
-        incarnation: u32,
-        ic: u64,
-    ) {
-        let msg = SysMessage::DeleteScion {
-            scion,
-            incarnation,
-            ic,
-        };
-        self.send_gc(from, owner, msg);
-    }
-
-    /// Credit feeds termination detection, which only a runtime racing a
-    /// live mutator needs; the sequential walk sends no echoes.
-    fn settle_credit(&mut self, _from: &mut Process, _credit: Credit) {}
-
-    fn send_nss(&mut self, from: &mut Process, dest: ProcId, nss: NewSetStubs) {
-        self.send_gc(from, dest, SysMessage::Nss(nss));
-    }
-
-    fn send_nss_ack(&mut self, from: &mut Process, dest: ProcId, seq: u64) {
-        self.send_gc(from, dest, SysMessage::NssAck { seq });
     }
 }
 

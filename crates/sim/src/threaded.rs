@@ -42,8 +42,8 @@
 //! Every message class recovers (DESIGN.md "Drop recovery"): CDMs by the
 //! initiator's candidate backoff, `DeleteScion`s by the acyclic layer, and
 //! `NewSetStubs` by the step's ack/retry rule ([`Process::publish_nss`]),
-//! which `System` runs too — this driver only carries the sets and the
-//! bare acknowledgements the step sends.
+//! which `System` runs too. Like `System`, this driver reacts only
+//! through [`Process::on_message`] and sends only what a step returned.
 //!
 //! # Concurrent mutation
 //!
@@ -79,8 +79,7 @@
 use crate::metrics::Metrics;
 use crate::oracle::MutOp;
 use crate::process::Process;
-use crate::step::{Credit, Outbox, Step};
-use acdgc_dcda::Cdm;
+use crate::step::{Credit, Effect, GcMsg, Step};
 use acdgc_heap::HeapRef;
 use acdgc_model::rng::component_rng;
 use acdgc_model::{
@@ -90,7 +89,7 @@ use acdgc_obs::health::{
     HealthReason, HealthReport, Heartbeat, Heartbeats, WorkerHealth, WorkerStage,
 };
 use acdgc_obs::{Event, MutatorOpKind, Sample, Sampler};
-use acdgc_remoting::{NewSetStubs, OpenedPair};
+use acdgc_remoting::OpenedPair;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -105,18 +104,8 @@ use std::time::{Duration, Instant};
 /// Messages exchanged by the threaded runtime.
 #[derive(Clone)]
 enum ThreadMsg {
-    Nss(NewSetStubs),
-    /// Confirms the receiver's `NewSetStubs` up to this sequence number
-    /// when no set goes back to carry it (the ack itself may be lost; the
-    /// NSS is then resent).
-    NssAck(u64),
-    Cdm {
-        via: RefId,
-        cdm: Cdm,
-    },
-    /// Cycle-verdict deletion: (scion, witnessed incarnation, witnessed
-    /// invocation counter) — both re-checked at the owner before removal.
-    DeleteScion(RefId, u32, u64),
+    /// Collector traffic a step sent.
+    Gc(GcMsg),
     /// Weight-throwing echo: a terminal CDM outcome at a remote process
     /// returns the credit the dying derivation carried to the detection's
     /// initiator. `clean` is true only for outcomes that *prove* the
@@ -127,11 +116,31 @@ enum ThreadMsg {
     /// mutation epoch — without this, a live-but-not-locally-rooted
     /// structure is re-initiated after every backoff forever and the run
     /// can never vote itself quiescent.
-    DetectionCredit {
-        id: DetectionId,
-        credit: u64,
-        clean: bool,
-    },
+    Credit(Credit),
+}
+
+impl ThreadMsg {
+    /// The ledger counter one lost copy of this message bumps. A lost echo
+    /// is charged to the CDM drop counter: it is part of the detection
+    /// walk, and degrades exactly like a lost CDM (the initiator never
+    /// recovers full credit and the candidate retries later).
+    fn drop_counter<'m>(&self, m: &'m mut Metrics) -> &'m mut u64 {
+        match self {
+            ThreadMsg::Gc(GcMsg::Nss(_)) => &mut m.nss_dropped,
+            ThreadMsg::Gc(GcMsg::NssAck { .. }) => &mut m.acks_dropped,
+            ThreadMsg::Gc(GcMsg::Cdm { .. }) | ThreadMsg::Credit(_) => &mut m.cdms_dropped,
+            ThreadMsg::Gc(GcMsg::DeleteScion { .. }) => &mut m.deletes_dropped,
+        }
+    }
+
+    /// Whether the receiver dedups this message's copies (see
+    /// [`ThreadEnvelope::tag`]): CDMs and echoes carry credit.
+    fn tagged(&self) -> bool {
+        matches!(
+            self,
+            ThreadMsg::Gc(GcMsg::Cdm { .. }) | ThreadMsg::Credit(_)
+        )
+    }
 }
 
 /// What actually travels on a channel: the message plus the sender and
@@ -442,6 +451,7 @@ pub fn run_concurrent_collection_observed(
             outstanding: FxHashMap::default(),
             seen_tags: FxHashSet::default(),
             seen_order: VecDeque::new(),
+            out: Vec::new(),
         };
         handles.push(thread::spawn(move || {
             worker(ctx, cell, rx, start, deadline)
@@ -762,10 +772,12 @@ struct WorkerCtx {
     /// originals — the channel is bounded — so a small window suffices).
     seen_tags: FxHashSet<u64>,
     seen_order: VecDeque<u64>,
+    /// The effect buffer every step appends to, drained after each step.
+    out: Vec<Effect>,
 }
 
 /// Weight-throwing ledger entry for one initiated detection (see
-/// [`ThreadMsg::DetectionCredit`]).
+/// [`ThreadMsg::Credit`]).
 struct Outstanding {
     /// The candidate scion the detection walked from.
     scion: RefId,
@@ -799,32 +811,6 @@ enum DrainMode {
     /// but discard CDMs (no peers remain to continue a walk) and send
     /// nothing.
     Final,
-}
-
-/// Which per-kind drop counter a loss is charged to.
-#[derive(Clone, Copy)]
-enum MsgKind {
-    Nss,
-    Ack,
-    Cdm,
-    Delete,
-    /// Credit echo ([`ThreadMsg::DetectionCredit`]). Losses are charged
-    /// to the CDM drop counter: an echo is part of the detection walk,
-    /// and a lost echo degrades exactly like a lost CDM (the initiator
-    /// never recovers full credit and the candidate retries later).
-    Credit,
-}
-
-impl MsgKind {
-    /// The ledger counter one lost message of this kind bumps.
-    fn drop_counter(self, m: &mut Metrics) -> &mut u64 {
-        match self {
-            MsgKind::Nss => &mut m.nss_dropped,
-            MsgKind::Ack => &mut m.acks_dropped,
-            MsgKind::Cdm | MsgKind::Credit => &mut m.cdms_dropped,
-            MsgKind::Delete => &mut m.deletes_dropped,
-        }
-    }
 }
 
 impl WorkerCtx {
@@ -868,15 +854,16 @@ impl WorkerCtx {
     /// Send through the seeded fault injector; a full (or disconnected)
     /// inbox also drops. Every accepted copy is counted into the
     /// quiescence enqueue ledger. `from` is this worker's (locked)
-    /// process, whose clock every copy piggybacks and whose ledger counts
-    /// the losses.
-    fn send(&mut self, from: &mut Process, dest: ProcId, msg: ThreadMsg, kind: MsgKind) {
+    /// process, whose ledger counts the losses; every copy carries
+    /// `lamport`, the sender's clock as of the send, so the receiver's
+    /// witness establishes receive > send.
+    fn send(&mut self, from: &mut Process, dest: ProcId, lamport: u64, msg: ThreadMsg) {
         if self
             .rng
             .gen_bool(self.net.gc_drop_probability.clamp(0.0, 1.0))
         {
             from.metrics.faults_injected += 1;
-            *kind.drop_counter(&mut from.metrics) += 1;
+            *msg.drop_counter(&mut from.metrics) += 1;
             return;
         }
         let copies = if self
@@ -888,17 +875,13 @@ impl WorkerCtx {
         } else {
             1
         };
-        // Piggyback the sender's current clock; every record that
-        // causally precedes this send has already ticked it, so the
-        // receiver's witness establishes receive > send. For a CDM it is
-        // the stamp of the `CdmSent` just recorded: the copy's identity.
-        let lamport = from.obs.clock_value();
         // One tag per *logical* send, allocated before the copies loop so
         // an injected duplicate shares it and the receiver keeps exactly
         // one — credit must not be forgeable by the fault injector.
-        let tag = match kind {
-            MsgKind::Cdm | MsgKind::Credit => self.msg_tags.fetch_add(1, Ordering::Relaxed),
-            _ => 0,
+        let tag = if msg.tagged() {
+            self.msg_tags.fetch_add(1, Ordering::Relaxed)
+        } else {
+            0
         };
         for _ in 0..copies {
             let env = ThreadEnvelope {
@@ -911,7 +894,7 @@ impl WorkerCtx {
                 self.quiescence.enqueued.fetch_add(1, Ordering::SeqCst);
                 self.hb.slot(dest.index()).note_enqueue();
             } else {
-                *kind.drop_counter(&mut from.metrics) += 1;
+                *msg.drop_counter(&mut from.metrics) += 1;
             }
         }
     }
@@ -957,47 +940,66 @@ impl WorkerCtx {
                 continue;
             }
             match env.msg {
-                ThreadMsg::Nss(nss) => self.step(p, self.now(), |p, cx| p.on_nss(cx, &nss)),
-                ThreadMsg::NssAck(seq) => p.on_nss_ack(env.from, seq),
                 // After the stop flag no peers remain to continue a walk
                 // or settle its credit; the loss is counted like any other
                 // dropped CDM so the ledgers cannot silently diverge.
-                ThreadMsg::Cdm { .. } | ThreadMsg::DetectionCredit { .. }
+                ThreadMsg::Gc(GcMsg::Cdm { .. }) | ThreadMsg::Credit(_)
                     if mode == DrainMode::Final =>
                 {
                     p.metrics.cdms_dropped += 1;
                 }
-                ThreadMsg::Cdm { via, cdm } => {
-                    let (from, sent_lc) = (env.from, env.lamport);
-                    self.step(p, self.now(), |p, cx| p.on_cdm(cx, via, cdm, from, sent_lc));
+                ThreadMsg::Gc(msg) => {
+                    let at = self.now();
+                    self.step(p, at, |p, cx| p.on_message(cx, env.from, env.lamport, msg));
                 }
-                ThreadMsg::DetectionCredit { id, credit, clean } => {
-                    self.apply_credit(p, id, credit, clean);
-                }
-                ThreadMsg::DeleteScion(r, inc, ic) => {
-                    self.step(p, self.now(), |p, cx| p.on_delete_scion(cx, r, inc, ic));
-                }
+                ThreadMsg::Credit(c) => self.apply_credit(p, c),
             }
         }
         drained
     }
 
     /// Run one protocol step at `now` on this worker's (locked) process,
-    /// with this worker as the outbox.
+    /// then carry out what it returned.
     fn step<R>(
         &mut self,
         p: &mut Process,
         now: SimTime,
-        f: impl FnOnce(&mut Process, &mut Step<'_, WorkerCtx>) -> R,
+        f: impl FnOnce(&mut Process, &mut Step<'_>) -> R,
     ) -> R {
-        let cfg = Arc::clone(&self.cfg);
+        let mut out = std::mem::take(&mut self.out);
         let mut cx = Step {
-            cfg: &cfg,
+            cfg: &self.cfg,
             now,
             merged: None,
-            out: self,
+            out: &mut out,
         };
-        f(p, &mut cx)
+        let r = f(p, &mut cx);
+        self.flush(p, &mut out);
+        self.out = out;
+        r
+    }
+
+    /// Carry out a step's effects in order: sends go through
+    /// [`WorkerCtx::send`]; a settlement goes to the initiator's
+    /// [`Outstanding`] ledger — directly when the initiator is this worker
+    /// (the common case for outcomes produced at initiation time), echoed
+    /// over the same lossy channel otherwise (a lost echo just means the
+    /// initiator never recovers full credit and the candidate retries
+    /// after its backoff).
+    fn flush(&mut self, p: &mut Process, out: &mut Vec<Effect>) {
+        for effect in out.drain(..) {
+            match effect {
+                Effect::Send { dest, lamport, msg } => {
+                    self.send(p, dest, lamport, ThreadMsg::Gc(msg))
+                }
+                Effect::Settle(c) if c.initiator == self.me => self.apply_credit(p, c),
+                Effect::Settle(c) => {
+                    p.metrics.liveness_echoes += 1;
+                    let lamport = p.obs.clock_value();
+                    self.send(p, c.initiator, lamport, ThreadMsg::Credit(c));
+                }
+            }
+        }
     }
 
     /// Initiator side of the weight-throwing scheme: fold an echo into
@@ -1005,17 +1007,17 @@ impl WorkerCtx {
     /// every echo clean *and* no mutation raced the walk, record a lazy
     /// liveness verdict so the candidate scan stops re-picking the scion
     /// until the next mutation epoch.
-    fn apply_credit(&mut self, p: &mut Process, id: DetectionId, credit: u64, clean: bool) {
-        let Some(o) = self.outstanding.get_mut(&id) else {
+    fn apply_credit(&mut self, p: &mut Process, c: Credit) {
+        let Some(o) = self.outstanding.get_mut(&c.id) else {
             // Evicted (ledger cap) or a stale echo for a detection whose
             // verdict already settled; either way there is nothing to
             // account against.
             return;
         };
-        o.credit = o.credit.saturating_sub(credit);
-        o.clean &= clean;
+        o.credit = o.credit.saturating_sub(c.credit);
+        o.clean &= c.clean;
         if o.credit == 0 {
-            let done = self.outstanding.remove(&id).expect("present above");
+            let done = self.outstanding.remove(&c.id).expect("present above");
             let epoch_now = self.quiescence.mutation_events.load(Ordering::SeqCst);
             if done.clean && epoch_now == done.epoch {
                 p.candidates.record_live_verdict(done.scion, done.epoch);
@@ -1094,53 +1096,6 @@ impl WorkerCtx {
                 clean: true,
             },
         );
-    }
-}
-
-/// The threaded outbox: traffic goes through [`WorkerCtx::send`] (seeded
-/// fault injector, bounded inboxes, dedup tags), credit to the initiator's
-/// [`Outstanding`] ledger — applied directly when the initiator is this
-/// worker (the common case for outcomes produced at initiation time),
-/// echoed over the wire otherwise. The echo rides the same lossy channel
-/// as every other GC message — a lost echo just means the initiator never
-/// recovers full credit and the candidate retries after its backoff.
-impl Outbox for WorkerCtx {
-    fn send_cdm(&mut self, from: &mut Process, dest: ProcId, via: RefId, cdm: Cdm) {
-        self.send(from, dest, ThreadMsg::Cdm { via, cdm }, MsgKind::Cdm);
-    }
-
-    fn send_delete_scion(
-        &mut self,
-        from: &mut Process,
-        owner: ProcId,
-        scion: RefId,
-        incarnation: u32,
-        ic: u64,
-    ) {
-        let msg = ThreadMsg::DeleteScion(scion, incarnation, ic);
-        self.send(from, owner, msg, MsgKind::Delete);
-    }
-
-    fn send_nss(&mut self, from: &mut Process, dest: ProcId, nss: NewSetStubs) {
-        self.send(from, dest, ThreadMsg::Nss(nss), MsgKind::Nss);
-    }
-
-    fn send_nss_ack(&mut self, from: &mut Process, dest: ProcId, seq: u64) {
-        self.send(from, dest, ThreadMsg::NssAck(seq), MsgKind::Ack);
-    }
-
-    fn settle_credit(&mut self, from: &mut Process, c: Credit) {
-        if c.initiator == self.me {
-            self.apply_credit(from, c.id, c.credit, c.clean);
-        } else {
-            from.metrics.liveness_echoes += 1;
-            let msg = ThreadMsg::DetectionCredit {
-                id: c.id,
-                credit: c.credit,
-                clean: c.clean,
-            };
-            self.send(from, c.initiator, msg, MsgKind::Credit);
-        }
     }
 }
 

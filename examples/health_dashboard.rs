@@ -106,8 +106,8 @@ fn main() {
         };
         let samples: Vec<_> = rows.iter().map(|(s, _)| *s).collect();
         println!("[{label}] {} samples:", samples.len());
-        for (name, get) in GAUGE_FIELDS {
-            let values: Vec<u64> = samples.iter().map(get).collect();
+        for (name, field) in GAUGE_FIELDS {
+            let values: Vec<u64> = samples.iter().map(|s| s.get(field)).collect();
             let max = values.iter().copied().max().unwrap_or(0);
             println!("  {:<20} {:<32} max={max}", name, sparkline(&values, 32));
         }

@@ -16,12 +16,15 @@ if grep -nE 'add_stub|add_scion|pardon_stub|sync_(stub|scion)_ic' \
     exit 1
 fi
 
-echo "==> NSS sender gate (drivers publish stub sets only through the step's rule)"
-# Which sets travel, and the acknowledgements riding them, are
-# Process::publish_nss's decision in both runtimes; a driver sending a set
-# itself would bring back a second rule.
-if grep -nF '.send_nss(' crates/sim/src/system.rs crates/sim/src/threaded.rs; then
-    echo "a driver sends NewSetStubs itself instead of calling publish_nss" >&2
+echo "==> step gate (drivers react only through on_message, send only what a step returned)"
+# A protocol step returns its traffic as data and Process::on_message is
+# the one arrival dispatcher; a driver calling a handler, or building a
+# stub set or a bare acknowledgement itself, would bring back a second
+# dispatcher or a second sender. (Wildcard patterns such as
+# `GcMsg::Nss(_)` stay legal: a driver may classify what it carries.)
+if grep -nE '\.on_(nss|nss_ack|cdm|delete_scion)\(|GcMsg::Nss(Ack)? *[({] *[^_. ]' \
+    crates/sim/src/system.rs crates/sim/src/threaded.rs; then
+    echo "a driver dispatches or builds collector traffic outside the step" >&2
     exit 1
 fi
 

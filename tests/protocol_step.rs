@@ -1,50 +1,21 @@
-//! The protocol step against a fake outbox: for every `Outcome` variant,
-//! which counter moves, which event is recorded and which effects reach
-//! the driver — including the credit rules that a runtime can otherwise
-//! only show through its channels.
+//! The protocol step, read from the effects it returns: for every
+//! `Outcome` variant, which counter moves, which event is recorded and
+//! what the driver is handed — including the credit rules that a runtime
+//! can otherwise only show through its channels, and the Lamport stamp
+//! each send carries.
 
 use acdgc::dcda::{Cdm, OutboundCdm, Outcome, TerminateReason, Walk, FULL_CREDIT};
 use acdgc::heap::HeapRef;
 use acdgc::model::{DetectionId, GcConfig, ObjId, ProcId, RefId, SimTime, TraceConfig};
 use acdgc::obs::Event;
 use acdgc::remoting::NewSetStubs;
-use acdgc::sim::{Credit, Metrics, Outbox, Process, Step};
+use acdgc::sim::{Credit, Effect, GcMsg, Metrics, Process, Step};
 
 const ME: ProcId = ProcId(0);
 const PEER: ProcId = ProcId(1);
 const INITIATOR: ProcId = ProcId(2);
 const ID: DetectionId = DetectionId(7);
 const ARRIVING: u64 = FULL_CREDIT / 4;
-
-#[derive(Debug, PartialEq)]
-enum Effect {
-    Cdm { dest: ProcId, via: RefId },
-    Delete { owner: ProcId, scion: RefId },
-    Credit(Credit),
-}
-
-/// The effects in order, and beside them every CDM sent.
-#[derive(Default)]
-struct FakeOutbox(Vec<Effect>, Vec<Cdm>);
-
-impl Outbox for FakeOutbox {
-    fn send_cdm(&mut self, _from: &mut Process, dest: ProcId, via: RefId, cdm: Cdm) {
-        self.0.push(Effect::Cdm { dest, via });
-        self.1.push(cdm);
-    }
-    fn send_delete_scion(&mut self, _: &mut Process, owner: ProcId, scion: RefId, _: u32, _: u64) {
-        self.0.push(Effect::Delete { owner, scion });
-    }
-    fn settle_credit(&mut self, _from: &mut Process, credit: Credit) {
-        self.0.push(Effect::Credit(credit));
-    }
-    fn send_nss(&mut self, _: &mut Process, _: ProcId, _: NewSetStubs) {
-        unreachable!("no test here builds a stub set");
-    }
-    fn send_nss_ack(&mut self, _: &mut Process, _: ProcId, _: u64) {
-        unreachable!("no test here applies a stub set");
-    }
-}
 
 fn traced() -> GcConfig {
     GcConfig {
@@ -62,6 +33,26 @@ fn process_with_scion(cfg: &GcConfig, r: RefId) -> Process {
     p
 }
 
+/// Run `f` as one step at `p` beside a merged ledger; returns its result,
+/// what it moved in the process's ledger, the merged ledger, and the
+/// effects it returned.
+fn step<R>(
+    p: &mut Process,
+    cfg: &GcConfig,
+    f: impl FnOnce(&mut Process, &mut Step<'_>) -> R,
+) -> (R, Metrics, Metrics, Vec<Effect>) {
+    let before = p.metrics;
+    let (mut merged, mut out) = (Metrics::default(), Vec::new());
+    let mut cx = Step {
+        cfg,
+        now: SimTime(5),
+        merged: Some(&mut merged),
+        out: &mut out,
+    };
+    let r = f(p, &mut cx);
+    (r, p.metrics.since(&before), merged, out)
+}
+
 /// Feed one outcome (as if a CDM carrying `ARRIVING` credit from
 /// `INITIATOR` had just been expanded at hop 3) through the step; returns
 /// the own and merged ledgers, the effects, and the last recorded event.
@@ -70,21 +61,22 @@ fn apply(
     cfg: &GcConfig,
     outcome: Outcome,
 ) -> (Metrics, Metrics, Vec<Effect>, Event) {
-    let before = p.metrics;
-    let (mut merged, mut out) = (Metrics::default(), FakeOutbox::default());
-    let mut cx = Step {
-        cfg,
-        now: SimTime(5),
-        merged: Some(&mut merged),
-        out: &mut out,
+    let apply = |p: &mut Process, cx: &mut Step<'_>| {
+        p.apply_outcome(cx, ID, 3, INITIATOR, ARRIVING, outcome)
     };
-    p.apply_outcome(&mut cx, ID, 3, INITIATOR, ARRIVING, outcome);
+    let (_, own, merged, effects) = step(p, cfg, apply);
     let last = p.obs.events().last().expect("an event").event.clone();
-    (p.metrics.since(&before), merged, out.0, last)
+    (own, merged, effects, last)
+}
+
+/// The Lamport stamps of `p`'s recorded events that `pick` selects.
+fn stamps(p: &Process, pick: fn(&Event) -> bool) -> Vec<u64> {
+    let picked = p.obs.events().filter(|r| pick(&r.event));
+    picked.map(|r| r.lamport).collect()
 }
 
 fn settled(clean: bool) -> Effect {
-    Effect::Credit(Credit {
+    Effect::Settle(Credit {
         id: ID,
         initiator: INITIATOR,
         credit: ARRIVING,
@@ -98,6 +90,13 @@ fn branch(dest: ProcId, via: RefId) -> OutboundCdm {
         via,
         cdm: Cdm::initiate(ID, INITIATOR, RefId(1), 0),
     }
+}
+
+/// `branch(dest, via)` as the step returns it, sent at clock `lamport`.
+fn sent_branch(dest: ProcId, via: RefId, lamport: u64) -> Effect {
+    let cdm = branch(dest, via).cdm;
+    let msg = GcMsg::Cdm { via, cdm };
+    Effect::Send { dest, lamport, msg }
 }
 
 #[test]
@@ -204,17 +203,14 @@ fn forwarding_sends_each_branch_in_order_and_settles_nothing() {
         (2, 2, 1)
     );
     assert!(own.max_cdm_bytes > 0);
+    // Each send carries the stamp of its own `CdmSent`, not a later one.
+    let sent = stamps(&p, |e| matches!(e, Event::CdmSent { .. }));
+    assert!(sent[0] < sent[1]);
     assert_eq!(
         effects,
         vec![
-            Effect::Cdm {
-                dest: PEER,
-                via: RefId(4)
-            },
-            Effect::Cdm {
-                dest: INITIATOR,
-                via: RefId(5)
-            },
+            sent_branch(PEER, RefId(4), sent[0]),
+            sent_branch(INITIATOR, RefId(5), sent[1]),
         ],
         "the credit rides the forwarded branches"
     );
@@ -250,22 +246,14 @@ fn starved_branches_add_one_zero_credit_unclean_settlement() {
         branches_starved: 3,
     };
     let (_, _, effects, _) = apply(&mut p, &cfg, outcome);
-    let starved = Effect::Credit(Credit {
+    let starved = Effect::Settle(Credit {
         id: ID,
         initiator: INITIATOR,
         credit: 0,
         clean: false,
     });
-    assert_eq!(
-        effects,
-        vec![
-            starved,
-            Effect::Cdm {
-                dest: PEER,
-                via: RefId(4)
-            }
-        ]
-    );
+    let sent = stamps(&p, |e| matches!(e, Event::CdmSent { .. }));
+    assert_eq!(effects, vec![starved, sent_branch(PEER, RefId(4), sent[0])]);
 }
 
 #[test]
@@ -283,19 +271,18 @@ fn a_split_sends_the_chain_first_and_its_credits_sum_to_the_arriving_one() {
     p.refresh_summary(SimTime(2));
     let mut cdm = Cdm::initiate(ID, INITIATOR, RefId(9), 0);
     (cdm.budget, cdm.credit) = (64, ARRIVING + 1);
-    let mut out = FakeOutbox::default();
-    let mut cx = Step {
-        cfg: &cfg,
-        now: SimTime(5),
-        merged: None,
-        out: &mut out,
-    };
-    p.on_cdm(&mut cx, r, cdm, PEER, 0);
-    let FakeOutbox(effects, sent) = out;
-    assert!(
-        effects.iter().all(|e| matches!(e, Effect::Cdm { .. })),
-        "nothing settles, the credit rides the forwards: {effects:?}"
-    );
+    let msg = GcMsg::Cdm { via: r, cdm };
+    let (_, _, _, effects) = step(&mut p, &cfg, |p, cx| p.on_message(cx, PEER, 0, msg));
+    let sent: Vec<&Cdm> = effects
+        .iter()
+        .map(|e| match e {
+            Effect::Send {
+                msg: GcMsg::Cdm { cdm, .. },
+                ..
+            } => cdm,
+            other => panic!("nothing settles, the credit rides the forwards: {other:?}"),
+        })
+        .collect();
     let walks: Vec<Walk> = sent.iter().map(|c| c.walk).collect();
     assert_eq!(
         walks,
@@ -329,18 +316,24 @@ fn a_cycle_verdict_deletes_own_scions_inline_and_sends_the_rest_in_order() {
         p.summary.scion(own_scion).is_none(),
         "published summary forgets it too"
     );
+    // Each deletion is stamped as of its own send: the one after the
+    // inline deletion carries the `ScionDeleted` record's stamp.
+    let verdict = stamps(&p, |e| matches!(e, Event::CycleDetected { .. }));
+    let inline = stamps(&p, |e| matches!(e, Event::ScionDeleted { .. }));
+    let delete = |dest, scion, lamport| {
+        let msg = GcMsg::DeleteScion {
+            scion,
+            incarnation: 0,
+            ic: 0,
+        };
+        Effect::Send { dest, lamport, msg }
+    };
     assert_eq!(
         effects,
         vec![
             settled(false),
-            Effect::Delete {
-                owner: PEER,
-                scion: RefId(8)
-            },
-            Effect::Delete {
-                owner: INITIATOR,
-                scion: RefId(9)
-            },
+            delete(PEER, RefId(8), verdict[0]),
+            delete(INITIATOR, RefId(9), inline[0]),
         ]
     );
     assert!(matches!(event, Event::ScionDeleted { scion, .. } if scion == own_scion));
@@ -353,21 +346,19 @@ fn delete_scion_is_refused_on_pin_incarnation_or_moved_counter() {
         let mut p = process_with_scion(cfg, r);
         prepare(&mut p, r);
         let inc = p.tables.scion(r).unwrap().incarnation + inc_off;
-        let mut out = FakeOutbox::default();
-        let mut cx = Step {
-            cfg,
-            now: SimTime(5),
-            merged: None,
-            out: &mut out,
+        let msg = GcMsg::DeleteScion {
+            scion: r,
+            incarnation: inc,
+            ic,
         };
-        let holder = p.on_delete_scion(&mut cx, r, inc, ic);
-        assert_eq!(holder.is_some(), p.tables.scion(r).is_none());
-        assert_eq!(
-            p.metrics.scions_deleted_by_dcda,
-            u64::from(holder.is_some())
-        );
-        assert!(out.0.is_empty(), "a deletion sends nothing");
-        holder
+        let (deleted, own, _, effects) = step(&mut p, cfg, |p, cx| p.on_message(cx, PEER, 0, msg));
+        assert_eq!(deleted.is_empty(), p.tables.scion(r).is_some());
+        assert_eq!(own.scions_deleted_by_dcda, deleted.len() as u64);
+        assert!(effects.is_empty(), "a deletion sends nothing");
+        deleted.first().map(|&(scion, holder)| {
+            assert_eq!(scion, r);
+            holder
+        })
     };
     let cfg = GcConfig::manual();
     let nothing: fn(&mut Process, RefId) = |_, _| {};
@@ -408,33 +399,102 @@ fn delete_scion_is_refused_on_pin_incarnation_or_moved_counter() {
 fn initiation_from_an_unknown_scion_consumes_no_detection_id() {
     let cfg = GcConfig::manual();
     let mut p = Process::new(ME, &cfg);
-    let mut out = FakeOutbox::default();
-    let mut cx = Step {
-        cfg: &cfg,
-        now: SimTime(5),
-        merged: None,
-        out: &mut out,
+    let unknown = |p: &mut Process, cx: &mut Step<'_>| {
+        p.initiate(cx, RefId(3), || panic!("no id for an unknown scion"))
     };
-    p.initiate(&mut cx, RefId(3), || panic!("no id for an unknown scion"));
-    assert_eq!(p.metrics.detections_dropped_no_scion, 1);
-    assert_eq!(p.metrics.detections_started, 0);
+    let (_, own, _, effects) = step(&mut p, &cfg, unknown);
+    assert_eq!(own.detections_dropped_no_scion, 1);
+    assert_eq!(own.detections_started, 0);
+    assert!(effects.is_empty());
 
     // A known scion whose target holds no stubs terminates on the spot
     // and settles the full credit cleanly with this process as initiator.
     let mut p = process_with_scion(&cfg, RefId(1));
-    let mut cx = Step {
-        cfg: &cfg,
-        now: SimTime(5),
-        merged: None,
-        out: &mut out,
-    };
-    p.initiate(&mut cx, RefId(1), || ID);
-    assert_eq!(p.metrics.detections_started, 1);
-    let full = Effect::Credit(Credit {
+    let (_, own, _, effects) = step(&mut p, &cfg, |p, cx| p.initiate(cx, RefId(1), || ID));
+    assert_eq!(own.detections_started, 1);
+    let full = Effect::Settle(Credit {
         id: ID,
         initiator: ME,
         credit: FULL_CREDIT,
         clean: true,
     });
-    assert_eq!(out.0, vec![full]);
+    assert_eq!(effects, vec![full]);
+}
+
+#[test]
+fn published_sets_and_acks_are_each_stamped_by_their_own_record() {
+    let cfg = traced();
+    let mut p = Process::new(ME, &cfg);
+    let obj = p.heap.alloc(1);
+    p.heap.add_root(obj).unwrap();
+    p.tables
+        .add_stub(RefId(4), ObjId::new(PEER, 0, 0), SimTime(0));
+    p.heap.add_ref(obj, HeapRef::Remote(RefId(4))).unwrap();
+    let deliver = |p: &mut Process, from, msg| {
+        let (deleted, _, _, effects) = step(p, &cfg, |p, cx| p.on_message(cx, from, 0, msg));
+        assert!(deleted.is_empty() && effects.is_empty(), "{effects:?}");
+    };
+    let set_from_initiator = |seq| {
+        let (from, lgc_at, live_refs) = (INITIATOR, SimTime(seq), vec![]);
+        GcMsg::Nss(NewSetStubs {
+            from,
+            seq,
+            lgc_at,
+            live_refs,
+            ack: 0,
+        })
+    };
+    let collect = |p: &mut Process| {
+        step(p, &cfg, |p, cx| {
+            let work = p.lgc_step(&cfg, 3, cx.now, None);
+            p.publish_nss(cx, work.nss)
+        })
+    };
+
+    // The first collection sends a set to each peer; the acknowledgement
+    // owed to INITIATOR rides its set.
+    deliver(&mut p, INITIATOR, set_from_initiator(3));
+    let (pending, own, _, effects) = collect(&mut p);
+    assert!(pending);
+    assert_eq!((own.nss_sent, own.nss_acks_sent), (2, 0));
+    let sent = stamps(&p, |e| matches!(e, Event::NssSent { .. }));
+    let [Effect::Send {
+        dest: PEER,
+        lamport: l0,
+        msg: GcMsg::Nss(to_peer),
+    }, Effect::Send {
+        dest: INITIATOR,
+        lamport: l1,
+        msg: GcMsg::Nss(to_initiator),
+    }] = &effects[..]
+    else {
+        panic!("one set per peer, in peer order: {effects:?}");
+    };
+    assert_eq!((*l0, *l1), (sent[0], sent[1]));
+    assert_eq!(
+        (&to_peer.live_refs[..], to_initiator.ack),
+        (&[RefId(4)][..], 3)
+    );
+
+    // Both confirmed, then a newer set from INITIATOR: the acknowledgement
+    // it is owed goes bare, since no set goes back to carry it.
+    deliver(&mut p, PEER, GcMsg::NssAck { seq: to_peer.seq });
+    deliver(
+        &mut p,
+        INITIATOR,
+        GcMsg::NssAck {
+            seq: to_initiator.seq,
+        },
+    );
+    deliver(&mut p, INITIATOR, set_from_initiator(4));
+    let (pending, _, _, effects) = collect(&mut p);
+    assert!(!pending);
+    let acked = stamps(&p, |e| matches!(e, Event::NssAcked { .. }));
+    let msg = GcMsg::NssAck { seq: 4 };
+    let bare = Effect::Send {
+        dest: INITIATOR,
+        lamport: acked[0],
+        msg,
+    };
+    assert_eq!(effects, vec![bare]);
 }
