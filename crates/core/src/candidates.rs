@@ -41,6 +41,14 @@ pub struct CandidateState {
     /// Verdicts recorded under a different epoch are dead on arrival and
     /// an epoch change clears the suppression set.
     epoch: u64,
+    /// Scratch of [`scan_candidates`], kept so a scan allocates nothing
+    /// but its result: the eligible scions `(last invoked, scion,
+    /// attempts)`, the position of each one's group representative, the
+    /// cap's `(attempts, salted hash, position)` keys, and the cut mask.
+    eligible: Vec<(SimTime, RefId, u32)>,
+    grouped: Vec<usize>,
+    by_key: Vec<(u32, u64, usize)>,
+    cut: Vec<bool>,
 }
 
 impl CandidateState {
@@ -166,8 +174,8 @@ pub fn scan_candidates(
     let mut deferred = 0usize;
     let mut pinned = 0usize;
     let mut suppressed = 0usize;
-    // (last invoked, scion, attempts so far) of every eligible scion.
-    let mut eligible: Vec<(SimTime, RefId, u32)> = Vec::new();
+    let eligible = &mut state.eligible;
+    eligible.clear();
     for scion in summary.scions.values() {
         if scion.target_locally_reachable {
             continue;
@@ -208,16 +216,16 @@ pub fn scan_candidates(
     // summaries without one (rings, chains) skip the bookkeeping.
     let grouping =
         eligible.len() > 1 && summary.stubs.values().any(|stub| stub.scions_to.len() > 1);
-    let grouped: Vec<usize> = if grouping {
+    let grouped = &mut state.grouped;
+    grouped.clear();
+    if grouping {
         let mut first_of: FxHashMap<&[RefId], usize> = FxHashMap::default();
         let group = |(i, &(_, r, _))| {
             let stubs_from = summary.scions[&r].stubs_from.as_slice();
             *first_of.entry(stubs_from).or_insert(i)
         };
-        eligible.iter().enumerate().map(group).collect()
-    } else {
-        Vec::new()
-    };
+        grouped.extend(eligible.iter().enumerate().map(group));
+    }
     // Position in `eligible` of the scion that stands for the `i`th
     // (itself when nothing is grouped).
     let rep_of = |i: usize| grouped.get(i).copied().unwrap_or(i);
@@ -230,15 +238,16 @@ pub fn scan_candidates(
     let cap = cfg.max_candidates_per_scan;
     let candidates = reps.clone().count();
     // By position in `eligible`; stays empty when the cap cuts nothing.
-    let mut cut: Vec<bool> = Vec::new();
+    let cut = &mut state.cut;
+    cut.clear();
     if candidates > cap {
         let salt = splitmix64(u64::from(summary.proc.0));
-        let mut by_key: Vec<(u32, u64, usize)> = reps
-            .map(|i| {
-                let (_, r, tried) = eligible[i];
-                (tried, splitmix64(r.0 ^ salt), i)
-            })
-            .collect();
+        let by_key = &mut state.by_key;
+        by_key.clear();
+        by_key.extend(reps.map(|i| {
+            let (_, r, tried) = eligible[i];
+            (tried, splitmix64(r.0 ^ salt), i)
+        }));
         by_key.select_nth_unstable(cap);
         cut.resize(eligible.len(), false);
         for &(_, _, i) in &by_key[cap..] {

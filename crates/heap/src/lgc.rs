@@ -7,10 +7,11 @@
 //! * the **scion targets** supplied by the remoting layer (objects kept
 //!   alive solely because remote processes reference them).
 //!
-//! Besides reclaiming unreachable slots, it reports the reachability facts
-//! consumed upstream: the root-reachable slot set (needed for the
-//! summarizer's `Local.Reach` bits), the live stub set (the basis of
-//! `NewSetStubs` messages) and the stubs that died with this collection.
+//! The mark is one breadth-first closure over both seed sets. Besides
+//! reclaiming unreachable slots, it reports the live stub set: the basis of
+//! `NewSetStubs` messages, and, by its complement over the stub table
+//! ([`MarkResult::dead_stubs_among`]), the stubs that died with this
+//! collection. `Local.Reach` is the summarizer's to compute, not the LGC's.
 
 use crate::heap::Heap;
 use acdgc_model::{BitSet, ObjId, RefId, Slot};
@@ -24,14 +25,6 @@ pub struct Closure {
     pub stubs: FxHashSet<RefId>,
 }
 
-/// Reusable buffers for [`closure_into`]. Call sites that trace
-/// repeatedly (periodic collections, every snapshot) keep one of these and
-/// amortize the mark bitmap and worklist allocations to zero.
-#[derive(Clone, Debug, Default)]
-pub struct ClosureScratch {
-    queue: Vec<Slot>,
-}
-
 /// Breadth-first closure from `seeds` following only local edges; remote
 /// references are recorded, not followed (they are this process's stubs).
 ///
@@ -42,25 +35,25 @@ pub fn closure(heap: &Heap, seeds: impl IntoIterator<Item = Slot>) -> Closure {
         slots: BitSet::with_capacity(heap.slot_upper_bound()),
         stubs: FxHashSet::default(),
     };
-    closure_into(heap, seeds, &mut out, &mut ClosureScratch::default());
+    trace(heap, seeds, &mut out.slots, &mut out.stubs, &mut Vec::new());
     out
 }
 
-/// [`closure`] writing into caller-owned buffers: `out` is cleared and
-/// refilled (its `BitSet` and hash-set allocations are kept), and the
-/// breadth-first worklist lives in `scratch`.
-pub fn closure_into(
+/// The breadth-first closure behind [`closure`] and the mark, into
+/// caller-owned buffers: `slots` and `stubs` are cleared and refilled
+/// (their allocations are kept), and `queue` is the worklist.
+fn trace(
     heap: &Heap,
     seeds: impl IntoIterator<Item = Slot>,
-    out: &mut Closure,
-    scratch: &mut ClosureScratch,
+    slots: &mut BitSet,
+    stubs: &mut FxHashSet<RefId>,
+    queue: &mut Vec<Slot>,
 ) {
-    out.slots.clear();
-    out.stubs.clear();
-    let queue = &mut scratch.queue;
+    slots.clear();
+    stubs.clear();
     queue.clear();
     for seed in seeds {
-        if heap.get_slot(seed).is_some() && out.slots.insert(seed as usize) {
+        if heap.get_slot(seed).is_some() && slots.insert(seed as usize) {
             queue.push(seed);
         }
     }
@@ -72,12 +65,12 @@ pub fn closure_into(
         for &field in &record.refs {
             match field {
                 crate::object::HeapRef::Local(next) => {
-                    if heap.get_slot(next).is_some() && out.slots.insert(next as usize) {
+                    if heap.get_slot(next).is_some() && slots.insert(next as usize) {
                         queue.push(next);
                     }
                 }
                 crate::object::HeapRef::Remote(ref_id) => {
-                    out.stubs.insert(ref_id);
+                    stubs.insert(ref_id);
                 }
             }
         }
@@ -85,14 +78,10 @@ pub fn closure_into(
 }
 
 /// Result of the mark phase.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MarkResult {
-    /// Slots reachable from local roots only.
-    pub root_reachable: BitSet,
     /// Slots reachable from roots or scion targets: the live set.
     pub live: BitSet,
-    /// Stubs held by root-reachable objects (their `Local.Reach` is true).
-    pub root_reachable_stubs: FxHashSet<RefId>,
     /// Stubs held by any live object: the `NewSetStubs` content.
     pub live_stubs: FxHashSet<RefId>,
 }
@@ -109,16 +98,19 @@ impl MarkResult {
     }
 }
 
-/// Mark phase: trace from roots, then extend with the scion targets.
+/// Mark phase: one closure from the roots and the scion targets.
 pub fn mark(heap: &Heap, scion_targets: &[Slot]) -> MarkResult {
-    let from_roots = closure(heap, heap.roots());
-    let full = closure(heap, heap.roots().chain(scion_targets.iter().copied()));
-    MarkResult {
-        root_reachable: from_roots.slots,
-        live: full.slots,
-        root_reachable_stubs: from_roots.stubs,
-        live_stubs: full.stubs,
-    }
+    let mut out = MarkResult {
+        live: BitSet::with_capacity(heap.slot_upper_bound()),
+        live_stubs: FxHashSet::default(),
+    };
+    mark_into(heap, scion_targets, &mut out, &mut Vec::new());
+    out
+}
+
+fn mark_into(heap: &Heap, scion_targets: &[Slot], out: &mut MarkResult, queue: &mut Vec<Slot>) {
+    let seeds = heap.roots().chain(scion_targets.iter().copied());
+    trace(heap, seeds, &mut out.live, &mut out.live_stubs, queue);
 }
 
 /// Result of the sweep phase.
@@ -126,47 +118,52 @@ pub fn mark(heap: &Heap, scion_targets: &[Slot]) -> MarkResult {
 pub struct SweepResult {
     /// Handles of the reclaimed objects (their pre-free identity).
     pub freed: Vec<ObjId>,
-    /// Remote references that were held *only* by reclaimed objects: the
-    /// corresponding stubs are dead and must leave the remoting table.
-    pub dead_stubs: Vec<RefId>,
 }
 
-/// Sweep: free every slot not in `live`, collecting the stubs that die.
-pub fn sweep(heap: &mut Heap, live: &BitSet, live_stubs: &FxHashSet<RefId>) -> SweepResult {
+/// Sweep: free every slot not in `live`. The stubs that die with it are
+/// [`MarkResult::dead_stubs_among`]'s to find, so `_live_stubs` is unread;
+/// it keeps the signature callers outside this workspace compile against.
+pub fn sweep(heap: &mut Heap, live: &BitSet, _live_stubs: &FxHashSet<RefId>) -> SweepResult {
     let mut result = SweepResult::default();
-    let mut dead_stub_set: FxHashSet<RefId> = FxHashSet::default();
-    let upper = heap.slot_upper_bound() as Slot;
-    for slot in 0..upper {
+    sweep_into(heap, live, &mut result.freed);
+    result
+}
+
+fn sweep_into(heap: &mut Heap, live: &BitSet, freed: &mut Vec<ObjId>) {
+    freed.clear();
+    for slot in 0..heap.slot_upper_bound() as Slot {
         if live.contains(slot as usize) {
             continue;
         }
         if let Some(id) = heap.id_of_slot(slot) {
-            let record = heap.free_slot(slot).expect("occupied slot");
-            result.freed.push(id);
-            for ref_id in record.remote_refs() {
-                if !live_stubs.contains(&ref_id) {
-                    dead_stub_set.insert(ref_id);
-                }
-            }
+            heap.free_slot(slot).expect("occupied slot");
+            freed.push(id);
         }
     }
-    result.dead_stubs = dead_stub_set.into_iter().collect();
-    result.dead_stubs.sort_unstable();
-    result
 }
 
-/// Result of a full collection.
-#[derive(Clone, Debug)]
-pub struct CollectResult {
+/// One full collection: its mark, what its sweep freed (in slot order),
+/// and the worklist, kept so the next [`collect_into`] reuses them all.
+#[derive(Clone, Debug, Default)]
+pub struct Collection {
     pub mark: MarkResult,
-    pub sweep: SweepResult,
+    pub freed: Vec<ObjId>,
+    queue: Vec<Slot>,
 }
 
 /// One full mark-sweep collection with the given scion targets.
-pub fn collect(heap: &mut Heap, scion_targets: &[Slot]) -> CollectResult {
-    let mark = mark(heap, scion_targets);
-    let sweep = sweep(heap, &mark.live, &mark.live_stubs);
-    CollectResult { mark, sweep }
+pub fn collect(heap: &mut Heap, scion_targets: &[Slot]) -> Collection {
+    let mut out = Collection::default();
+    collect_into(heap, scion_targets, &mut out);
+    out
+}
+
+/// [`collect`] into a caller-owned [`Collection`], which is cleared and
+/// refilled: a process that keeps one allocates nothing in a steady-state
+/// collection.
+pub fn collect_into(heap: &mut Heap, scion_targets: &[Slot], out: &mut Collection) {
+    mark_into(heap, scion_targets, &mut out.mark, &mut out.queue);
+    sweep_into(heap, &out.mark.live, &mut out.freed);
 }
 
 #[cfg(test)]
@@ -190,7 +187,7 @@ mod tests {
         h.add_root(ids[0]).unwrap();
         let orphan = h.alloc(1);
         let result = collect(&mut h, &[]);
-        assert_eq!(result.sweep.freed, vec![orphan]);
+        assert_eq!(result.freed, vec![orphan]);
         assert_eq!(h.stats().live_objects, 3);
     }
 
@@ -200,24 +197,8 @@ mod tests {
         let ids = chain(&mut h, 3);
         // No roots at all: only the scion target protects the chain.
         let result = collect(&mut h, &[ids[0].slot]);
-        assert!(result.sweep.freed.is_empty());
+        assert!(result.freed.is_empty());
         assert!(result.mark.live.contains(ids[2].slot as usize));
-        assert!(
-            !result.mark.root_reachable.contains(ids[0].slot as usize),
-            "scion-kept objects are not root-reachable"
-        );
-    }
-
-    #[test]
-    fn root_reachable_vs_live_distinction() {
-        let mut h = Heap::new(ProcId(0));
-        let rooted = h.alloc(1);
-        h.add_root(rooted).unwrap();
-        let scion_kept = h.alloc(1);
-        let mark = mark(&h, &[scion_kept.slot]);
-        assert!(mark.root_reachable.contains(rooted.slot as usize));
-        assert!(!mark.root_reachable.contains(scion_kept.slot as usize));
-        assert!(mark.live.contains(scion_kept.slot as usize));
     }
 
     #[test]
@@ -227,8 +208,8 @@ mod tests {
         h.add_ref(holder, HeapRef::Remote(RefId(42))).unwrap();
         // holder is garbage: its stub must be reported dead.
         let result = collect(&mut h, &[]);
-        assert_eq!(result.sweep.freed, vec![holder]);
-        assert_eq!(result.sweep.dead_stubs, vec![RefId(42)]);
+        assert_eq!(result.freed, vec![holder]);
+        assert_eq!(result.mark.dead_stubs_among([RefId(42)]), vec![RefId(42)]);
     }
 
     #[test]
@@ -240,9 +221,9 @@ mod tests {
         h.add_ref(live, HeapRef::Remote(RefId(1))).unwrap();
         h.add_ref(dead, HeapRef::Remote(RefId(1))).unwrap();
         let result = collect(&mut h, &[]);
-        assert_eq!(result.sweep.freed, vec![dead]);
+        assert_eq!(result.freed, vec![dead]);
         assert!(
-            result.sweep.dead_stubs.is_empty(),
+            result.mark.dead_stubs_among([RefId(1)]).is_empty(),
             "stub still held by a live object must not be reported dead"
         );
         assert!(result.mark.live_stubs.contains(&RefId(1)));
@@ -256,7 +237,7 @@ mod tests {
         h.add_ref(a, HeapRef::Local(b.slot)).unwrap();
         h.add_ref(b, HeapRef::Local(a.slot)).unwrap();
         let result = collect(&mut h, &[]);
-        assert_eq!(result.sweep.freed.len(), 2, "local cycles are collected");
+        assert_eq!(result.freed.len(), 2, "local cycles are collected");
     }
 
     #[test]
@@ -272,27 +253,26 @@ mod tests {
     }
 
     #[test]
-    fn closure_into_reuses_buffers_and_matches() {
+    fn collect_into_reuses_buffers_and_matches() {
         let mut h = Heap::new(ProcId(0));
         let ids = chain(&mut h, 4);
+        h.add_root(ids[0]).unwrap();
         h.add_ref(ids[3], HeapRef::Remote(RefId(9))).unwrap();
-        let fresh = closure(&h, [ids[0].slot]);
-        let mut out = Closure::default();
-        let mut scratch = ClosureScratch::default();
-        // Pre-dirty the buffers: closure_into must fully reset them.
-        out.slots.insert(123);
-        out.stubs.insert(RefId(77));
-        closure_into(&h, [ids[0].slot], &mut out, &mut scratch);
-        // Compare contents, not representation: the pre-dirtied bitset
-        // keeps its larger backing allocation after the clear.
+        let orphan = h.alloc(1);
+        let mut kept = Collection::default();
+        collect_into(&mut h, &[], &mut kept);
+        assert_eq!(kept.freed, vec![orphan]);
+        // Cut the chain: the second run must fully reset the kept buffers.
+        h.remove_ref(ids[1], HeapRef::Local(ids[2].slot)).unwrap();
+        let mut fresh_heap = h.clone();
+        collect_into(&mut h, &[], &mut kept);
+        let fresh = collect(&mut fresh_heap, &[]);
+        assert_eq!(kept.freed, fresh.freed);
         assert_eq!(
-            out.slots.iter().collect::<Vec<_>>(),
-            fresh.slots.iter().collect::<Vec<_>>()
+            kept.mark.live.iter().collect::<Vec<_>>(),
+            fresh.mark.live.iter().collect::<Vec<_>>()
         );
-        assert_eq!(out.stubs, fresh.stubs);
-        // Second run over a different seed reuses the same allocations.
-        closure_into(&h, [ids[2].slot], &mut out, &mut scratch);
-        assert_eq!(out.slots.count(), 2);
+        assert!(kept.mark.live_stubs.is_empty());
     }
 
     #[test]
@@ -311,7 +291,7 @@ mod tests {
         h.add_ref(a, HeapRef::Local(a.slot)).unwrap();
         h.add_root(a).unwrap();
         let result = collect(&mut h, &[]);
-        assert!(result.sweep.freed.is_empty());
+        assert!(result.freed.is_empty());
     }
 
     #[test]
@@ -319,9 +299,9 @@ mod tests {
         let mut h = Heap::new(ProcId(0));
         let _orphan = h.alloc(1);
         let first = collect(&mut h, &[]);
-        assert_eq!(first.sweep.freed.len(), 1);
+        assert_eq!(first.freed.len(), 1);
         let second = collect(&mut h, &[]);
-        assert!(second.sweep.freed.is_empty());
+        assert!(second.freed.is_empty());
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   prevent the LGC from reclaiming objects that ... are target of
 //!   incoming remote references").
 //!
-//! The LGC also reports the facts the distributed layers need: which slots
-//! are *root*-reachable (as opposed to merely scion-reachable) and which
+//! The LGC also reports the fact the distributed layers need from it: which
 //! stubs are held by live objects.
 
 pub mod heap;
@@ -23,7 +22,6 @@ pub mod object;
 
 pub use heap::{Heap, HeapStats};
 pub use lgc::{
-    closure, closure_into, collect, mark, sweep, Closure, ClosureScratch, CollectResult,
-    MarkResult, SweepResult,
+    closure, collect, collect_into, mark, sweep, Closure, Collection, MarkResult, SweepResult,
 };
 pub use object::{HeapRef, ObjectRecord};

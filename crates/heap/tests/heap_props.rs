@@ -81,24 +81,27 @@ proptest! {
     #[test]
     fn collect_is_idempotent(recipe in recipe()) {
         let (mut heap, _ids, scions) = build(&recipe);
-        collect(&mut heap, &scions);
+        let first = collect(&mut heap, &scions);
         let second = collect(&mut heap, &scions);
-        prop_assert!(second.sweep.freed.is_empty());
-        prop_assert!(second.sweep.dead_stubs.is_empty());
+        prop_assert!(second.freed.is_empty());
+        prop_assert!(second
+            .mark
+            .dead_stubs_among(first.mark.live_stubs.iter().copied())
+            .is_empty());
     }
 
-    /// Root-reachable is a subset of live, and root-reachable stubs a
-    /// subset of live stubs.
+    /// The mark is exactly the closure of roots ∪ scion targets: its live
+    /// set that closure's slots, its live stubs that closure's stubs.
     #[test]
-    fn root_reachable_subset_of_live(recipe in recipe()) {
+    fn mark_is_the_closure_of_roots_and_scion_targets(recipe in recipe()) {
         let (heap, _ids, scions) = build(&recipe);
         let mark = lgc::mark(&heap, &scions);
-        for slot in mark.root_reachable.iter() {
-            prop_assert!(mark.live.contains(slot));
-        }
-        for r in &mark.root_reachable_stubs {
-            prop_assert!(mark.live_stubs.contains(r));
-        }
+        let expected = lgc::closure(&heap, heap.roots().chain(scions.iter().copied()));
+        prop_assert_eq!(
+            mark.live.iter().collect::<Vec<_>>(),
+            expected.slots.iter().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(mark.live_stubs, expected.stubs);
     }
 
     /// Slot reuse never resurrects a stale handle.

@@ -192,28 +192,28 @@ impl Process {
         let rejudged_scions = self.tables.sweep_deferred_nss().len() as u64;
         let targets = self.tables.scion_target_slots();
         let started = self.obs.begin(now, Phase::Lgc);
-        let result = lgc::collect(&mut self.heap, &targets);
+        lgc::collect_into(&mut self.heap, &targets, &mut self.lgc);
         self.obs.end(now, Phase::Lgc, started);
-        let freed = &result.sweep.freed;
+        let freed = &self.lgc.freed;
         let unsafe_freed = oracle_live.map_or(0, |live| {
             freed.iter().filter(|f| live.contains(f)).count() as u64
         });
-        let dead = result
-            .mark
-            .dead_stubs_among(self.tables.stubs().map(|s| s.ref_id));
+        let freed = freed.len() as u64;
+        let mark = &self.lgc.mark;
+        let dead = mark.dead_stubs_among(self.tables.stubs().map(|s| s.ref_id));
         match cfg.integration {
             IntegrationMode::VmIntegrated => {
                 self.tables.remove_dead_stubs(&dead);
             }
             IntegrationMode::WeakRefMonitor => {
                 self.tables.condemn_stubs(&dead);
-                for &live_ref in &result.mark.live_stubs {
+                for &live_ref in &mark.live_stubs {
                     self.tables.pardon_stub(live_ref);
                 }
             }
         }
         let work = LgcWork {
-            freed: freed.len() as u64,
+            freed,
             dead_stubs: dead.len(),
             rejudged_scions,
             unsafe_freed,

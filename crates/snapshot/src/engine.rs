@@ -9,29 +9,38 @@
 //! stubs.
 //!
 //! This engine computes every `StubsFrom` / `ScionsTo` / `Local.Reach`
-//! fact from **one** traversal:
+//! fact from **one** walk over the heap's fields:
 //!
 //! 1. One iterative Tarjan pass condenses the local object graph into its
-//!    SCC DAG — O(V+E). Tarjan emits components callees-first, so every
-//!    condensation edge points from a later-emitted component to an
-//!    earlier one.
-//! 2. Local root reachability is propagated **forward** over the
-//!    condensation (descending emission index), marking every component
-//!    reachable from a root and recording the stubs those components hold
-//!    directly (the `Local.Reach` bits) — O(V+E).
-//! 3. Reachable-stub sets are propagated **bottom-up** (ascending emission
-//!    index, i.e. reverse topological order): each component's
-//!    [`BitSet`] — one bit per table stub — is the union of the stub bits
-//!    its members hold directly and the sets of its successor components.
-//!    Each union is a word-parallel OR — O(E·W/64) for a W-stub universe.
-//!    Sets live in a slot pool indexed through `reach_of`, which lets the
-//!    aliased propagation mode (see [`SccEngine::summarize_adaptive`])
-//!    make a component with no direct stubs and out-degree ≤ 1 *inherit*
-//!    its successor's pool slot in O(1) instead of copying a full-width
-//!    bitset — on disjoint scion chains the whole propagation collapses
-//!    to pointer assignments.
+//!    SCC DAG and records the condensation as it goes — O(V+E). Tarjan
+//!    emits components callees-first, so every condensation edge points
+//!    from a later-emitted component to an earlier one. While the DFS
+//!    scans a field it pushes onto two pending stacks: a remote field its
+//!    stub bit, a local field into an already-emitted component that
+//!    component's id (as does a parent whose child frame just emitted
+//!    one). Everything pushed above a component root's stack heights
+//!    belongs to that component; at emission it is sorted, deduplicated
+//!    and closed into two CSR lists (one flat list plus an end offset per
+//!    component): successor components and directly held stubs.
+//! 2. Local root reachability is propagated **forward** over those lists
+//!    (descending emission index), marking every component reachable from
+//!    a root and collecting the stubs those components hold directly (the
+//!    `Local.Reach` bits) — O(components + condensation edges).
+//! 3. Reachable-stub sets are propagated **bottom-up** over the same lists
+//!    (ascending emission index, i.e. reverse topological order): each
+//!    component's [`BitSet`] — one bit per table stub — is the union of its
+//!    direct stub bits and the sets of its successor components. Each
+//!    union is a word-parallel OR — O(condensation edges·W/64) for a W-stub
+//!    universe. Sets live in a slot pool indexed through `reach_of`, which
+//!    lets the aliased propagation mode (see
+//!    [`SccEngine::summarize_adaptive`]) make a component with no direct
+//!    stubs and out-degree ≤ 1 *inherit* its successor's pool slot in O(1)
+//!    instead of copying a full-width bitset — on disjoint scion chains the
+//!    whole propagation collapses to pointer assignments.
 //! 4. A scion's `StubsFrom` is then just its target component's bitset,
 //!    decoded; `ScionsTo` is the inversion — O(S·W/64 + output).
+//!
+//! Steps 2–4 read the condensation only, never the heap's fields.
 //!
 //! Stub bit indices are assigned in ascending `RefId` order, so decoding a
 //! bitset yields the sorted `stubs_from` vector the reference produces —
@@ -98,6 +107,51 @@ impl Default for DispatchStats {
     }
 }
 
+/// One DFS frame of [`SccEngine`]'s Tarjan pass: the slot, its next field
+/// index, and the pending stacks' heights when the slot was entered.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    slot: Slot,
+    cursor: u32,
+    succ_from: u32,
+    stubs_from: u32,
+}
+
+/// Per-component lists in compressed sparse row form: one flat list plus
+/// the exclusive end offset of each component's row.
+#[derive(Clone, Debug, Default)]
+struct Csr {
+    items: Vec<u32>,
+    end: Vec<u32>,
+}
+
+impl Csr {
+    fn clear(&mut self) {
+        self.items.clear();
+        self.end.clear();
+    }
+
+    fn row(&self, c: usize) -> &[u32] {
+        let start = if c == 0 { 0 } else { self.end[c - 1] as usize };
+        &self.items[start..self.end[c] as usize]
+    }
+
+    /// Close the next row with the distinct entries of `pending[from..]`,
+    /// in ascending order, and take them off `pending`.
+    fn push_row(&mut self, pending: &mut Vec<u32>, from: u32) {
+        let from = from as usize;
+        pending[from..].sort_unstable();
+        let start = self.items.len();
+        for &x in &pending[from..] {
+            if self.items.len() == start || self.items.last() != Some(&x) {
+                self.items.push(x);
+            }
+        }
+        self.end.push(self.items.len() as u32);
+        pending.truncate(from);
+    }
+}
+
 /// Reusable single-pass summarizer. One engine per process; see the
 /// module docs for the algorithm.
 #[derive(Clone, Debug, Default)]
@@ -108,14 +162,18 @@ pub struct SccEngine {
     on_stack: Vec<bool>,
     comp_of: Vec<u32>,
     stack: Vec<Slot>,
-    /// Explicit DFS frames `(slot, next field index)`; recursion would
-    /// overflow the thread stack on long object chains.
-    frames: Vec<(Slot, u32)>,
+    /// Explicit DFS frames; recursion would overflow the thread stack on
+    /// long object chains.
+    frames: Vec<Frame>,
+    /// Pending successor component ids / direct stub bits of the
+    /// components still open on the DFS path (see the module docs).
+    pending_succ: Vec<u32>,
+    pending_stubs: Vec<u32>,
     // --- condensation, indexed by component emission order ---------------
-    /// Component members, grouped contiguously in emission order.
-    members: Vec<Slot>,
-    /// Exclusive end of component `c`'s member range in `members`.
-    comp_end: Vec<u32>,
+    /// Distinct successor components of each component.
+    succ: Csr,
+    /// Distinct stub bits each component's members hold directly.
+    direct: Csr,
     /// Component is reachable from a local root.
     comp_root: Vec<bool>,
     /// Pool slot holding component `c`'s reachable-stub set. Aliased
@@ -126,10 +184,6 @@ pub struct SccEngine {
     /// rest are retained allocations from earlier runs.
     pool: Vec<BitSet>,
     pool_len: usize,
-    /// Scratch: distinct successor components / direct stub bits of the
-    /// component being propagated.
-    succ_scratch: Vec<u32>,
-    direct_scratch: Vec<u32>,
     // --- stub universe ----------------------------------------------------
     /// Table stubs in ascending `RefId` order; position = bit index.
     stub_ids: Vec<RefId>,
@@ -178,8 +232,8 @@ impl SccEngine {
     fn run_engine(&mut self, heap: &Heap, tables: &RemotingTables, alias: bool) {
         self.prepare(heap.slot_upper_bound(), tables);
         self.run_tarjan(heap);
-        self.mark_root_components(heap);
-        self.propagate_reach(heap, alias);
+        self.mark_root_components(heap.roots());
+        self.propagate_reach(alias);
     }
 
     /// Dispatch between the reference BFS and the (aliased) engine from
@@ -189,12 +243,13 @@ impl SccEngine {
     ///
     /// The model compares traversal upper bounds in visited-field units:
     /// the reference pays one BFS per scion plus the root closure, each
-    /// bounded by the whole graph (V + E); the engine pays ~three linear
-    /// passes (Tarjan, root marking, propagation) plus a per-scion
-    /// W/64-word bitset decode. Small scion counts therefore go to the
-    /// reference — exactly the regime where per-scion traversal is
-    /// provably cheap — and everything else goes to the engine, whose
-    /// aliased propagation no longer loses on disjoint chains.
+    /// bounded by the whole graph (V + E); the engine is charged three
+    /// linear passes plus a per-scion W/64-word bitset decode. Small scion
+    /// counts therefore go to the reference — exactly the regime where
+    /// per-scion traversal is provably cheap — and everything else goes to
+    /// the engine, whose aliased propagation no longer loses on disjoint
+    /// chains. The factor 3 dates from three heap passes; root marking and
+    /// propagation now read the condensation, but it is kept as it was.
     pub fn summarize_adaptive(
         &mut self,
         heap: &Heap,
@@ -269,8 +324,10 @@ impl SccEngine {
         self.comp_of.resize(n, UNVISITED);
         self.stack.clear();
         self.frames.clear();
-        self.members.clear();
-        self.comp_end.clear();
+        self.pending_succ.clear();
+        self.pending_stubs.clear();
+        self.succ.clear();
+        self.direct.clear();
         self.comp_root.clear();
         self.root_stub_bits.clear();
 
@@ -293,11 +350,18 @@ impl SccEngine {
         *counter += 1;
         self.stack.push(v);
         self.on_stack[vi] = true;
+        self.frames.push(Frame {
+            slot: v,
+            cursor: 0,
+            succ_from: self.pending_succ.len() as u32,
+            stubs_from: self.pending_stubs.len() as u32,
+        });
     }
 
-    /// Iterative Tarjan over the occupied slots. Components are emitted
-    /// callees-first: every cross-component edge lands in a component with
-    /// a smaller emission index.
+    /// Iterative Tarjan over the occupied slots, recording the
+    /// condensation (`succ`, `direct`) as components are emitted.
+    /// Components are emitted callees-first: every cross-component edge
+    /// lands in a component with a smaller emission index.
     fn run_tarjan(&mut self, heap: &Heap) {
         let n = self.dfs_num.len();
         let mut counter: u32 = 0;
@@ -307,25 +371,34 @@ impl SccEngine {
                 continue;
             }
             self.begin_visit(start_slot, &mut counter);
-            self.frames.push((start_slot, 0));
-            while let Some(&(v, cursor)) = self.frames.last() {
+            while let Some(&Frame {
+                slot: v, cursor, ..
+            }) = self.frames.last()
+            {
                 let vi = v as usize;
                 let refs = &heap.get_slot(v).expect("visited slot occupied").refs;
                 let mut i = cursor as usize;
                 let mut descended = false;
                 while i < refs.len() {
-                    if let HeapRef::Local(w) = refs[i] {
-                        if heap.get_slot(w).is_some() {
+                    match refs[i] {
+                        HeapRef::Local(w) if heap.get_slot(w).is_some() => {
                             let wi = w as usize;
                             if self.dfs_num[wi] == UNVISITED {
-                                self.frames.last_mut().expect("frame exists").1 = i as u32 + 1;
+                                self.frames.last_mut().expect("frame exists").cursor = i as u32 + 1;
                                 self.begin_visit(w, &mut counter);
-                                self.frames.push((w, 0));
                                 descended = true;
                                 break;
                             }
                             if self.on_stack[wi] {
                                 self.low[vi] = self.low[vi].min(self.dfs_num[wi]);
+                            } else {
+                                self.pending_succ.push(self.comp_of[wi]);
+                            }
+                        }
+                        HeapRef::Local(_) => {}
+                        HeapRef::Remote(r) => {
+                            if let Some(&bit) = self.stub_bit.get(&r) {
+                                self.pending_stubs.push(bit);
                             }
                         }
                     }
@@ -334,70 +407,52 @@ impl SccEngine {
                 if descended {
                     continue;
                 }
-                self.frames.pop();
-                if self.low[vi] == self.dfs_num[vi] {
-                    let c = self.comp_end.len() as u32;
+                let frame = self.frames.pop().expect("frame exists");
+                let emitted = self.low[vi] == self.dfs_num[vi];
+                if emitted {
+                    let c = self.succ.end.len() as u32;
                     loop {
                         let w = self.stack.pop().expect("tarjan stack nonempty");
                         self.on_stack[w as usize] = false;
                         self.comp_of[w as usize] = c;
-                        self.members.push(w);
                         if w == v {
                             break;
                         }
                     }
-                    self.comp_end.push(self.members.len() as u32);
+                    self.succ.push_row(&mut self.pending_succ, frame.succ_from);
+                    self.direct
+                        .push_row(&mut self.pending_stubs, frame.stubs_from);
                 }
-                if let Some(&(parent, _)) = self.frames.last() {
+                if let Some(&Frame { slot: parent, .. }) = self.frames.last() {
                     let pi = parent as usize;
                     self.low[pi] = self.low[pi].min(self.low[vi]);
+                    if emitted {
+                        self.pending_succ.push(self.comp_of[vi]);
+                    }
                 }
             }
         }
-    }
-
-    #[inline]
-    fn comp_range(&self, c: usize) -> std::ops::Range<usize> {
-        let start = if c == 0 {
-            0
-        } else {
-            self.comp_end[c - 1] as usize
-        };
-        start..self.comp_end[c] as usize
     }
 
     /// Forward reachability from local roots over the condensation, plus
     /// the `Local.Reach` stub bits (stubs held directly by root-reachable
     /// objects). Descending emission order visits predecessors first.
-    fn mark_root_components(&mut self, heap: &Heap) {
-        let num = self.comp_end.len();
+    fn mark_root_components(&mut self, roots: impl Iterator<Item = Slot>) {
+        let num = self.succ.end.len();
         self.comp_root.resize(num, false);
-        for slot in heap.roots() {
-            if heap.get_slot(slot).is_some() {
-                self.comp_root[self.comp_of[slot as usize] as usize] = true;
-            }
+        // A freed slot leaves the root set, so every root has a component.
+        for slot in roots {
+            self.comp_root[self.comp_of[slot as usize] as usize] = true;
         }
         for c in (0..num).rev() {
             if !self.comp_root[c] {
                 continue;
             }
-            for mi in self.comp_range(c) {
-                let v = self.members[mi];
-                let refs = &heap.get_slot(v).expect("member slot occupied").refs;
-                for &field in refs {
-                    match field {
-                        HeapRef::Local(w) => {
-                            if heap.get_slot(w).is_some() {
-                                self.comp_root[self.comp_of[w as usize] as usize] = true;
-                            }
-                        }
-                        HeapRef::Remote(r) => {
-                            if let Some(&bit) = self.stub_bit.get(&r) {
-                                self.root_stub_bits.insert(bit as usize);
-                            }
-                        }
-                    }
-                }
+            for &cw in self.succ.row(c) {
+                self.comp_root[cw as usize] = true;
+            }
+            for &bit in self.direct.row(c) {
+                self.root_stub_bits.insert(bit as usize);
             }
         }
     }
@@ -410,8 +465,8 @@ impl SccEngine {
     /// successor's pool slot instead of materializing a set — the chains
     /// that dominate disjoint scion topologies then cost O(1) per
     /// component instead of O(W/64).
-    fn propagate_reach(&mut self, heap: &Heap, alias: bool) {
-        let num = self.comp_end.len();
+    fn propagate_reach(&mut self, alias: bool) {
+        let num = self.succ.end.len();
         self.reach_of.clear();
         if self.pool.is_empty() {
             self.pool.push(BitSet::default());
@@ -421,38 +476,14 @@ impl SccEngine {
         let mut inherited = 0usize;
         let mut unioned = 0usize;
         for c in 0..num {
-            self.succ_scratch.clear();
-            self.direct_scratch.clear();
-            for mi in self.comp_range(c) {
-                let v = self.members[mi];
-                let refs = &heap.get_slot(v).expect("member slot occupied").refs;
-                for &field in refs {
-                    match field {
-                        HeapRef::Local(w) => {
-                            if heap.get_slot(w).is_some() {
-                                let cw = self.comp_of[w as usize];
-                                if cw as usize != c {
-                                    debug_assert!(
-                                        (cw as usize) < c,
-                                        "tarjan emission order violated"
-                                    );
-                                    self.succ_scratch.push(cw);
-                                }
-                            }
-                        }
-                        HeapRef::Remote(r) => {
-                            if let Some(&bit) = self.stub_bit.get(&r) {
-                                self.direct_scratch.push(bit);
-                            }
-                        }
-                    }
-                }
-            }
-            self.succ_scratch.sort_unstable();
-            self.succ_scratch.dedup();
-            let slot = if alias && self.direct_scratch.is_empty() && self.succ_scratch.len() <= 1 {
+            let (succ, direct) = (self.succ.row(c), self.direct.row(c));
+            debug_assert!(
+                succ.iter().all(|&cw| (cw as usize) < c),
+                "tarjan emission order violated"
+            );
+            let slot = if alias && direct.is_empty() && succ.len() <= 1 {
                 inherited += 1;
-                match self.succ_scratch.first() {
+                match succ.first() {
                     Some(&cw) => self.reach_of[cw as usize],
                     None => EMPTY_SLOT,
                 }
@@ -466,10 +497,10 @@ impl SccEngine {
                 let (finished, rest) = self.pool.split_at_mut(s);
                 let current = &mut rest[0];
                 current.clear();
-                for &bit in &self.direct_scratch {
+                for &bit in direct {
                     current.insert(bit as usize);
                 }
-                for &cw in &self.succ_scratch {
+                for &cw in succ {
                     let src = self.reach_of[cw as usize] as usize;
                     debug_assert!(src < s, "successor slot allocated after its reader");
                     current.union_with(&finished[src]);
@@ -799,6 +830,48 @@ mod tests {
         assert_eq!(dense.last_dispatch().unioned_components, 8 * 25);
         assert_eq!(aliased.last_dispatch().inherited_components, 8 * 24);
         assert_eq!(aliased.last_dispatch().unioned_components, 8);
+    }
+
+    #[test]
+    fn one_giant_component_and_leaf_scions() {
+        // The big-heap shape: a rooted ring with chords (one SCC) holding
+        // 50 stubs, and 300 leaf singletons that are scion targets.
+        let mut heap = Heap::new(ProcId(0));
+        let mut tables = RemotingTables::new(ProcId(0));
+        let ring: Vec<ObjId> = (0..2_000).map(|_| heap.alloc(1)).collect();
+        for (i, &obj) in ring.iter().enumerate() {
+            for to in [(i + 1) % ring.len(), i * 7 % ring.len()] {
+                heap.add_ref(obj, HeapRef::Local(ring[to].slot)).unwrap();
+            }
+        }
+        heap.add_root(ring[0]).unwrap();
+        for k in 0..50u64 {
+            let stub = RefId(1_000 + k);
+            tables.add_stub(stub, ObjId::new(ProcId(1), k as u32, 0), SimTime(0));
+            heap.add_ref(ring[k as usize * 37], HeapRef::Remote(stub))
+                .unwrap();
+        }
+        // A tail off the root with every field doubled: each second copy
+        // is a non-tree edge into a component already emitted.
+        let (t1, t2) = (heap.alloc(1), heap.alloc(1));
+        for (from, to) in [(ring[0], t1), (t1, t2), (ring[0], t1), (t1, t2)] {
+            heap.add_ref(from, HeapRef::Local(to.slot)).unwrap();
+        }
+        for k in 0..300u64 {
+            tables.add_scion(RefId(k), heap.alloc(1), ProcId(1), SimTime(0));
+        }
+        let reference = summarize(&heap, &tables, 1, SimTime(0));
+        let mut engine = SccEngine::new();
+        let s = engine.summarize_adaptive(&heap, &tables, 1, SimTime(0));
+        assert_eq!((&s.scions, &s.stubs), (&reference.scions, &reference.stubs));
+        let d = engine.last_dispatch();
+        assert_eq!(d.path, SummarizePath::Engine);
+        // The ring materializes one set; the tail (one distinct successor
+        // each) and every leaf (none) hold nothing and inherit.
+        assert_eq!((d.inherited_components, d.unioned_components), (302, 1));
+        engine.summarize(&heap, &tables, 1, SimTime(0));
+        let d = engine.last_dispatch();
+        assert_eq!((d.inherited_components, d.unioned_components), (0, 303));
     }
 
     #[test]

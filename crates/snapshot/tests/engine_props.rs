@@ -118,8 +118,9 @@ fn apply(world: &mut World, op: (u8, usize, usize)) {
         4 => {
             // Local collection: frees slots and kills orphaned stubs.
             let targets = world.tables.scion_target_slots();
-            let result = lgc::collect(&mut world.heap, &targets);
-            world.tables.remove_dead_stubs(&result.sweep.dead_stubs);
+            let mark = lgc::collect(&mut world.heap, &targets).mark;
+            let dead = mark.dead_stubs_among(world.tables.stubs().map(|s| s.ref_id));
+            world.tables.remove_dead_stubs(&dead);
         }
         5 => {
             // New stub held by an existing object.
@@ -190,8 +191,120 @@ fn check(world: &World, engine: &mut SccEngine, version: u64) -> Result<(), Test
     Ok(())
 }
 
+/// Worlds shaped for the condensation Tarjan records: chains with back
+/// edges (large SCCs), edges between chains in both directions (so fields
+/// reach finished components through tree and non-tree edges alike),
+/// repeated fields, stubs held inside SCCs, and roots anywhere.
+#[derive(Debug, Clone)]
+struct SccRecipe {
+    chains: Vec<usize>,
+    /// (chain, a, b): an edge from the later to the earlier of positions
+    /// `a` and `b` of one chain.
+    back: Vec<(usize, usize, usize)>,
+    /// (from, to) over all objects, in allocation order.
+    cross: Vec<(usize, usize)>,
+    /// Fields (by index into those added) added a second time.
+    dups: Vec<usize>,
+    stubs: Vec<usize>,
+    scions: Vec<usize>,
+    roots: Vec<usize>,
+}
+
+fn scc_recipe() -> impl Strategy<Value = SccRecipe> {
+    let objects = 0usize..1_000;
+    (
+        prop::collection::vec(2usize..40, 1..5),
+        prop::collection::vec((0usize..5, 0usize..40, 0usize..40), 0..12),
+        prop::collection::vec((objects.clone(), objects.clone()), 0..16),
+        prop::collection::vec(0usize..1_000, 0..8),
+        prop::collection::vec(objects.clone(), 0..10),
+        prop::collection::vec(objects.clone(), 1..12),
+        prop::collection::vec(objects, 0..4),
+    )
+        .prop_map(
+            |(chains, back, cross, dups, stubs, scions, roots)| SccRecipe {
+                chains,
+                back,
+                cross,
+                dups,
+                stubs,
+                scions,
+                roots,
+            },
+        )
+}
+
+fn build_scc(recipe: &SccRecipe) -> (Heap, RemotingTables) {
+    let mut heap = Heap::new(ProcId(0));
+    let mut tables = RemotingTables::new(ProcId(0));
+    let chains: Vec<Vec<ObjId>> = recipe
+        .chains
+        .iter()
+        .map(|&len| (0..len).map(|_| heap.alloc(1)).collect())
+        .collect();
+    let all: Vec<ObjId> = chains.iter().flatten().copied().collect();
+    let obj = |i: usize| all[i % all.len()];
+    let mut fields: Vec<(ObjId, HeapRef)> = Vec::new();
+    for chain in &chains {
+        for pair in chain.windows(2) {
+            fields.push((pair[0], HeapRef::Local(pair[1].slot)));
+        }
+    }
+    for &(c, a, b) in &recipe.back {
+        let chain = &chains[c % chains.len()];
+        let (a, b) = (a % chain.len(), b % chain.len());
+        fields.push((chain[a.max(b)], HeapRef::Local(chain[a.min(b)].slot)));
+    }
+    for &(from, to) in &recipe.cross {
+        fields.push((obj(from), HeapRef::Local(obj(to).slot)));
+    }
+    for (k, &holder) in recipe.stubs.iter().enumerate() {
+        let r = RefId(1_000 + k as u64);
+        tables.add_stub(r, ObjId::new(ProcId(1), k as u32, 0), SimTime(0));
+        fields.push((obj(holder), HeapRef::Remote(r)));
+    }
+    let added = fields.len();
+    for &d in &recipe.dups {
+        fields.push(fields[d % added]);
+    }
+    for (holder, field) in fields {
+        heap.add_ref(holder, field).unwrap();
+    }
+    for &r in &recipe.roots {
+        heap.add_root(obj(r)).unwrap();
+    }
+    for (k, &target) in recipe.scions.iter().enumerate() {
+        if tables.scion_for_source(ProcId(2), obj(target)).is_none() {
+            tables.add_scion(RefId(k as u64), obj(target), ProcId(2), SimTime(0));
+        }
+    }
+    (heap, tables)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// On SCC-heavy worlds the dense and aliased engines both equal the
+    /// reference exactly, and condense the heap into the same components.
+    #[test]
+    fn engine_exact_on_large_sccs_and_finished_components(recipe in scc_recipe()) {
+        let (heap, tables) = build_scc(&recipe);
+        let reference = summarize(&heap, &tables, 1, SimTime(0));
+        let mut dense = SccEngine::new();
+        let mut aliased = SccEngine::new();
+        let by_dense = dense.summarize(&heap, &tables, 1, SimTime(0));
+        let by_aliased = aliased.summarize_condensed(&heap, &tables, 1, SimTime(0));
+        prop_assert_eq!(&by_dense.scions, &reference.scions);
+        prop_assert_eq!(&by_dense.stubs, &reference.stubs);
+        prop_assert_eq!(&by_aliased.scions, &by_dense.scions);
+        prop_assert_eq!(&by_aliased.stubs, &by_dense.stubs);
+        let (d, a) = (dense.last_dispatch(), aliased.last_dispatch());
+        prop_assert_eq!(d.inherited_components, 0);
+        prop_assert_eq!(
+            d.unioned_components,
+            a.inherited_components + a.unioned_components
+        );
+    }
 
     /// Static worlds: one-shot agreement of all implementations.
     #[test]

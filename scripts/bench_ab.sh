@@ -10,12 +10,15 @@
 # pairs of (parent, change), alternating which side goes first, each side
 # from its own root. Prints, per end-to-end metric: median and quartiles
 # of both sides, the ratio of the medians against the metric's bound, and
-# how many pairs the change won (ties count for neither). Every run made
-# is kept under target/bench_ab/runs/. A measurement, not a gate: exits
-# non-zero only if a run reports `correct: false` or failed operations.
+# how many pairs the change won (ties count for neither). Then compares
+# the simulator ledger: per pair, the `counters` object of the detail line
+# (the JSON line before the result line), printing `counters: identical`
+# or the keys that differ. Every run made is kept under
+# target/bench_ab/runs/. A measurement, not a gate: exits non-zero only if
+# a run reports `correct: false` or failed operations.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[ $# -ge 2 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
 parent_ref="$1" workload="$2" pairs="${3:-10}"
 
 sha="$(git rev-parse --verify "$parent_ref^{commit}")"
@@ -64,12 +67,15 @@ import json, statistics, sys
 runs, pairs = sys.argv[1], int(sys.argv[2])
 spec = json.load(open("BENCHMARK.json"))
 
-def load(i, side):
-    # The last JSON line of a run carries `correct`, `failed`, `metrics`.
+def load(i, side, line=-1):
+    # The last JSON line of a run carries `correct`, `failed`, `metrics`;
+    # the one before it is the detail line, with the `counters` ledger.
     lines = [l for l in open(f"{runs}/{i}.{side}.json") if l.startswith("{")]
-    return json.loads(lines[-1])
+    return json.loads(lines[line])
 
 sides = {s: [load(i, s) for i in range(1, pairs + 1)] for s in ("parent", "change")}
+ledgers = {s: [load(i, s, -2)["counters"] for i in range(1, pairs + 1)]
+           for s in ("parent", "change")}
 bad = [(s, i + 1) for s, rs in sides.items() for i, r in enumerate(rs)
        if not r["correct"] or r["failed"]]
 
@@ -101,6 +107,9 @@ for m in spec["end_to_end"]:
     fmt = lambda a, b, c: f"{a:.6g}/{b:.6g}/{c:.6g}"
     print(f"{name:24} {fmt(p1, pm, p3):>38} {fmt(c1, cm, c3):>38} "
           f"{ratio:8.4f} {m['bound']:6.2f} {wins:3}/{pairs:<2}  {verdict}")
+differ = sorted({k for p, c in zip(ledgers["parent"], ledgers["change"])
+                 for k in p.keys() | c.keys() if p.get(k) != c.get(k)})
+print("counters: identical" if not differ else f"counters differ: {', '.join(differ)}")
 print(f"runs kept in {runs}")
 if bad:
     print(f"incorrect or failing runs: {bad}", file=sys.stderr)
