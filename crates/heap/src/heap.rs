@@ -11,8 +11,8 @@ pub struct HeapStats {
     pub freed_total: u64,
     pub live_objects: usize,
     /// Reference fields held by live objects (local and remote edges).
-    /// Summarizer cost models read this in O(1) instead of walking the
-    /// heap to estimate E.
+    /// Per-edge cost probes read E in O(1) here instead of walking the
+    /// heap.
     pub ref_fields: u64,
 }
 

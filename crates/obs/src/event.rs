@@ -142,12 +142,8 @@ named_enum! {
     pub enum Phase {
         /// Local mark+sweep collection.
         Lgc => "lgc",
-        /// Raw heap/table snapshot capture (`acdgc_snapshot::capture`).
-        SnapshotCapture => "snapshot_capture",
-        /// Single-pass SCC-condensation summarizer.
-        SummarizeEngine => "summarize_engine",
-        /// Reference per-scion-BFS summarizer.
-        SummarizeReference => "summarize_reference",
+        /// Summarization of the heap (the SCC-condensation engine).
+        Summarize => "summarize",
         /// Candidate scan over the published summary.
         CandidateScan => "candidate_scan",
         /// One CDM combine step (initiate or deliver) including outcome

@@ -457,9 +457,9 @@ mod tests {
     fn per_phase_isolation_and_merge() {
         let mut p = PhaseHistograms::default();
         p.record(Phase::Lgc, 100);
-        p.record(Phase::SummarizeEngine, 200);
+        p.record(Phase::Summarize, 200);
         assert_eq!(p.get(Phase::Lgc).count(), 1);
-        assert_eq!(p.get(Phase::SnapshotCapture).count(), 0);
+        assert_eq!(p.get(Phase::CandidateScan).count(), 0);
         let mut q = PhaseHistograms::default();
         q.record(Phase::Lgc, 300);
         p.merge(&q);

@@ -1114,8 +1114,8 @@ mod tests {
     #[test]
     fn jsonl_has_one_object_per_line() {
         let mut pt = ProcTrace::new(ProcId(0), &cfg(16));
-        let t0 = pt.begin(SimTime(1), Phase::SummarizeEngine);
-        pt.end(SimTime(1), Phase::SummarizeEngine, t0);
+        let t0 = pt.begin(SimTime(1), Phase::Summarize);
+        pt.end(SimTime(1), Phase::Summarize, t0);
         pt.record(SimTime(2), started(0, 9));
         let trace = Trace::collect([&pt]);
         let mut buf = Vec::new();

@@ -7,7 +7,7 @@ use acdgc_heap::{Collection, Heap};
 use acdgc_model::{GcConfig, ProcId, SimTime};
 use acdgc_obs::{Event, Phase, ProcTrace, Sample};
 use acdgc_remoting::RemotingTables;
-use acdgc_snapshot::{SccEngine, SummarizePath, SummarizedGraph};
+use acdgc_snapshot::{SccEngine, SummarizedGraph};
 
 /// The state of one process. Mutation flows through [`crate::System`]
 /// (which owns all processes and the network), or through a
@@ -81,26 +81,19 @@ impl Process {
         self.summary_version
     }
 
-    /// Re-summarize the heap (adaptive dispatch between the reference BFS
-    /// and the SCC engine) and publish the result, then prune candidate
-    /// state against the fresh summary. Touches only this process and
-    /// counts into its own ledger — safe to run for many processes in
-    /// parallel (each process traces into its own ring); a driver with a
-    /// merged ledger mirrors [`Process::count_snapshot`] afterwards.
+    /// Re-summarize the heap with the SCC engine and publish the result,
+    /// then prune candidate state against the fresh summary. Touches only
+    /// this process and counts into its own ledger — safe to run for many
+    /// processes in parallel (each process traces into its own ring); a
+    /// driver with a merged ledger mirrors [`Process::count_snapshot`]
+    /// afterwards.
     pub fn refresh_summary(&mut self, now: SimTime) {
         let version = self.next_summary_version();
-        // Bracket the run with the phase of the path actually taken, so
-        // traces attribute the cost to the implementation that paid it.
-        let path = self.engine.choose_path(&self.heap, &self.tables);
-        let phase = match path {
-            SummarizePath::Reference => Phase::SummarizeReference,
-            SummarizePath::Engine => Phase::SummarizeEngine,
-        };
-        let started = self.obs.begin(now, phase);
+        let started = self.obs.begin(now, Phase::Summarize);
         self.summary = self
             .engine
-            .summarize_via(path, &self.heap, &self.tables, version, now);
-        self.obs.end(now, phase, started);
+            .summarize(&self.heap, &self.tables, version, now);
+        self.obs.end(now, Phase::Summarize, started);
         self.candidates.retain_known(&self.summary);
         Self::count_snapshot(&mut self.metrics, &self.summary);
     }

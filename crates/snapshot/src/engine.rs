@@ -1,15 +1,16 @@
-//! Single-pass SCC-condensation summarization engine.
+//! Single-pass SCC-condensation summarization engine: the summarizer
+//! every snapshot runs.
 //!
-//! The paper's formulation of graph summarization (§3) — and
-//! [`crate::summarize`], which transcribes it — runs one breadth-first
-//! traversal **per scion**: O(S·(V+E)) for S scions over a heap with V
-//! objects and E references. The per-scion traversals are almost entirely
-//! redundant: two scions whose targets reach the same strongly connected
-//! component of the local heap see, from that point on, exactly the same
-//! stubs.
+//! The paper defines summarization (§3) by the facts it produces —
+//! `StubsFrom`, `ScionsTo` and `Local.Reach` — not by an algorithm.
+//! [`crate::summarize`] transcribes it as one breadth-first traversal
+//! **per scion**: O(S·(V+E)) for S scions over a heap with V objects and E
+//! references, almost all of it redundant: two scions whose targets reach
+//! the same strongly connected component of the local heap see, from that
+//! point on, exactly the same stubs. It stays as the test oracle.
 //!
-//! This engine computes every `StubsFrom` / `ScionsTo` / `Local.Reach`
-//! fact from **one** walk over the heap's fields:
+//! This engine computes the same facts from **one** walk over the heap's
+//! fields:
 //!
 //! 1. One iterative Tarjan pass condenses the local object graph into its
 //!    SCC DAG and records the condensation as it goes — O(V+E). Tarjan
@@ -31,21 +32,20 @@
 //!    component's [`BitSet`] — one bit per table stub — is the union of its
 //!    direct stub bits and the sets of its successor components. Each
 //!    union is a word-parallel OR — O(condensation edges·W/64) for a W-stub
-//!    universe. Sets live in a slot pool indexed through `reach_of`, which
-//!    lets the aliased propagation mode (see
-//!    [`SccEngine::summarize_adaptive`]) make a component with no direct
-//!    stubs and out-degree ≤ 1 *inherit* its successor's pool slot in O(1)
-//!    instead of copying a full-width bitset — on disjoint scion chains the
-//!    whole propagation collapses to pointer assignments.
+//!    universe. Sets live in a slot pool indexed through `reach_of`: a
+//!    component with no direct stubs and out-degree ≤ 1 *inherits* its
+//!    successor's pool slot in O(1) instead of copying a full-width bitset
+//!    (aliased propagation), so on disjoint scion chains the whole
+//!    propagation collapses to pointer assignments.
 //! 4. A scion's `StubsFrom` is then just its target component's bitset,
 //!    decoded; `ScionsTo` is the inversion — O(S·W/64 + output).
 //!
 //! Steps 2–4 read the condensation only, never the heap's fields.
 //!
 //! Stub bit indices are assigned in ascending `RefId` order, so decoding a
-//! bitset yields the sorted `stubs_from` vector the reference produces —
-//! the engine's output is **identical** to [`crate::summarize`]'s, not
-//! just equivalent (property-tested in `tests/engine_props.rs`).
+//! bitset yields the sorted `stubs_from` vector the oracle produces — the
+//! engine's output is **identical** to [`crate::summarize`]'s, not just
+//! equivalent (property-tested in `tests/engine_props.rs`).
 //!
 //! All intermediate state lives in the engine and is reused across calls:
 //! a steady-state snapshot performs no scratch allocations (only the
@@ -62,49 +62,25 @@ const UNVISITED: u32 = u32::MAX;
 /// Pool slot holding the canonical empty reachable-stub set.
 const EMPTY_SLOT: u32 = 0;
 
-/// Which implementation an adaptive summarization dispatched to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which implementation summarized: always the engine.
+// Shim for the benchmark's pinned API; ROADMAP direction 2 deletes it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SummarizePath {
-    /// The paper's per-scion BFS ([`crate::summarize`]).
-    Reference,
     /// The SCC-condensation engine with aliased propagation.
+    #[default]
     Engine,
 }
 
-/// What [`SccEngine::summarize_adaptive`] saw and decided on its last
-/// call; exposed for tests, benches and forensics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What the last [`SccEngine::summarize`] run did; exposed for tests,
+/// benches and forensics.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
     pub path: SummarizePath,
-    /// Scion count S at dispatch time.
-    pub scions: usize,
-    /// Stub universe width W at dispatch time.
-    pub stub_width: usize,
-    /// Live objects V at dispatch time.
-    pub live_objects: usize,
-    /// Reference fields E at dispatch time (from the heap's incremental
-    /// counter).
-    pub ref_fields: u64,
     /// Components whose reachable-stub set was inherited by reference
-    /// (no direct stubs, out-degree ≤ 1) in the last engine-path run.
+    /// (no direct stubs, out-degree ≤ 1).
     pub inherited_components: usize,
-    /// Components that materialized an owned bitset in the last
-    /// engine-path run.
+    /// Components that materialized an owned bitset.
     pub unioned_components: usize,
-}
-
-impl Default for DispatchStats {
-    fn default() -> Self {
-        DispatchStats {
-            path: SummarizePath::Engine,
-            scions: 0,
-            stub_width: 0,
-            live_objects: 0,
-            ref_fields: 0,
-            inherited_components: 0,
-            unioned_components: 0,
-        }
-    }
 }
 
 /// One DFS frame of [`SccEngine`]'s Tarjan pass: the slot, its next field
@@ -190,7 +166,7 @@ pub struct SccEngine {
     stub_bit: FxHashMap<RefId, u32>,
     /// Stubs held directly by root-reachable objects (`Local.Reach`).
     root_stub_bits: BitSet,
-    // --- adaptive dispatch -------------------------------------------------
+    // --- counters of the last run -----------------------------------------
     dispatch: DispatchStats,
 }
 
@@ -200,9 +176,7 @@ impl SccEngine {
     }
 
     /// Summarize the current heap + remoting state; output is identical to
-    /// [`crate::summarize`] on the same inputs. This is the full engine:
-    /// every component materializes its own bitset (the baseline the
-    /// aliased mode is benchmarked against).
+    /// [`crate::summarize`] on the same inputs.
     pub fn summarize(
         &mut self,
         heap: &Heap,
@@ -210,14 +184,15 @@ impl SccEngine {
         version: u64,
         taken_at: SimTime,
     ) -> SummarizedGraph {
-        self.run_engine(heap, tables, false);
+        self.prepare(heap.slot_upper_bound(), tables);
+        self.run_tarjan(heap);
+        self.mark_root_components(heap.roots());
+        self.propagate_reach();
         self.build_summary(heap, tables, version, taken_at)
     }
 
-    /// Engine run with aliased propagation: components with no direct
-    /// stubs and out-degree ≤ 1 inherit their successor's reach set by
-    /// reference. Identical output, strictly less bitset work; used by
-    /// the adaptive dispatch.
+    // Shim for the benchmark's pinned API; ROADMAP direction 2 deletes it.
+    #[doc(hidden)]
     pub fn summarize_condensed(
         &mut self,
         heap: &Heap,
@@ -225,31 +200,11 @@ impl SccEngine {
         version: u64,
         taken_at: SimTime,
     ) -> SummarizedGraph {
-        self.run_engine(heap, tables, true);
-        self.build_summary(heap, tables, version, taken_at)
+        self.summarize(heap, tables, version, taken_at)
     }
 
-    fn run_engine(&mut self, heap: &Heap, tables: &RemotingTables, alias: bool) {
-        self.prepare(heap.slot_upper_bound(), tables);
-        self.run_tarjan(heap);
-        self.mark_root_components(heap.roots());
-        self.propagate_reach(alias);
-    }
-
-    /// Dispatch between the reference BFS and the (aliased) engine from
-    /// O(1) graph statistics, then summarize. Output is exactly equal to
-    /// both on every input; only the cost differs. See
-    /// [`SccEngine::last_dispatch`] for what was decided and why.
-    ///
-    /// The model compares traversal upper bounds in visited-field units:
-    /// the reference pays one BFS per scion plus the root closure, each
-    /// bounded by the whole graph (V + E); the engine is charged three
-    /// linear passes plus a per-scion W/64-word bitset decode. Small scion
-    /// counts therefore go to the reference — exactly the regime where
-    /// per-scion traversal is provably cheap — and everything else goes to
-    /// the engine, whose aliased propagation no longer loses on disjoint
-    /// chains. The factor 3 dates from three heap passes; root marking and
-    /// propagation now read the condensation, but it is kept as it was.
+    // Shim for the benchmark's pinned API; ROADMAP direction 2 deletes it.
+    #[doc(hidden)]
     pub fn summarize_adaptive(
         &mut self,
         heap: &Heap,
@@ -257,57 +212,10 @@ impl SccEngine {
         version: u64,
         taken_at: SimTime,
     ) -> SummarizedGraph {
-        let path = self.choose_path(heap, tables);
-        self.summarize_via(path, heap, tables, version, taken_at)
+        self.summarize(heap, tables, version, taken_at)
     }
 
-    /// Summarize along `path` — the second half of
-    /// [`SccEngine::summarize_adaptive`], for callers that bracket the run
-    /// with the phase [`SccEngine::choose_path`] just named.
-    pub fn summarize_via(
-        &mut self,
-        path: SummarizePath,
-        heap: &Heap,
-        tables: &RemotingTables,
-        version: u64,
-        taken_at: SimTime,
-    ) -> SummarizedGraph {
-        match path {
-            SummarizePath::Reference => crate::summary::summarize(heap, tables, version, taken_at),
-            SummarizePath::Engine => self.summarize_condensed(heap, tables, version, taken_at),
-        }
-    }
-
-    /// Pick the cheaper implementation for the current graph shape and
-    /// record the decision in [`SccEngine::last_dispatch`].
-    pub fn choose_path(&mut self, heap: &Heap, tables: &RemotingTables) -> SummarizePath {
-        let scions = tables.scion_count();
-        let stub_width = tables.stub_count();
-        let stats = heap.stats();
-        let graph = stats.live_objects as u64 + stats.ref_fields + 1;
-        let reference_cost = (scions as u64 + 1).saturating_mul(graph);
-        let engine_cost = 3u64.saturating_mul(graph)
-            + (scions as u64 + 1).saturating_mul(stub_width as u64 / 64 + 1);
-        let path = if reference_cost <= engine_cost {
-            SummarizePath::Reference
-        } else {
-            SummarizePath::Engine
-        };
-        self.dispatch = DispatchStats {
-            path,
-            scions,
-            stub_width,
-            live_objects: stats.live_objects,
-            ref_fields: stats.ref_fields,
-            inherited_components: 0,
-            unioned_components: 0,
-        };
-        path
-    }
-
-    /// The decision and statistics of the most recent
-    /// [`SccEngine::summarize_adaptive`] call (component counters are
-    /// also updated by direct engine runs).
+    /// The component counters of the most recent [`SccEngine::summarize`].
     pub fn last_dispatch(&self) -> DispatchStats {
         self.dispatch
     }
@@ -460,12 +368,11 @@ impl SccEngine {
     /// Bottom-up reachable-stub propagation: ascending emission order is
     /// reverse topological order, so every successor component's set is
     /// final when it is unioned in. Sets live in a pool addressed through
-    /// `reach_of`; with `alias` on, a component holding no stubs directly
-    /// and seeing at most one distinct successor component takes its
-    /// successor's pool slot instead of materializing a set — the chains
-    /// that dominate disjoint scion topologies then cost O(1) per
-    /// component instead of O(W/64).
-    fn propagate_reach(&mut self, alias: bool) {
+    /// `reach_of`; a component holding no stubs directly and seeing at most
+    /// one distinct successor component takes its successor's pool slot
+    /// instead of materializing a set — the chains that dominate disjoint
+    /// scion topologies then cost O(1) per component instead of O(W/64).
+    fn propagate_reach(&mut self) {
         let num = self.succ.end.len();
         self.reach_of.clear();
         if self.pool.is_empty() {
@@ -481,7 +388,7 @@ impl SccEngine {
                 succ.iter().all(|&cw| (cw as usize) < c),
                 "tarjan emission order violated"
             );
-            let slot = if alias && direct.is_empty() && succ.len() <= 1 {
+            let slot = if direct.is_empty() && succ.len() <= 1 {
                 inherited += 1;
                 match succ.first() {
                     Some(&cw) => self.reach_of[cw as usize],
@@ -813,23 +720,15 @@ mod tests {
     }
 
     #[test]
-    fn aliased_propagation_matches_dense_and_inherits_chains() {
+    fn aliased_propagation_inherits_chains() {
         let (heap, tables) = chain_world(8, 25);
-        let mut dense = SccEngine::new();
-        let mut aliased = SccEngine::new();
-        let a = dense.summarize(&heap, &tables, 1, SimTime(0));
-        let b = aliased.summarize_condensed(&heap, &tables, 1, SimTime(0));
-        assert!(summaries_equivalent(&a, &b), "{a:?}\n{b:?}");
-        assert!(summaries_equivalent(
-            &b,
-            &summarize(&heap, &tables, 1, SimTime(0))
-        ));
-        // Dense mode materializes one set per component; aliased mode
-        // inherits every interior chain component (24 of 25 per chain).
-        assert_eq!(dense.last_dispatch().inherited_components, 0);
-        assert_eq!(dense.last_dispatch().unioned_components, 8 * 25);
-        assert_eq!(aliased.last_dispatch().inherited_components, 8 * 24);
-        assert_eq!(aliased.last_dispatch().unioned_components, 8);
+        assert_matches_reference(&heap, &tables);
+        // Every interior chain component (24 of 25 per chain) inherits its
+        // successor's set; only the stub-holding tails materialize one.
+        let mut engine = SccEngine::new();
+        engine.summarize(&heap, &tables, 1, SimTime(0));
+        let d = engine.last_dispatch();
+        assert_eq!((d.inherited_components, d.unioned_components), (8 * 24, 8));
     }
 
     #[test]
@@ -860,43 +759,12 @@ mod tests {
         for k in 0..300u64 {
             tables.add_scion(RefId(k), heap.alloc(1), ProcId(1), SimTime(0));
         }
-        let reference = summarize(&heap, &tables, 1, SimTime(0));
+        assert_matches_reference(&heap, &tables);
         let mut engine = SccEngine::new();
-        let s = engine.summarize_adaptive(&heap, &tables, 1, SimTime(0));
-        assert_eq!((&s.scions, &s.stubs), (&reference.scions, &reference.stubs));
+        engine.summarize(&heap, &tables, 1, SimTime(0));
         let d = engine.last_dispatch();
-        assert_eq!(d.path, SummarizePath::Engine);
         // The ring materializes one set; the tail (one distinct successor
         // each) and every leaf (none) hold nothing and inherit.
         assert_eq!((d.inherited_components, d.unioned_components), (302, 1));
-        engine.summarize(&heap, &tables, 1, SimTime(0));
-        let d = engine.last_dispatch();
-        assert_eq!((d.inherited_components, d.unioned_components), (0, 303));
-    }
-
-    #[test]
-    fn adaptive_dispatch_follows_the_cost_model() {
-        // Two scions over a long chain: (S+1)·graph is far below 3·graph,
-        // so the per-scion reference walk is provably the cheaper bound.
-        let (heap, tables) = chain_world(2, 200);
-        let mut engine = SccEngine::new();
-        let s = engine.summarize_adaptive(&heap, &tables, 1, SimTime(0));
-        assert_eq!(engine.last_dispatch().path, SummarizePath::Reference);
-        assert_eq!(engine.last_dispatch().scions, 2);
-        assert!(summaries_equivalent(
-            &s,
-            &summarize(&heap, &tables, 1, SimTime(0))
-        ));
-
-        // Many scions: the reference bound is S·graph, the engine is ~3
-        // linear passes.
-        let (heap, tables) = chain_world(50, 8);
-        let s = engine.summarize_adaptive(&heap, &tables, 1, SimTime(0));
-        assert_eq!(engine.last_dispatch().path, SummarizePath::Engine);
-        assert!(engine.last_dispatch().inherited_components > 0);
-        assert!(summaries_equivalent(
-            &s,
-            &summarize(&heap, &tables, 1, SimTime(0))
-        ));
     }
 }

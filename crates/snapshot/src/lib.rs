@@ -17,14 +17,10 @@
 //!   invocation counters captured at snapshot time. References strictly
 //!   internal to the process are summarized away.
 //!
-//! Two summarizer implementations produce that graph: [`summarize`], the
-//! paper's per-scion breadth-first formulation (kept as the reference
-//! oracle), and [`SccEngine`], a single-pass SCC-condensation engine that
-//! computes identical output in O(V + E) graph work (see
-//! [`engine`]). [`SccEngine::summarize_adaptive`] dispatches between the
-//! two per snapshot from O(1) graph statistics (and runs the engine with
-//! chain-aliased propagation), so neither implementation's worst case is
-//! ever paid.
+//! [`SccEngine`] produces that graph on every snapshot: a single-pass
+//! SCC-condensation engine that computes it in O(V + E) graph work (see
+//! [`engine`]). [`summarize`], the paper's per-scion breadth-first
+//! formulation, is the test oracle the engine is held to exactly.
 
 pub mod capture;
 pub mod codec;

@@ -1,15 +1,15 @@
-//! Property tests: the single-pass SCC engine (dense and aliased), the
-//! adaptive dispatcher and the reference per-scion summarizer all agree —
-//! on arbitrary static worlds and across arbitrary mutation sequences (edge edits,
-//! root flips, local collections, stub/scion churn, scion re-incarnation,
-//! invocations). The engine's output is checked for *exact* equality with
-//! the reference (same maps, same sorted vectors, same incarnation and
-//! `local_reach` bits), not just semantic equivalence.
+//! Property tests: the SCC engine, which summarizes every snapshot, equals
+//! the oracle — [`summarize`], the paper's per-scion breadth-first
+//! formulation — on arbitrary static worlds and across arbitrary mutation
+//! sequences (edge edits, root flips, local collections, stub/scion churn,
+//! scion re-incarnation, invocations). Equality is *exact* (same maps, same
+//! sorted vectors, same incarnation and `local_reach` bits), not just
+//! semantic equivalence.
 
 use acdgc_heap::{lgc, Heap, HeapRef};
 use acdgc_model::{ObjId, ProcId, RefId, SimTime};
 use acdgc_remoting::RemotingTables;
-use acdgc_snapshot::{summarize, SccEngine, SummarizePath};
+use acdgc_snapshot::{summarize, SccEngine};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -172,23 +172,33 @@ fn apply(world: &mut World, op: (u8, usize, usize)) {
     world.clock += 1;
 }
 
-/// The summarizers agree on the current world state; the engine is held
-/// to exact output equality with the reference.
+/// The engine's summary of `heap` + `tables` equals the oracle's exactly.
+fn exact(
+    engine: &mut SccEngine,
+    heap: &Heap,
+    tables: &RemotingTables,
+    version: u64,
+    t: SimTime,
+) -> Result<(), TestCaseError> {
+    let oracle = summarize(heap, tables, version, t);
+    let by_engine = engine.summarize(heap, tables, version, t);
+    prop_assert_eq!(&by_engine.scions, &oracle.scions);
+    prop_assert_eq!(&by_engine.stubs, &oracle.stubs);
+    prop_assert_eq!(by_engine.proc, oracle.proc);
+    Ok(())
+}
+
 fn check(world: &World, engine: &mut SccEngine, version: u64) -> Result<(), TestCaseError> {
     let t = SimTime(world.clock);
-    let reference = summarize(&world.heap, &world.tables, version, t);
-    let by_engine = engine.summarize(&world.heap, &world.tables, version, t);
-    prop_assert_eq!(&by_engine.scions, &reference.scions);
-    prop_assert_eq!(&by_engine.stubs, &reference.stubs);
-    prop_assert_eq!(by_engine.proc, reference.proc);
-    // The adaptive dispatcher must be exact whichever path it picks —
-    // these small worlds mostly land on the reference side of the cost
-    // model, and the reuse of `engine` right after a dense run also
-    // exercises scratch/cache invalidation across the two entry points.
-    let by_adaptive = engine.summarize_adaptive(&world.heap, &world.tables, version, t);
-    prop_assert_eq!(&by_adaptive.scions, &reference.scions);
-    prop_assert_eq!(&by_adaptive.stubs, &reference.stubs);
-    Ok(())
+    exact(engine, &world.heap, &world.tables, version, t)
+}
+
+/// Allocate an object holding a fresh stub `r`.
+fn stub_holder(heap: &mut Heap, tables: &mut RemotingTables, r: RefId) -> ObjId {
+    let holder = heap.alloc(1);
+    tables.add_stub(r, ObjId::new(ProcId(2), r.0 as u32, 0), SimTime(0));
+    heap.add_ref(holder, HeapRef::Remote(r)).unwrap();
+    holder
 }
 
 /// Worlds shaped for the condensation Tarjan records: chains with back
@@ -284,26 +294,11 @@ fn build_scc(recipe: &SccRecipe) -> (Heap, RemotingTables) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// On SCC-heavy worlds the dense and aliased engines both equal the
-    /// reference exactly, and condense the heap into the same components.
+    /// SCC-heavy worlds: large components, fields into finished ones.
     #[test]
     fn engine_exact_on_large_sccs_and_finished_components(recipe in scc_recipe()) {
         let (heap, tables) = build_scc(&recipe);
-        let reference = summarize(&heap, &tables, 1, SimTime(0));
-        let mut dense = SccEngine::new();
-        let mut aliased = SccEngine::new();
-        let by_dense = dense.summarize(&heap, &tables, 1, SimTime(0));
-        let by_aliased = aliased.summarize_condensed(&heap, &tables, 1, SimTime(0));
-        prop_assert_eq!(&by_dense.scions, &reference.scions);
-        prop_assert_eq!(&by_dense.stubs, &reference.stubs);
-        prop_assert_eq!(&by_aliased.scions, &by_dense.scions);
-        prop_assert_eq!(&by_aliased.stubs, &by_dense.stubs);
-        let (d, a) = (dense.last_dispatch(), aliased.last_dispatch());
-        prop_assert_eq!(d.inherited_components, 0);
-        prop_assert_eq!(
-            d.unioned_components,
-            a.inherited_components + a.unioned_components
-        );
+        exact(&mut SccEngine::new(), &heap, &tables, 1, SimTime(0))?;
     }
 
     /// Static worlds: one-shot agreement of all implementations.
@@ -333,25 +328,31 @@ proptest! {
         }
     }
 
-    /// Worlds built to straddle the adaptive dispatcher's cost boundary:
-    /// disjoint scion chains (the engine's aliasing sweet spot) plus a
-    /// converging web (the reference's worst case), with the total scion
-    /// count sweeping across the Reference/Engine switchover. Adaptive
-    /// output must equal the reference exactly on both sides, and the
-    /// decision must agree with the cost model in the regimes where the
-    /// model's answer is forced: with S <= 2 scions the reference bound
-    /// (S+1)·graph never exceeds the engine's 3·graph floor, and with
-    /// S >= 4 the world is large enough that it always does.
+    /// Disjoint scion chains (the aliasing sweet spot) plus a converging
+    /// web (the per-scion oracle's worst case), 0–36 scions. Half the worlds
+    /// keep to 0–2 scions, where most production snapshots are; there
+    /// `Local.Reach` carries the summary, so rooted objects hold stubs (one
+    /// also reaching into a chain) and garbage objects hold stubs (one also
+    /// pointing into a chain) that must not surface.
     #[test]
-    fn adaptive_exact_across_dispatch_boundary(
+    fn engine_exact_on_chains_webs_and_held_stubs(
         chains in 0usize..24,
         len in 1usize..6,
         web in 0usize..12,
         root_hub in 0u8..2,
+        few in 0u8..2,
+        rooted in 0usize..4,
+        garbage in 0usize..4,
     ) {
+        let (chains, web) = if few == 1 {
+            (chains % 3, web % (3 - chains % 3))
+        } else {
+            (chains, web)
+        };
         let mut heap = Heap::new(ProcId(0));
         let mut tables = RemotingTables::new(ProcId(0));
         let mut next_scion = 0u64;
+        let mut heads = Vec::new();
         for _ in 0..chains {
             let ids: Vec<ObjId> = (0..len).map(|_| heap.alloc(1)).collect();
             for pair in ids.windows(2) {
@@ -361,12 +362,11 @@ proptest! {
             tables.add_scion(RefId(next_scion), ids[0], ProcId(1), SimTime(0));
             tables.add_stub(stub, ObjId::new(ProcId(1), stub.0 as u32, 0), SimTime(0));
             heap.add_ref(*ids.last().unwrap(), HeapRef::Remote(stub)).unwrap();
+            heads.push(ids[0]);
             next_scion += 1;
         }
         if web > 0 {
-            let hub = heap.alloc(1);
-            tables.add_stub(RefId(999), ObjId::new(ProcId(2), 0, 0), SimTime(0));
-            heap.add_ref(hub, HeapRef::Remote(RefId(999))).unwrap();
+            let hub = stub_holder(&mut heap, &mut tables, RefId(999));
             if root_hub == 1 {
                 heap.add_root(hub).unwrap();
             }
@@ -377,18 +377,20 @@ proptest! {
                 next_scion += 1;
             }
         }
-        let mut engine = SccEngine::new();
-        let reference = summarize(&heap, &tables, 1, SimTime(0));
-        let adaptive = engine.summarize_adaptive(&heap, &tables, 1, SimTime(0));
-        prop_assert_eq!(&adaptive.scions, &reference.scions);
-        prop_assert_eq!(&adaptive.stubs, &reference.stubs);
-        let d = engine.last_dispatch();
-        prop_assert_eq!(d.scions, chains + web);
-        if chains + web <= 2 {
-            prop_assert_eq!(d.path, SummarizePath::Reference);
-        } else if chains + web >= 4 {
-            prop_assert_eq!(d.path, SummarizePath::Engine);
+        for k in 0..rooted {
+            let holder = stub_holder(&mut heap, &mut tables, RefId(2000 + k as u64));
+            heap.add_root(holder).unwrap();
+            if k == 1 && !heads.is_empty() {
+                heap.add_ref(holder, HeapRef::Local(heads[0].slot)).unwrap();
+            }
         }
+        for k in 0..garbage {
+            let holder = stub_holder(&mut heap, &mut tables, RefId(3000 + k as u64));
+            if k == 1 && !heads.is_empty() {
+                heap.add_ref(holder, HeapRef::Local(heads[heads.len() - 1].slot)).unwrap();
+            }
+        }
+        exact(&mut SccEngine::new(), &heap, &tables, 1, SimTime(0))?;
     }
 
     /// Clean re-summarizations (no mutator events between snapshots) keep

@@ -28,6 +28,17 @@ if grep -nE '\.on_(nss|nss_ack|cdm|delete_scion)\(|GcMsg::Nss(Ack)? *[({] *[^_. 
     exit 1
 fi
 
+echo "==> one-summarizer gate (the runtimes summarize only through SccEngine::summarize)"
+# acdgc_snapshot::summarize, the paper's per-scion BFS, is the oracle the
+# engine is tested against, not a second production summarizer; and the
+# adaptive dispatch between the two is gone. A free call of the oracle, an
+# import of it, or a dispatch name in the runtime crates brings it back.
+if grep -rnE '(^|[^.[:alnum:]_])summarize\(|acdgc_snapshot::(summary::)?summarize\b|use acdgc_snapshot::\{[^}]*\bsummarize\b|choose_path|summarize_via|summarize_adaptive|summarize_condensed|SummarizePath' \
+    crates/sim/src crates/core/src crates/remoting/src crates/heap/src; then
+    echo "a second summarizer or the summarizer dispatch in a runtime crate" >&2
+    exit 1
+fi
+
 echo "==> build (release)"
 cargo build --release --offline --workspace
 

@@ -99,8 +99,7 @@ fn fig4_trace_reconstructs_full_cdm_paths() {
     // Phase clocks ran: each of the six snapshots timed its summarizer
     // pass, and every CDM processing step fed the handling histogram.
     let phases = trace.merged_phases();
-    let summarize = phases.get(acdgc::obs::Phase::SummarizeEngine).count()
-        + phases.get(acdgc::obs::Phase::SummarizeReference).count();
+    let summarize = phases.get(acdgc::obs::Phase::Summarize).count();
     assert!(summarize >= 6, "six snapshots time their summarizer");
     assert!(phases.get(acdgc::obs::Phase::CdmHandling).count() >= 1);
 }
