@@ -76,6 +76,6 @@ pub mod algebra;
 pub mod candidates;
 pub mod process;
 
-pub use algebra::{Cdm, Entry, MatchResult, Walk, FULL_CREDIT};
+pub use algebra::{Cdm, Entry, EntryMap, MatchResult, Walk, FULL_CREDIT};
 pub use candidates::{scan_candidates, select_candidates, CandidateScan, CandidateState};
 pub use process::{deliver, initiate, OutboundCdm, Outcome, TerminateReason};

@@ -16,7 +16,7 @@ fn build(source: &[(u64, u64)], target: &[(u64, u64)]) -> Cdm {
         RefId(source.first().map(|e| e.0).unwrap_or(0)),
         source.first().map(|e| e.1).unwrap_or(0),
     );
-    cdm.source.clear();
+    cdm.source = Default::default();
     for &(r, ic) in source {
         cdm.add_source(RefId(r), ic);
     }
@@ -115,7 +115,7 @@ proptest! {
         let cdm = build(&source, &target);
         if let MatchResult::Pending { unresolved, .. } = cdm.matching(true) {
             if let Some(&r) = unresolved.first() {
-                let ic = cdm.source[&r];
+                let ic = *cdm.source.get(&r).expect("an unresolved reference has a source entry");
                 let mut resolved = cdm.clone();
                 resolved.add_target(r, ic);
                 match resolved.matching(true) {

@@ -19,7 +19,8 @@ use std::time::Instant;
 /// Sequence numbers come from an `Arc<AtomicU64>` that the embedding
 /// runtime shares across all processes of a run, so the merged trace has
 /// a total order even when processes record concurrently (each from its
-/// own thread, or from a `rayon` parallel snapshot stage). Everything
+/// own thread, or from a pool worker running one of `System::gc_round`'s
+/// parallel phases). Everything
 /// else is process-local: recording never takes a shared lock.
 ///
 /// Every recorded event ticks the process's Lamport clock and carries the

@@ -477,11 +477,12 @@ impl System {
 
     /// Run one local collection at *every* process. The compute stage
     /// ([`Process::lgc_step`]) touches only process-local state, so it
-    /// fans out across threads; the apply stage (`Self::lgc_apply`)
-    /// consumes shared state (the merged ledger, the seeded network RNG)
-    /// and runs sequentially in process-index order — the exact order
-    /// [`System::run_lgc`] per process produces, so results and metrics
-    /// are bit-identical to driving the processes one by one.
+    /// fans out (`fan_out`) over the worker pool; the apply stage
+    /// (`Self::lgc_apply`) consumes shared state (the merged ledger, the
+    /// seeded network RNG) and runs sequentially in process-index order —
+    /// the exact order [`System::run_lgc`] per process produces, so
+    /// results and metrics are bit-identical to driving the processes one
+    /// by one.
     ///
     /// One oracle serves the whole sweep: a sound LGC frees only
     /// globally-unreachable objects, and dead-stub handling only touches
@@ -530,10 +531,10 @@ impl System {
     }
 
     /// Snapshot + summarize every process. Summarization reads only
-    /// process-local state, so the per-process work fans out across
-    /// threads; published summaries (and therefore simulation results) are
-    /// identical either way. The merged ledger is folded sequentially
-    /// afterwards to keep it deterministic.
+    /// process-local state, so the per-process work fans out (`fan_out`)
+    /// over the worker pool; published summaries (and therefore simulation
+    /// results) are identical either way. The merged ledger is folded
+    /// sequentially afterwards to keep it deterministic.
     pub fn snapshot_all(&mut self) {
         let now = self.clock;
         fan_out(&mut self.procs, |proc| proc.refresh_summary(now));
@@ -553,10 +554,11 @@ impl System {
 
     /// Candidate scan at every process, then detection initiations. The
     /// scan reads only process-local state (the published summary plus the
-    /// process's heuristic ledger), so it fans out across threads;
-    /// initiation consumes shared state (the detection id allocator, the
-    /// seeded network) and runs sequentially in process-index order —
-    /// bit-identical to [`System::run_scan`] per process.
+    /// process's heuristic ledger), so it fans out (`fan_out`) over the
+    /// worker pool; initiation consumes shared state (the detection id
+    /// allocator, the seeded network) and runs sequentially in
+    /// process-index order — bit-identical to [`System::run_scan`] per
+    /// process.
     pub fn scan_all(&mut self) {
         let now = self.clock;
         let cfg = &self.cfg;
@@ -900,8 +902,11 @@ impl System {
     }
 }
 
-/// Run `f` over every process — on worker threads when there is more than
-/// one — and collect the results in process-index order.
+/// Run `f` over every process and collect the results in process-index
+/// order. With more than one process the slice is split into one chunk per
+/// core: the calling thread runs one, and the vendored `rayon` stand-in's
+/// persistent workers (started once per process, asleep between calls) run
+/// the rest — no thread is started per call.
 fn fan_out<R: Send>(procs: &mut [Process], f: impl Fn(&mut Process) -> R + Sync + Send) -> Vec<R> {
     if procs.len() > 1 {
         procs.par_iter_mut().map(f)

@@ -2,13 +2,14 @@
 # A/B the repo's benchmark: a parent commit against the working tree, the
 # protocol of benchmark/README.md "How a later change states a claim".
 #
-#   scripts/bench_ab.sh <parent-ref> <workload> [pairs=10]
+#   scripts/bench_ab.sh <parent-ref> <workload> [pairs=10] [benchmark args...]
 #
 # Exports <parent-ref> with `git archive` into target/bench_ab/<sha> (a
 # plain copy: nothing to prune, no second checkout registered in .git),
 # builds BENCHMARK.json's command once on each side, then runs `pairs`
 # pairs of (parent, change), alternating which side goes first, each side
-# from its own root. Prints, per end-to-end metric: median and quartiles
+# from its own root, with any further arguments (e.g. `--seed 7`) passed to
+# both sides. Prints, per end-to-end metric: median and quartiles
 # of both sides, the ratio of the medians against the metric's bound, and
 # how many pairs the change won (ties count for neither). Then compares
 # the simulator ledger: per pair, the `counters` object of the detail line
@@ -18,8 +19,9 @@
 # a run reports `correct: false` or failed operations.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-[ $# -ge 2 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,20p' "$0" >&2; exit 2; }
 parent_ref="$1" workload="$2" pairs="${3:-10}"
+extra=("${@:4}")
 
 sha="$(git rev-parse --verify "$parent_ref^{commit}")"
 root="$PWD/target/bench_ab"
@@ -39,7 +41,7 @@ import json
 print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
 
 run_side() { # <root> <out-file>
-    (cd "$1" && "${cmd[@]}" --workload "$workload") >"$2" 2>"$2.err"
+    (cd "$1" && "${cmd[@]}" --workload "$workload" "${extra[@]}") >"$2" 2>"$2.err"
 }
 
 # Every cargo run of the benchmark refreshes its tracked lock file in

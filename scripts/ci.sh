@@ -39,11 +39,41 @@ if grep -rnE '(^|[^.[:alnum:]_])summarize\(|acdgc_snapshot::(summary::)?summariz
     exit 1
 fi
 
+echo "==> no-thread-per-phase gate (collector phases run on the persistent pool)"
+# gc_round fans three phases out per round through the vendored rayon
+# stand-in, whose workers start once per process and then sleep between
+# calls. A scoped thread in the stand-in, a core count read anywhere but
+# the pool's one-time start, or a thread started by System itself would
+# bring back a spawn (or a cgroup read) on every phase of every round.
+if grep -rn 'thread::scope' vendor/rayon/src; then
+    echo "the rayon stand-in spawns scoped threads per call" >&2
+    exit 1
+fi
+# Code lines (not comments) naming available_parallelism, against those
+# within two lines after the pool's one `CORES.get_or_init(`.
+reads="$(grep -rhE '^[[:space:]]*[^[:space:]/].*available_parallelism' vendor/rayon/src | wc -l)"
+at_start="$(grep -rh -A2 'CORES\.get_or_init(' vendor/rayon/src \
+    | grep -cE '^[[:space:]]*[^[:space:]/].*available_parallelism' || true)"
+if [ "$reads" -ne 1 ] || [ "$at_start" -ne 1 ]; then
+    echo "available_parallelism read outside the pool's one-time start ($reads reads, $at_start at the start)" >&2
+    exit 1
+fi
+if grep -nE 'thread::(spawn|scope)|available_parallelism' crates/sim/src/system.rs; then
+    echo "System starts threads or reads the core count itself" >&2
+    exit 1
+fi
+
 echo "==> build (release)"
 cargo build --release --offline --workspace
 
 echo "==> tests"
 cargo test -q --offline --workspace
+
+echo "==> worker pool tests (vendored rayon stand-in, release)"
+# vendor/* is not in default-members, so the workspace run above does not
+# reach the pool's own tests: order at every small length, panic
+# re-raise, nested and concurrent calls, and the thread-start bound.
+cargo test -q --offline --release -p rayon
 
 echo "==> threaded stress (release, seed matrix, traced, hard time budget)"
 # The quiescence protocol must terminate these runs on its own; the 300s

@@ -9,7 +9,7 @@ use acdgc::dcda::{self, Cdm, MatchResult, OutboundCdm, Outcome, Walk};
 use acdgc::model::{DetectionId, GcConfig, NetConfig, ProcId, RefId, SimDuration};
 use acdgc::sim::{scenarios, System};
 
-fn keys(map: &std::collections::BTreeMap<RefId, u64>) -> Vec<RefId> {
+fn keys(map: &dcda::EntryMap<u64>) -> Vec<RefId> {
     map.keys().copied().collect()
 }
 

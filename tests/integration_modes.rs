@@ -127,9 +127,9 @@ fn parallel_phases_are_observationally_identical() {
         procs.iter().for_each(|&p| sys.run_scan(p));
         sys.drain_network();
     }
-    let run = |round: fn(&mut System)| {
-        let mut sys = System::new(4, GcConfig::manual(), NetConfig::default(), 74);
-        let procs: Vec<ProcId> = (0..4).map(ProcId).collect();
+    let run = |n: u16, round: fn(&mut System)| {
+        let mut sys = System::new(n as usize, GcConfig::manual(), NetConfig::default(), 74);
+        let procs: Vec<ProcId> = (0..n).map(ProcId).collect();
         let _live = scenarios::ring(&mut sys, &procs, 3, true);
         let _dead = scenarios::ring(&mut sys, &procs, 3, false);
         // `collect_to_fixpoint`'s policy, with the round swapped in.
@@ -162,15 +162,23 @@ fn parallel_phases_are_observationally_identical() {
             sys.clock(),
         )
     };
-    let fanned_out = run(System::gc_round);
-    let hand_driven = run(by_hand);
-    assert_eq!(
-        hand_driven, fanned_out,
-        "gc_round's fan-out changed observable behaviour"
-    );
-    assert!(fanned_out.1.cycles_detected >= 1, "the dead ring was found");
-    assert_eq!(fanned_out.1.safety_violations(), 0);
-    assert_eq!(fanned_out.3, 13, "live rings + anchor survive (4*3+1)");
+    // 4 processes, and 16 (the `rings` workload's count): more processes
+    // than cores, so every phase splits into chunks run on several threads.
+    for n in [4u16, 16] {
+        let fanned_out = run(n, System::gc_round);
+        let hand_driven = run(n, by_hand);
+        assert_eq!(
+            hand_driven, fanned_out,
+            "gc_round's fan-out changed observable behaviour ({n} processes)"
+        );
+        assert!(fanned_out.1.cycles_detected >= 1, "the dead ring was found");
+        assert_eq!(fanned_out.1.safety_violations(), 0);
+        assert_eq!(
+            fanned_out.3,
+            n as usize * 3 + 1,
+            "live ring + anchor survive"
+        );
+    }
 }
 
 #[test]
