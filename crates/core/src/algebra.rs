@@ -11,6 +11,7 @@
 
 use acdgc_model::{DetectionId, ProcId, RefId};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Invocation counter value.
@@ -42,12 +43,10 @@ pub struct Entry {
 pub enum MatchResult {
     /// Source and target cancel exactly: a distributed garbage cycle.
     CycleFound,
-    /// Detection is incomplete: `unresolved` dependencies remain and/or the
-    /// `wavefront` has traversed references whose scion side is unseen.
-    Pending {
-        unresolved: Vec<RefId>,
-        wavefront: Vec<RefId>,
-    },
+    /// Detection is incomplete: dependencies remain unresolved and/or the
+    /// wavefront has traversed references whose scion side is unseen
+    /// ([`Cdm::residue`] lists both).
+    Pending,
     /// The same reference carries different counters on the two sides: the
     /// mutator invoked through it between the two snapshots. Unsafe to
     /// conclude anything; the detection must abort.
@@ -56,6 +55,16 @@ pub enum MatchResult {
         source_ic: Ic,
         target_ic: Ic,
     },
+}
+
+/// What a match leaves uncancelled, by reference: the CDM after
+/// matching, in the paper's notation.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Residue {
+    /// Dependencies (source entries) with no traversed counterpart.
+    pub unresolved: Vec<RefId>,
+    /// Traversed references (target entries) whose scion side is unseen.
+    pub wavefront: Vec<RefId>,
 }
 
 /// The granularity at which a CDM is expanded. A property of the walk, not
@@ -287,37 +296,52 @@ impl Cdm {
     /// Algebraic matching (§3, "CDM Matching"): cancel references present
     /// in both sets. With `ic_barrier` set (the default, and the only safe
     /// configuration), a reference whose two sightings disagree on the
-    /// counter aborts the match; the A1 ablation disables the barrier to
-    /// demonstrate the unsafety the paper's counters prevent.
+    /// counter aborts the match (the lowest such reference is reported);
+    /// the A1 ablation disables the barrier to demonstrate the unsafety the
+    /// paper's counters prevent. One merge walk over the two sorted sets;
+    /// allocates nothing.
     pub fn matching(&self, ic_barrier: bool) -> MatchResult {
-        let mut unresolved = Vec::new();
-        for (&ref_id, &source_ic) in self.source.iter() {
-            match self.target.get(&ref_id) {
-                Some(&target_ic) if target_ic == source_ic => {}
-                Some(&target_ic) if ic_barrier => {
-                    return MatchResult::IcMismatch {
-                        ref_id,
-                        source_ic,
-                        target_ic,
-                    };
+        let (mut source, mut target) = (self.source.0.iter(), self.target.0.iter());
+        let (mut s, mut t) = (source.next(), target.next());
+        let mut residue = false;
+        while let (Some(&(ref_id, source_ic)), Some(&(other, target_ic))) = (s, t) {
+            match ref_id.cmp(&other) {
+                Ordering::Less => s = source.next(),
+                Ordering::Greater => t = target.next(),
+                Ordering::Equal => {
+                    if source_ic != target_ic && ic_barrier {
+                        return MatchResult::IcMismatch {
+                            ref_id,
+                            source_ic,
+                            target_ic,
+                        };
+                    }
+                    (s, t) = (source.next(), target.next());
+                    continue;
                 }
-                Some(_) => {} // barrier disabled: cancel regardless (UNSAFE)
-                None => unresolved.push(ref_id),
             }
+            residue = true;
         }
-        let wavefront: Vec<RefId> = self
-            .target
-            .keys()
-            .filter(|r| !self.source.contains_key(r))
-            .copied()
-            .collect();
-        if unresolved.is_empty() && wavefront.is_empty() {
-            MatchResult::CycleFound
+        if residue || s.is_some() || t.is_some() {
+            MatchResult::Pending
         } else {
-            MatchResult::Pending {
-                unresolved,
-                wavefront,
-            }
+            MatchResult::CycleFound
+        }
+    }
+
+    /// The references matching leaves uncancelled, whatever their
+    /// counters: source entries the target set lacks, and target entries
+    /// the source set lacks, each ascending.
+    pub fn residue(&self) -> Residue {
+        let missing = |from: &EntryMap<Ic>, other: &EntryMap<Ic>| {
+            from.keys()
+                .filter(|r| !other.contains_key(r))
+                .copied()
+                .collect()
+        };
+        Residue {
+            unresolved: missing(&self.source, &self.target),
+            wavefront: missing(&self.target, &self.source),
         }
     }
 
@@ -373,10 +397,11 @@ mod tests {
         let mut c = cdm();
         c.add_target(RefId(2), 0);
         match c.matching(true) {
-            MatchResult::Pending {
-                unresolved,
-                wavefront,
-            } => {
+            MatchResult::Pending => {
+                let Residue {
+                    unresolved,
+                    wavefront,
+                } = c.residue();
                 assert_eq!(unresolved, vec![RefId(1)]);
                 assert_eq!(wavefront, vec![RefId(2)]);
             }
@@ -405,10 +430,11 @@ mod tests {
         c.add_target(RefId(2), 0); // Q
         c.add_target(RefId(3), 0); // O
         match c.matching(true) {
-            MatchResult::Pending {
-                unresolved,
-                wavefront,
-            } => {
+            MatchResult::Pending => {
+                let Residue {
+                    unresolved,
+                    wavefront,
+                } = c.residue();
                 assert_eq!(unresolved, vec![RefId(1)]);
                 assert_eq!(wavefront, vec![RefId(3)]);
             }

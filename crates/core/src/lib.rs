@@ -53,7 +53,7 @@
 //! alg.add_target(q, 0);
 //!
 //! // Step 6: Matching(Alg_1) — nothing cancels yet.
-//! assert!(matches!(alg.matching(true), MatchResult::Pending { .. }));
+//! assert!(matches!(alg.matching(true), MatchResult::Pending));
 //!
 //! // ... the walk eventually adds every scion and stub of the ring ...
 //! alg.add_source(q, 0);
@@ -76,6 +76,6 @@ pub mod algebra;
 pub mod candidates;
 pub mod process;
 
-pub use algebra::{Cdm, Entry, EntryMap, MatchResult, Walk, FULL_CREDIT};
+pub use algebra::{Cdm, Entry, EntryMap, MatchResult, Residue, Walk, FULL_CREDIT};
 pub use candidates::{scan_candidates, select_candidates, CandidateScan, CandidateState};
 pub use process::{deliver, initiate, OutboundCdm, Outcome, TerminateReason};

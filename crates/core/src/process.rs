@@ -321,7 +321,7 @@ fn expand_per_branch(
                 target_ic,
             }
         }
-        MatchResult::Pending { .. } => {}
+        MatchResult::Pending => {}
     }
 
     if scion_summary.stubs_from.is_empty() {
@@ -533,7 +533,7 @@ fn expand_eager(summary: &SummarizedGraph, mut cdm: Cdm, scion: RefId, cfg: &GcC
                 target_ic,
             }
         }
-        MatchResult::Pending { .. } => {}
+        MatchResult::Pending => {}
     }
 
     // Phase 2 — expand the walk's spine: traverse the stubs reachable
@@ -592,7 +592,7 @@ fn expand_eager(summary: &SummarizedGraph, mut cdm: Cdm, scion: RefId, cfg: &GcC
                 target_ic,
             }
         }
-        MatchResult::Pending { .. } => {}
+        MatchResult::Pending => {}
     }
 
     // Every traversed reference still owing a scion-side witness is a

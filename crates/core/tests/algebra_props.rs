@@ -1,7 +1,7 @@
 //! Property tests for the CDM algebra: matching laws the detector's
 //! safety argument leans on.
 
-use acdgc_dcda::{Cdm, MatchResult};
+use acdgc_dcda::{Cdm, MatchResult, Residue};
 use acdgc_model::{DetectionId, ProcId, RefId};
 use proptest::prelude::*;
 
@@ -68,9 +68,10 @@ proptest! {
                 prop_assert_eq!(cdm.target.get(&ref_id), Some(&target_ic));
                 prop_assert_ne!(source_ic, target_ic);
             }
-            MatchResult::Pending { unresolved, wavefront } => {
+            MatchResult::Pending => {
                 // Pending residues are exactly the symmetric difference of
                 // the key sets (restricted per side).
+                let Residue { unresolved, wavefront } = cdm.residue();
                 for r in &unresolved {
                     prop_assert!(cdm.source.contains_key(r));
                     prop_assert!(!cdm.target.contains_key(r));
@@ -113,13 +114,15 @@ proptest! {
     #[test]
     fn resolving_a_dependency_shrinks_unresolved(source in entries(), target in entries()) {
         let cdm = build(&source, &target);
-        if let MatchResult::Pending { unresolved, .. } = cdm.matching(true) {
+        if let MatchResult::Pending = cdm.matching(true) {
+            let unresolved = cdm.residue().unresolved;
             if let Some(&r) = unresolved.first() {
                 let ic = *cdm.source.get(&r).expect("an unresolved reference has a source entry");
                 let mut resolved = cdm.clone();
                 resolved.add_target(r, ic);
                 match resolved.matching(true) {
-                    MatchResult::Pending { unresolved: u2, .. } => {
+                    MatchResult::Pending => {
+                        let u2 = resolved.residue().unresolved;
                         prop_assert_eq!(u2.len(), unresolved.len() - 1);
                     }
                     MatchResult::CycleFound => {
@@ -131,6 +134,33 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The merge-walk verdict equals matching by definition: abort on the
+    /// lowest reference both sets hold with different counters (barrier
+    /// on), else a cycle exactly when the residue is empty.
+    #[test]
+    fn verdict_follows_the_residue(
+        source in entries(),
+        target in entries(),
+        barrier in 0u8..2,
+    ) {
+        let (cdm, barrier) = (build(&source, &target), barrier == 1);
+        let mismatch = cdm.source.iter().find_map(|(r, &source_ic)| {
+            let &target_ic = cdm.target.get(r)?;
+            (barrier && source_ic != target_ic).then_some(MatchResult::IcMismatch {
+                ref_id: *r,
+                source_ic,
+                target_ic,
+            })
+        });
+        let residue = cdm.residue();
+        let expected = mismatch.unwrap_or(if residue == Residue::default() {
+            MatchResult::CycleFound
+        } else {
+            MatchResult::Pending
+        });
+        prop_assert_eq!(cdm.matching(barrier), expected);
     }
 
     /// Wire size is monotone in entry count and matches the documented

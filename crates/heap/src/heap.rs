@@ -3,6 +3,7 @@
 use crate::object::{HeapRef, ObjectRecord};
 use acdgc_model::{ModelError, ObjId, ProcId, RefId, Slot};
 use rustc_hash::FxHashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Aggregate heap statistics, maintained incrementally.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -24,17 +25,55 @@ struct SlotEntry {
     record: Option<ObjectRecord>,
 }
 
+/// A point in one heap's write history ([`Heap::epoch`]). Two equal
+/// epochs name the same heap instance with no `&mut` call in between, so
+/// anything computed from the heap at one still holds at the other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Epoch {
+    heap: u64,
+    writes: u64,
+}
+
+/// Source of `Epoch::heap`: every heap instance, clones included, takes
+/// a fresh value, so two heaps never share an epoch even after diverging
+/// edits. A counter, so `Relaxed`: it publishes nothing else.
+static NEXT_HEAP: AtomicU64 = AtomicU64::new(0);
+
+impl Epoch {
+    fn fresh() -> Self {
+        Epoch {
+            heap: NEXT_HEAP.fetch_add(1, Ordering::Relaxed),
+            writes: 0,
+        }
+    }
+}
+
 /// Object heap of one process: slot arena with free-list reuse, a root set,
 /// and a reference-edit API. All mutation goes through methods so that
 /// structural invariants (valid slots, root membership) hold by
-/// construction; the collectors in [`crate::lgc`] rely on them.
-#[derive(Clone, Debug)]
+/// construction; the collectors in [`crate::lgc`] rely on them. Every
+/// `&mut` method moves the heap's [`Epoch`].
+#[derive(Debug)]
 pub struct Heap {
     proc: ProcId,
     slots: Vec<SlotEntry>,
     free: Vec<Slot>,
     roots: FxHashSet<Slot>,
     stats: HeapStats,
+    epoch: Epoch,
+}
+
+impl Clone for Heap {
+    fn clone(&self) -> Self {
+        Heap {
+            proc: self.proc,
+            slots: self.slots.clone(),
+            free: self.free.clone(),
+            roots: self.roots.clone(),
+            stats: self.stats,
+            epoch: Epoch::fresh(),
+        }
+    }
 }
 
 impl Heap {
@@ -45,7 +84,18 @@ impl Heap {
             free: Vec::new(),
             roots: FxHashSet::default(),
             stats: HeapStats::default(),
+            epoch: Epoch::fresh(),
         }
+    }
+
+    /// The heap's current write epoch: it moves on every `&mut` call
+    /// (successful or not) and on nothing else.
+    pub fn epoch(&self) -> Epoch {
+        self.epoch
+    }
+
+    fn write(&mut self) {
+        self.epoch.writes += 1;
     }
 
     pub fn proc(&self) -> ProcId {
@@ -64,6 +114,7 @@ impl Heap {
 
     /// Allocate an object with the given simulated payload size.
     pub fn alloc(&mut self, payload_words: u32) -> ObjId {
+        self.write();
         self.stats.allocated_total += 1;
         self.stats.live_objects += 1;
         if let Some(slot) = self.free.pop() {
@@ -82,8 +133,9 @@ impl Heap {
     }
 
     /// Free a slot directly. Normal reclamation goes through
-    /// [`crate::lgc::sweep`]; this is the primitive it uses.
+    /// [`crate::lgc::sweep_into`]; this is the primitive it uses.
     pub(crate) fn free_slot(&mut self, slot: Slot) -> Option<ObjectRecord> {
+        self.write();
         let entry = self.slots.get_mut(slot as usize)?;
         let record = entry.record.take()?;
         entry.generation = entry.generation.wrapping_add(1);
@@ -115,6 +167,12 @@ impl Heap {
     }
 
     pub fn get_mut(&mut self, id: ObjId) -> Result<&mut ObjectRecord, ModelError> {
+        self.write();
+        self.record_mut(id)
+    }
+
+    /// [`Heap::get_mut`] without the epoch move: its callers move it.
+    fn record_mut(&mut self, id: ObjId) -> Result<&mut ObjectRecord, ModelError> {
         self.check(id)?;
         Ok(self.slots[id.slot as usize].record.as_mut().unwrap())
     }
@@ -142,12 +200,14 @@ impl Heap {
 
     /// Make `id` a local root (global variable / stack reference).
     pub fn add_root(&mut self, id: ObjId) -> Result<(), ModelError> {
+        self.write();
         self.check(id)?;
         self.roots.insert(id.slot);
         Ok(())
     }
 
     pub fn remove_root(&mut self, id: ObjId) -> Result<bool, ModelError> {
+        self.write();
         self.check(id)?;
         Ok(self.roots.remove(&id.slot))
     }
@@ -164,19 +224,21 @@ impl Heap {
 
     /// Add a reference field `from -> to`.
     pub fn add_ref(&mut self, from: ObjId, to: HeapRef) -> Result<(), ModelError> {
+        self.write();
         if let HeapRef::Local(slot) = to {
             if self.get_slot(slot).is_none() {
                 return Err(ModelError::BadSlot(slot));
             }
         }
-        self.get_mut(from)?.refs.push(to);
+        self.record_mut(from)?.refs.push(to);
         self.stats.ref_fields += 1;
         Ok(())
     }
 
     /// Remove one occurrence of `to` from `from`'s fields.
     pub fn remove_ref(&mut self, from: ObjId, to: HeapRef) -> Result<(), ModelError> {
-        let record = self.get_mut(from)?;
+        self.write();
+        let record = self.record_mut(from)?;
         match record.refs.iter().position(|&r| r == to) {
             Some(pos) => {
                 record.refs.swap_remove(pos);
@@ -285,6 +347,61 @@ mod tests {
         let a = h.alloc(1);
         let foreign = ObjId::new(ProcId(1), a.slot, a.generation);
         assert!(matches!(h.get(foreign), Err(ModelError::UnknownProcess(_))));
+    }
+
+    #[test]
+    fn every_write_moves_the_epoch_and_no_read_does() {
+        let mut h = heap();
+        let a = h.alloc(1);
+        let b = h.alloc(1);
+        h.add_ref(a, HeapRef::Remote(RefId(3))).unwrap();
+        let mut last = h.epoch();
+        let mut moved = |h: &Heap, what: &str| {
+            assert_ne!(h.epoch(), last, "{what} left the epoch alone");
+            last = h.epoch();
+        };
+        h.add_root(a).unwrap();
+        moved(&h, "add_root");
+        h.remove_root(a).unwrap();
+        moved(&h, "remove_root");
+        h.add_ref(a, HeapRef::Local(b.slot)).unwrap();
+        moved(&h, "add_ref");
+        h.remove_ref(a, HeapRef::Local(b.slot)).unwrap();
+        moved(&h, "remove_ref");
+        h.get_mut(a).unwrap();
+        moved(&h, "get_mut");
+        let c = h.alloc(1);
+        moved(&h, "alloc");
+        h.free_slot(c.slot).unwrap();
+        moved(&h, "free_slot");
+
+        let before = h.epoch();
+        let _ = (
+            h.proc(),
+            h.stats(),
+            h.slot_upper_bound(),
+            h.get(a),
+            h.get_slot(a.slot),
+        );
+        let _ = (
+            h.contains(a),
+            h.id_of_slot(a.slot),
+            h.is_root(a),
+            h.roots().count(),
+        );
+        let _ = (h.iter().count(), h.all_remote_refs(), h.epoch());
+        assert_eq!(h.epoch(), before, "a read moved the epoch");
+    }
+
+    #[test]
+    fn clones_never_share_an_epoch() {
+        let mut h = heap();
+        h.alloc(1);
+        let mut twin = h.clone();
+        assert_ne!(h.epoch(), twin.epoch());
+        h.alloc(1);
+        twin.alloc(1);
+        assert_ne!(h.epoch(), twin.epoch(), "diverged clones must not collide");
     }
 
     #[test]

@@ -7,11 +7,18 @@
 //! * the **scion targets** supplied by the remoting layer (objects kept
 //!   alive solely because remote processes reference them).
 //!
-//! The mark is one breadth-first closure over both seed sets. Besides
-//! reclaiming unreachable slots, it reports the live stub set: the basis of
-//! `NewSetStubs` messages, and, by its complement over the stub table
-//! ([`MarkResult::dead_stubs_among`]), the stubs that died with this
-//! collection. `Local.Reach` is the summarizer's to compute, not the LGC's.
+//! Besides reclaiming unreachable slots, a mark reports the live stub set:
+//! the basis of `NewSetStubs` messages, and, by its complement over the
+//! stub table ([`MarkResult::dead_stubs_among`]), the stubs that died with
+//! this collection.
+//!
+//! The runtimes do not mark with this module. A process's collection marks
+//! with its summarizer's Tarjan pass (`acdgc_snapshot::SccEngine::collect`),
+//! which visits exactly the set [`mark`] visits and keeps the condensation
+//! for the next snapshot, then frees the rest with [`sweep_into`]. The
+//! breadth-first [`mark`], [`closure`] and [`collect`] stay for the
+//! summarization oracle, the Hughes baseline, tests and the benchmark's
+//! layer probes.
 
 use crate::heap::Heap;
 use acdgc_model::{BitSet, ObjId, RefId, Slot};
@@ -39,9 +46,9 @@ pub fn closure(heap: &Heap, seeds: impl IntoIterator<Item = Slot>) -> Closure {
     out
 }
 
-/// The breadth-first closure behind [`closure`] and the mark, into
-/// caller-owned buffers: `slots` and `stubs` are cleared and refilled
-/// (their allocations are kept), and `queue` is the worklist.
+/// The breadth-first closure behind [`closure`] and [`mark`], into the
+/// given buffers: `slots` and `stubs` are cleared and refilled, and
+/// `queue` is the worklist.
 fn trace(
     heap: &Heap,
     seeds: impl IntoIterator<Item = Slot>,
@@ -104,13 +111,15 @@ pub fn mark(heap: &Heap, scion_targets: &[Slot]) -> MarkResult {
         live: BitSet::with_capacity(heap.slot_upper_bound()),
         live_stubs: FxHashSet::default(),
     };
-    mark_into(heap, scion_targets, &mut out, &mut Vec::new());
-    out
-}
-
-fn mark_into(heap: &Heap, scion_targets: &[Slot], out: &mut MarkResult, queue: &mut Vec<Slot>) {
     let seeds = heap.roots().chain(scion_targets.iter().copied());
-    trace(heap, seeds, &mut out.live, &mut out.live_stubs, queue);
+    trace(
+        heap,
+        seeds,
+        &mut out.live,
+        &mut out.live_stubs,
+        &mut Vec::new(),
+    );
+    out
 }
 
 /// Result of the sweep phase.
@@ -125,14 +134,17 @@ pub struct SweepResult {
 /// it keeps the signature callers outside this workspace compile against.
 pub fn sweep(heap: &mut Heap, live: &BitSet, _live_stubs: &FxHashSet<RefId>) -> SweepResult {
     let mut result = SweepResult::default();
-    sweep_into(heap, live, &mut result.freed);
+    sweep_into(heap, |slot| live.contains(slot as usize), &mut result.freed);
     result
 }
 
-fn sweep_into(heap: &mut Heap, live: &BitSet, freed: &mut Vec<ObjId>) {
+/// Free every occupied slot `is_live` rejects. `freed` is cleared and
+/// refilled with the reclaimed handles in slot order (its allocation is
+/// kept).
+pub fn sweep_into(heap: &mut Heap, is_live: impl Fn(Slot) -> bool, freed: &mut Vec<ObjId>) {
     freed.clear();
     for slot in 0..heap.slot_upper_bound() as Slot {
-        if live.contains(slot as usize) {
+        if is_live(slot) {
             continue;
         }
         if let Some(id) = heap.id_of_slot(slot) {
@@ -142,28 +154,12 @@ fn sweep_into(heap: &mut Heap, live: &BitSet, freed: &mut Vec<ObjId>) {
     }
 }
 
-/// One full collection: its mark, what its sweep freed (in slot order),
-/// and the worklist, kept so the next [`collect_into`] reuses them all.
-#[derive(Clone, Debug, Default)]
-pub struct Collection {
-    pub mark: MarkResult,
-    pub freed: Vec<ObjId>,
-    queue: Vec<Slot>,
-}
-
-/// One full mark-sweep collection with the given scion targets.
-pub fn collect(heap: &mut Heap, scion_targets: &[Slot]) -> Collection {
-    let mut out = Collection::default();
-    collect_into(heap, scion_targets, &mut out);
-    out
-}
-
-/// [`collect`] into a caller-owned [`Collection`], which is cleared and
-/// refilled: a process that keeps one allocates nothing in a steady-state
-/// collection.
-pub fn collect_into(heap: &mut Heap, scion_targets: &[Slot], out: &mut Collection) {
-    mark_into(heap, scion_targets, &mut out.mark, &mut out.queue);
-    sweep_into(heap, &out.mark.live, &mut out.freed);
+/// One full breadth-first mark-sweep collection with the given scion
+/// targets: the mark, and what the sweep freed (in slot order).
+pub fn collect(heap: &mut Heap, scion_targets: &[Slot]) -> (MarkResult, SweepResult) {
+    let marked = mark(heap, scion_targets);
+    let swept = sweep(heap, &marked.live, &marked.live_stubs);
+    (marked, swept)
 }
 
 #[cfg(test)]
@@ -186,8 +182,8 @@ mod tests {
         let ids = chain(&mut h, 3);
         h.add_root(ids[0]).unwrap();
         let orphan = h.alloc(1);
-        let result = collect(&mut h, &[]);
-        assert_eq!(result.freed, vec![orphan]);
+        let (_, swept) = collect(&mut h, &[]);
+        assert_eq!(swept.freed, vec![orphan]);
         assert_eq!(h.stats().live_objects, 3);
     }
 
@@ -196,9 +192,9 @@ mod tests {
         let mut h = Heap::new(ProcId(0));
         let ids = chain(&mut h, 3);
         // No roots at all: only the scion target protects the chain.
-        let result = collect(&mut h, &[ids[0].slot]);
-        assert!(result.freed.is_empty());
-        assert!(result.mark.live.contains(ids[2].slot as usize));
+        let (marked, swept) = collect(&mut h, &[ids[0].slot]);
+        assert!(swept.freed.is_empty());
+        assert!(marked.live.contains(ids[2].slot as usize));
     }
 
     #[test]
@@ -207,9 +203,9 @@ mod tests {
         let holder = h.alloc(1);
         h.add_ref(holder, HeapRef::Remote(RefId(42))).unwrap();
         // holder is garbage: its stub must be reported dead.
-        let result = collect(&mut h, &[]);
-        assert_eq!(result.freed, vec![holder]);
-        assert_eq!(result.mark.dead_stubs_among([RefId(42)]), vec![RefId(42)]);
+        let (marked, swept) = collect(&mut h, &[]);
+        assert_eq!(swept.freed, vec![holder]);
+        assert_eq!(marked.dead_stubs_among([RefId(42)]), vec![RefId(42)]);
     }
 
     #[test]
@@ -220,13 +216,13 @@ mod tests {
         let dead = h.alloc(1);
         h.add_ref(live, HeapRef::Remote(RefId(1))).unwrap();
         h.add_ref(dead, HeapRef::Remote(RefId(1))).unwrap();
-        let result = collect(&mut h, &[]);
-        assert_eq!(result.freed, vec![dead]);
+        let (marked, swept) = collect(&mut h, &[]);
+        assert_eq!(swept.freed, vec![dead]);
         assert!(
-            result.mark.dead_stubs_among([RefId(1)]).is_empty(),
+            marked.dead_stubs_among([RefId(1)]).is_empty(),
             "stub still held by a live object must not be reported dead"
         );
-        assert!(result.mark.live_stubs.contains(&RefId(1)));
+        assert!(marked.live_stubs.contains(&RefId(1)));
     }
 
     #[test]
@@ -236,8 +232,8 @@ mod tests {
         let b = h.alloc(1);
         h.add_ref(a, HeapRef::Local(b.slot)).unwrap();
         h.add_ref(b, HeapRef::Local(a.slot)).unwrap();
-        let result = collect(&mut h, &[]);
-        assert_eq!(result.freed.len(), 2, "local cycles are collected");
+        let (_, swept) = collect(&mut h, &[]);
+        assert_eq!(swept.freed.len(), 2, "local cycles are collected");
     }
 
     #[test]
@@ -253,26 +249,23 @@ mod tests {
     }
 
     #[test]
-    fn collect_into_reuses_buffers_and_matches() {
+    fn sweep_into_reuses_its_buffer_and_matches_sweep() {
         let mut h = Heap::new(ProcId(0));
         let ids = chain(&mut h, 4);
         h.add_root(ids[0]).unwrap();
-        h.add_ref(ids[3], HeapRef::Remote(RefId(9))).unwrap();
         let orphan = h.alloc(1);
-        let mut kept = Collection::default();
-        collect_into(&mut h, &[], &mut kept);
-        assert_eq!(kept.freed, vec![orphan]);
-        // Cut the chain: the second run must fully reset the kept buffers.
+        let mut freed = vec![orphan, orphan];
+        let live = mark(&h, &[]).live;
+        sweep_into(&mut h, |slot| live.contains(slot as usize), &mut freed);
+        assert_eq!(freed, vec![orphan], "the buffer is cleared first");
+        // Cut the chain: the predicate alone decides, in slot order.
         h.remove_ref(ids[1], HeapRef::Local(ids[2].slot)).unwrap();
-        let mut fresh_heap = h.clone();
-        collect_into(&mut h, &[], &mut kept);
-        let fresh = collect(&mut fresh_heap, &[]);
-        assert_eq!(kept.freed, fresh.freed);
-        assert_eq!(
-            kept.mark.live.iter().collect::<Vec<_>>(),
-            fresh.mark.live.iter().collect::<Vec<_>>()
-        );
-        assert!(kept.mark.live_stubs.is_empty());
+        let mut twin = h.clone();
+        let live = mark(&h, &[]).live;
+        sweep_into(&mut h, |slot| live.contains(slot as usize), &mut freed);
+        let (_, swept) = collect(&mut twin, &[]);
+        assert_eq!(freed, swept.freed);
+        assert_eq!(freed, vec![ids[2], ids[3]]);
     }
 
     #[test]
@@ -290,17 +283,17 @@ mod tests {
         let a = h.alloc(1);
         h.add_ref(a, HeapRef::Local(a.slot)).unwrap();
         h.add_root(a).unwrap();
-        let result = collect(&mut h, &[]);
-        assert!(result.freed.is_empty());
+        let (_, swept) = collect(&mut h, &[]);
+        assert!(swept.freed.is_empty());
     }
 
     #[test]
     fn sweep_is_idempotent() {
         let mut h = Heap::new(ProcId(0));
         let _orphan = h.alloc(1);
-        let first = collect(&mut h, &[]);
+        let (_, first) = collect(&mut h, &[]);
         assert_eq!(first.freed.len(), 1);
-        let second = collect(&mut h, &[]);
+        let (_, second) = collect(&mut h, &[]);
         assert!(second.freed.is_empty());
     }
 

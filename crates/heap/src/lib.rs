@@ -20,8 +20,6 @@ pub mod heap;
 pub mod lgc;
 pub mod object;
 
-pub use heap::{Heap, HeapStats};
-pub use lgc::{
-    closure, collect, collect_into, mark, sweep, Closure, Collection, MarkResult, SweepResult,
-};
+pub use heap::{Epoch, Heap, HeapStats};
+pub use lgc::{closure, collect, mark, sweep, sweep_into, Closure, MarkResult, SweepResult};
 pub use object::{HeapRef, ObjectRecord};

@@ -64,7 +64,7 @@ proptest! {
             heap.roots().chain(scions.iter().copied()).collect::<Vec<_>>(),
         );
         let expected_count = expected.slots.count();
-        let result = collect(&mut heap, &scions);
+        let (marked, _) = collect(&mut heap, &scions);
         prop_assert_eq!(heap.stats().live_objects, expected_count);
         for id in &ids {
             prop_assert_eq!(
@@ -74,19 +74,18 @@ proptest! {
             );
         }
         // Live stubs reported == remote refs of surviving objects.
-        prop_assert_eq!(result.mark.live_stubs, heap.all_remote_refs());
+        prop_assert_eq!(marked.live_stubs, heap.all_remote_refs());
     }
 
     /// Collection is idempotent: a second run frees nothing.
     #[test]
     fn collect_is_idempotent(recipe in recipe()) {
         let (mut heap, _ids, scions) = build(&recipe);
-        let first = collect(&mut heap, &scions);
-        let second = collect(&mut heap, &scions);
-        prop_assert!(second.freed.is_empty());
+        let (first, _) = collect(&mut heap, &scions);
+        let (second, swept) = collect(&mut heap, &scions);
+        prop_assert!(swept.freed.is_empty());
         prop_assert!(second
-            .mark
-            .dead_stubs_among(first.mark.live_stubs.iter().copied())
+            .dead_stubs_among(first.live_stubs.iter().copied())
             .is_empty());
     }
 

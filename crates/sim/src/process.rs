@@ -3,7 +3,7 @@
 
 use crate::metrics::Metrics;
 use acdgc_dcda::{scan_candidates, CandidateScan, CandidateState};
-use acdgc_heap::{Collection, Heap};
+use acdgc_heap::Heap;
 use acdgc_model::{GcConfig, ProcId, SimTime};
 use acdgc_obs::{Event, Phase, ProcTrace, Sample};
 use acdgc_remoting::RemotingTables;
@@ -23,12 +23,11 @@ pub struct Process {
     pub summary: SummarizedGraph,
     /// Candidate tracking: ages, retry backoff, proven-live suppression.
     pub candidates: CandidateState,
-    /// Reusable single-pass summarizer: per-process so parallel snapshot
-    /// stages share nothing, and so its scratch amortizes across rounds.
+    /// Reusable mark-and-summarize engine: the local collection marks
+    /// with its Tarjan pass, and a snapshot of a heap not written since
+    /// reuses that condensation. Per-process so parallel stages share
+    /// nothing, and so its scratch amortizes across rounds.
     pub engine: SccEngine,
-    /// The last local collection's mark and sweep, kept the same way so
-    /// the next one reuses its bitmap, stub set and worklist.
-    pub lgc: Collection,
     /// Per-process event ring + phase histograms. Disabled unless
     /// `cfg.trace.enabled`; runtimes link all processes to one shared
     /// sequence counter so the collected view is totally ordered.
@@ -59,7 +58,6 @@ impl Process {
             summary: SummarizedGraph::empty(proc),
             candidates: CandidateState::new(),
             engine: SccEngine::new(),
-            lgc: Collection::default(),
             obs: ProcTrace::new(proc, &cfg.trace),
             metrics: Metrics::default(),
             next_lgc: stagger(cfg.lgc_period.as_ticks()),

@@ -17,7 +17,6 @@
 use crate::metrics::Metrics;
 use crate::process::Process;
 use acdgc_dcda::{Cdm, Outcome, TerminateReason, FULL_CREDIT};
-use acdgc_heap::lgc;
 use acdgc_model::{DetectionId, GcConfig, IntegrationMode, ObjId, ProcId, RefId, SimTime};
 use acdgc_obs::{DropReason, Event, Phase, TermReason};
 use acdgc_remoting::{apply_new_set_stubs, build_new_set_stubs, NewSetStubs};
@@ -176,12 +175,13 @@ impl Process {
 
     /// One local collection: re-judge scions a saved set skipped while
     /// they were pinned (an unchanged set is never resent, so nothing else
-    /// would), trace + sweep the heap, audit the freed set against
-    /// `oracle_live` when given, handle stub death per integration mode,
-    /// and build (but do not send) the `NewSetStubs` broadcast. Touches
-    /// only this process and counts into its own ledger, so many processes
-    /// can run it concurrently; a driver with a merged ledger mirrors
-    /// [`LgcWork::count_into`] afterwards.
+    /// would), mark the heap with the engine's Tarjan pass and sweep it
+    /// (the condensation stays sealed for the next snapshot), audit the
+    /// freed set against `oracle_live` when given, handle stub death per
+    /// integration mode, and build (but do not send) the `NewSetStubs`
+    /// broadcast. Touches only this process and counts into its own
+    /// ledger, so many processes can run it concurrently; a driver with a
+    /// merged ledger mirrors [`LgcWork::count_into`] afterwards.
     pub fn lgc_step(
         &mut self,
         cfg: &GcConfig,
@@ -192,22 +192,26 @@ impl Process {
         let rejudged_scions = self.tables.sweep_deferred_nss().len() as u64;
         let targets = self.tables.scion_target_slots();
         let started = self.obs.begin(now, Phase::Lgc);
-        lgc::collect_into(&mut self.heap, &targets, &mut self.lgc);
+        let swept = self.engine.collect(&mut self.heap, &targets);
         self.obs.end(now, Phase::Lgc, started);
-        let freed = &self.lgc.freed;
         let unsafe_freed = oracle_live.map_or(0, |live| {
-            freed.iter().filter(|f| live.contains(f)).count() as u64
+            swept.freed.iter().filter(|f| live.contains(f)).count() as u64
         });
-        let freed = freed.len() as u64;
-        let mark = &self.lgc.mark;
-        let dead = mark.dead_stubs_among(self.tables.stubs().map(|s| s.ref_id));
+        let freed = swept.freed.len() as u64;
+        let live_stubs = swept.live_stubs;
+        let dead: Vec<RefId> = self
+            .tables
+            .stubs()
+            .map(|s| s.ref_id)
+            .filter(|r| live_stubs.binary_search(r).is_err())
+            .collect();
         match cfg.integration {
             IntegrationMode::VmIntegrated => {
                 self.tables.remove_dead_stubs(&dead);
             }
             IntegrationMode::WeakRefMonitor => {
                 self.tables.condemn_stubs(&dead);
-                for &live_ref in &mark.live_stubs {
+                for &live_ref in live_stubs {
                     self.tables.pardon_stub(live_ref);
                 }
             }

@@ -4,7 +4,7 @@ use crate::messages::{InvokeSpec, SysMessage};
 use crate::metrics::Metrics;
 use crate::oracle;
 use crate::process::Process;
-use crate::step::{Effect, LgcWork, Step};
+use crate::step::{DeletedScions, Effect, LgcWork, Step};
 use acdgc_heap::HeapRef;
 use acdgc_model::{
     GcConfig, IdAllocator, ModelError, NetConfig, ObjId, ProcId, RefId, SimDuration, SimTime,
@@ -610,17 +610,14 @@ impl System {
     /// some oracle-live object at the holding process still holds it. (The
     /// target being live through other paths does not make deleting a dead
     /// reference's scion unsafe.) The oracle reads heaps and stubs only,
-    /// so judging after the deletion sees what judging before it would.
-    fn audit_scion_deletes(
-        &mut self,
-        p: ProcId,
-        deleted: impl IntoIterator<Item = (RefId, ProcId)>,
-    ) {
-        if !self.check_safety {
+    /// so judging after the deletions sees what judging before any of them
+    /// would, and one live set serves them all.
+    fn audit_scion_deletes(&mut self, p: ProcId, deleted: DeletedScions) {
+        if !self.check_safety || deleted.is_empty() {
             return;
         }
+        let live = oracle::global_live(&*self);
         for (scion, holder) in deleted {
-            let live = oracle::global_live(&*self);
             if oracle::ref_is_live(&*self, holder, scion, &live) {
                 self.bump(p, |m| m.unsafe_scion_deletes += 1);
             }

@@ -1,5 +1,5 @@
-//! Single-pass SCC-condensation summarization engine: the summarizer
-//! every snapshot runs.
+//! Single-pass SCC-condensation engine: the mark of every local
+//! collection and the summarizer of every snapshot.
 //!
 //! The paper defines summarization (§3) by the facts it produces —
 //! `StubsFrom`, `ScionsTo` and `Local.Reach` — not by an algorithm.
@@ -17,30 +17,45 @@
 //!    emits components callees-first, so every condensation edge points
 //!    from a later-emitted component to an earlier one. While the DFS
 //!    scans a field it pushes onto two pending stacks: a remote field its
-//!    stub bit, a local field into an already-emitted component that
+//!    `RefId`, a local field into an already-emitted component that
 //!    component's id (as does a parent whose child frame just emitted
 //!    one). Everything pushed above a component root's stack heights
 //!    belongs to that component; at emission it is sorted, deduplicated
 //!    and closed into two CSR lists (one flat list plus an end offset per
-//!    component): successor components and directly held stubs.
-//! 2. Local root reachability is propagated **forward** over those lists
+//!    component): successor components and directly held references.
+//! 2. The directly held references are numbered against the stub table as
+//!    it is *now*: one bit per table stub, in ascending `RefId` order; a
+//!    reference with no table stub is dropped.
+//! 3. Local root reachability is propagated **forward** over those lists
 //!    (descending emission index), marking every component reachable from
 //!    a root and collecting the stubs those components hold directly (the
 //!    `Local.Reach` bits) — O(components + condensation edges).
-//! 3. Reachable-stub sets are propagated **bottom-up** over the same lists
+//! 4. Reachable-stub sets are propagated **bottom-up** over the same lists
 //!    (ascending emission index, i.e. reverse topological order): each
-//!    component's [`BitSet`] — one bit per table stub — is the union of its
-//!    direct stub bits and the sets of its successor components. Each
-//!    union is a word-parallel OR — O(condensation edges·W/64) for a W-stub
-//!    universe. Sets live in a slot pool indexed through `reach_of`: a
-//!    component with no direct stubs and out-degree ≤ 1 *inherits* its
-//!    successor's pool slot in O(1) instead of copying a full-width bitset
-//!    (aliased propagation), so on disjoint scion chains the whole
-//!    propagation collapses to pointer assignments.
-//! 4. A scion's `StubsFrom` is then just its target component's bitset,
+//!    component's [`BitSet`] is the union of its direct stub bits and the
+//!    sets of its successor components. Each union is a word-parallel OR —
+//!    O(condensation edges·W/64) for a W-stub universe. Sets live in a slot
+//!    pool indexed through `reach_of`: a component with no direct stubs and
+//!    out-degree ≤ 1 *inherits* its successor's pool slot in O(1) instead
+//!    of copying a full-width bitset (aliased propagation), so on disjoint
+//!    scion chains the whole propagation collapses to pointer assignments.
+//! 5. A scion's `StubsFrom` is then just its target component's bitset,
 //!    decoded; `ScionsTo` is the inversion — O(S·W/64 + output).
 //!
-//! Steps 2–4 read the condensation only, never the heap's fields.
+//! Steps 2–5 read the condensation and the tables, never the heap's
+//! fields.
+//!
+//! **Where the walk happens.** A local collection ([`SccEngine::collect`])
+//! runs step 1 seeded from the roots and the scion targets: it visits
+//! exactly the set a breadth-first mark visits, and the sweep frees every
+//! slot it did not visit. The condensation then covers every occupied
+//! slot, and the engine seals it with the heap's [`Epoch`]. A later
+//! [`SccEngine::summarize`] at that same epoch skips step 1 and runs steps
+//! 2–5 against the tables of the moment; at any other epoch it condenses
+//! every occupied slot first (and seals that). Reuse cannot change the
+//! output: an unchanged epoch means unchanged fields, stub numbering is
+//! redone per snapshot, and a scion created or deleted since targets an
+//! occupied (hence condensed) slot or a freed one, which summarizes empty.
 //!
 //! Stub bit indices are assigned in ascending `RefId` order, so decoding a
 //! bitset yields the sorted `stubs_from` vector the oracle produces — the
@@ -52,8 +67,8 @@
 //! returned [`SummarizedGraph`] is freshly allocated).
 
 use crate::summary::{ScionSummary, StubSummary, SummarizedGraph};
-use acdgc_heap::{Heap, HeapRef};
-use acdgc_model::{BitSet, RefId, SimTime, Slot};
+use acdgc_heap::{lgc, Epoch, Heap, HeapRef};
+use acdgc_model::{BitSet, ObjId, RefId, SimTime, Slot};
 use acdgc_remoting::RemotingTables;
 use rustc_hash::FxHashMap;
 
@@ -76,11 +91,23 @@ pub enum SummarizePath {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
     pub path: SummarizePath,
+    /// The condensation was reused from the last collection or snapshot
+    /// (the heap's epoch had not moved): no heap field was read.
+    pub reused: bool,
     /// Components whose reachable-stub set was inherited by reference
     /// (no direct stubs, out-degree ≤ 1).
     pub inherited_components: usize,
     /// Components that materialized an owned bitset.
     pub unioned_components: usize,
+}
+
+/// What [`SccEngine::collect`] reclaimed and kept.
+#[derive(Clone, Copy, Debug)]
+pub struct Collected<'a> {
+    /// Handles of the freed objects, in slot order.
+    pub freed: &'a [ObjId],
+    /// References held by surviving objects, ascending: the live stubs.
+    pub live_stubs: &'a [RefId],
 }
 
 /// One DFS frame of [`SccEngine`]'s Tarjan pass: the slot, its next field
@@ -95,26 +122,35 @@ struct Frame {
 
 /// Per-component lists in compressed sparse row form: one flat list plus
 /// the exclusive end offset of each component's row.
-#[derive(Clone, Debug, Default)]
-struct Csr {
-    items: Vec<u32>,
+#[derive(Clone, Debug)]
+struct Csr<T> {
+    items: Vec<T>,
     end: Vec<u32>,
 }
 
-impl Csr {
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Csr {
+            items: Vec::new(),
+            end: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy + Ord> Csr<T> {
     fn clear(&mut self) {
         self.items.clear();
         self.end.clear();
     }
 
-    fn row(&self, c: usize) -> &[u32] {
+    fn row(&self, c: usize) -> &[T] {
         let start = if c == 0 { 0 } else { self.end[c - 1] as usize };
         &self.items[start..self.end[c] as usize]
     }
 
     /// Close the next row with the distinct entries of `pending[from..]`,
     /// in ascending order, and take them off `pending`.
-    fn push_row(&mut self, pending: &mut Vec<u32>, from: u32) {
+    fn push_row(&mut self, pending: &mut Vec<T>, from: u32) {
         let from = from as usize;
         pending[from..].sort_unstable();
         let start = self.items.len();
@@ -128,7 +164,7 @@ impl Csr {
     }
 }
 
-/// Reusable single-pass summarizer. One engine per process; see the
+/// Reusable mark-and-summarize engine. One engine per process; see the
 /// module docs for the algorithm.
 #[derive(Clone, Debug, Default)]
 pub struct SccEngine {
@@ -141,15 +177,24 @@ pub struct SccEngine {
     /// Explicit DFS frames; recursion would overflow the thread stack on
     /// long object chains.
     frames: Vec<Frame>,
-    /// Pending successor component ids / direct stub bits of the
+    /// Pending successor component ids / directly held references of the
     /// components still open on the DFS path (see the module docs).
     pending_succ: Vec<u32>,
-    pending_stubs: Vec<u32>,
+    pending_refs: Vec<RefId>,
     // --- condensation, indexed by component emission order ---------------
     /// Distinct successor components of each component.
-    succ: Csr,
-    /// Distinct stub bits each component's members hold directly.
-    direct: Csr,
+    succ: Csr<u32>,
+    /// Distinct references each component's members hold directly,
+    /// whether or not the stub table has them.
+    direct: Csr<RefId>,
+    /// The heap epoch the condensation covers every occupied slot of.
+    sealed: Option<Epoch>,
+    /// What the last collection freed, and the references it kept.
+    freed: Vec<ObjId>,
+    live_stubs: Vec<RefId>,
+    // --- per-snapshot state, indexed by component ---------------------------
+    /// `direct` numbered against the current stub table.
+    direct_bits: Csr<u32>,
     /// Component is reachable from a local root.
     comp_root: Vec<bool>,
     /// Pool slot holding component `c`'s reachable-stub set. Aliased
@@ -163,7 +208,6 @@ pub struct SccEngine {
     // --- stub universe ----------------------------------------------------
     /// Table stubs in ascending `RefId` order; position = bit index.
     stub_ids: Vec<RefId>,
-    stub_bit: FxHashMap<RefId, u32>,
     /// Stubs held directly by root-reachable objects (`Local.Reach`).
     root_stub_bits: BitSet,
     // --- counters of the last run -----------------------------------------
@@ -175,8 +219,33 @@ impl SccEngine {
         SccEngine::default()
     }
 
+    /// One local collection: condense from the roots and `scion_targets`
+    /// (the set a breadth-first mark visits), free every slot the pass did
+    /// not visit, and seal the condensation with the heap's epoch after
+    /// the sweep, for the next [`SccEngine::summarize`] to reuse.
+    pub fn collect(&mut self, heap: &mut Heap, scion_targets: &[Slot]) -> Collected<'_> {
+        self.condense(heap, heap.roots().chain(scion_targets.iter().copied()));
+        let visited = &self.dfs_num;
+        lgc::sweep_into(
+            heap,
+            |slot| visited[slot as usize] != UNVISITED,
+            &mut self.freed,
+        );
+        self.live_stubs.clear();
+        self.live_stubs.extend_from_slice(&self.direct.items);
+        self.live_stubs.sort_unstable();
+        self.live_stubs.dedup();
+        self.sealed = Some(heap.epoch());
+        Collected {
+            freed: &self.freed,
+            live_stubs: &self.live_stubs,
+        }
+    }
+
     /// Summarize the current heap + remoting state; output is identical to
-    /// [`crate::summarize`] on the same inputs.
+    /// [`crate::summarize`] on the same inputs. Reuses the condensation of
+    /// the last collection or snapshot if the heap has not been written
+    /// since.
     pub fn summarize(
         &mut self,
         heap: &Heap,
@@ -184,8 +253,13 @@ impl SccEngine {
         version: u64,
         taken_at: SimTime,
     ) -> SummarizedGraph {
-        self.prepare(heap.slot_upper_bound(), tables);
-        self.run_tarjan(heap);
+        let reused = self.sealed == Some(heap.epoch());
+        if !reused {
+            self.condense(heap, 0..heap.slot_upper_bound() as Slot);
+            self.sealed = Some(heap.epoch());
+        }
+        self.dispatch.reused = reused;
+        self.number_stubs(tables);
         self.mark_root_components(heap.roots());
         self.propagate_reach();
         self.build_summary(heap, tables, version, taken_at)
@@ -215,39 +289,9 @@ impl SccEngine {
         self.summarize(heap, tables, version, taken_at)
     }
 
-    /// The component counters of the most recent [`SccEngine::summarize`].
+    /// The counters of the most recent [`SccEngine::summarize`].
     pub fn last_dispatch(&self) -> DispatchStats {
         self.dispatch
-    }
-
-    /// Reset all scratch (keeping allocations) and index the stub table.
-    fn prepare(&mut self, n: usize, tables: &RemotingTables) {
-        self.dfs_num.clear();
-        self.dfs_num.resize(n, UNVISITED);
-        self.low.clear();
-        self.low.resize(n, 0);
-        self.on_stack.clear();
-        self.on_stack.resize(n, false);
-        self.comp_of.clear();
-        self.comp_of.resize(n, UNVISITED);
-        self.stack.clear();
-        self.frames.clear();
-        self.pending_succ.clear();
-        self.pending_stubs.clear();
-        self.succ.clear();
-        self.direct.clear();
-        self.comp_root.clear();
-        self.root_stub_bits.clear();
-
-        self.stub_ids.clear();
-        self.stub_ids.extend(tables.stubs().map(|s| s.ref_id));
-        // Ascending-RefId bit assignment makes bitset decoding emit the
-        // sorted stub lists the reference summarizer produces.
-        self.stub_ids.sort_unstable();
-        self.stub_bit.clear();
-        for (i, &r) in self.stub_ids.iter().enumerate() {
-            self.stub_bit.insert(r, i as u32);
-        }
     }
 
     #[inline]
@@ -262,20 +306,39 @@ impl SccEngine {
             slot: v,
             cursor: 0,
             succ_from: self.pending_succ.len() as u32,
-            stubs_from: self.pending_stubs.len() as u32,
+            stubs_from: self.pending_refs.len() as u32,
         });
     }
 
-    /// Iterative Tarjan over the occupied slots, recording the
-    /// condensation (`succ`, `direct`) as components are emitted.
-    /// Components are emitted callees-first: every cross-component edge
-    /// lands in a component with a smaller emission index.
-    fn run_tarjan(&mut self, heap: &Heap) {
-        let n = self.dfs_num.len();
+    /// Iterative Tarjan from `seeds` (unoccupied seeds are skipped),
+    /// recording the condensation (`succ`, `direct`) as components are
+    /// emitted. Components are emitted callees-first: every
+    /// cross-component edge lands in a component with a smaller emission
+    /// index. Unseals: the caller decides what the result covers.
+    fn condense(&mut self, heap: &Heap, seeds: impl Iterator<Item = Slot>) {
+        let n = heap.slot_upper_bound();
+        self.sealed = None;
+        self.dfs_num.clear();
+        self.dfs_num.resize(n, UNVISITED);
+        self.low.clear();
+        self.low.resize(n, 0);
+        self.on_stack.clear();
+        self.on_stack.resize(n, false);
+        self.comp_of.clear();
+        self.comp_of.resize(n, UNVISITED);
+        self.stack.clear();
+        self.frames.clear();
+        self.pending_succ.clear();
+        self.pending_refs.clear();
+        self.succ.clear();
+        self.direct.clear();
+
         let mut counter: u32 = 0;
-        for start in 0..n {
-            let start_slot = start as Slot;
-            if self.dfs_num[start] != UNVISITED || heap.get_slot(start_slot).is_none() {
+        for start_slot in seeds {
+            // The dense array first: after a large component most starts
+            // stop there, without touching the slot arena.
+            let start = start_slot as usize;
+            if self.dfs_num.get(start) != Some(&UNVISITED) || heap.get_slot(start_slot).is_none() {
                 continue;
             }
             self.begin_visit(start_slot, &mut counter);
@@ -304,11 +367,7 @@ impl SccEngine {
                             }
                         }
                         HeapRef::Local(_) => {}
-                        HeapRef::Remote(r) => {
-                            if let Some(&bit) = self.stub_bit.get(&r) {
-                                self.pending_stubs.push(bit);
-                            }
-                        }
+                        HeapRef::Remote(r) => self.pending_refs.push(r),
                     }
                     i += 1;
                 }
@@ -329,7 +388,7 @@ impl SccEngine {
                     }
                     self.succ.push_row(&mut self.pending_succ, frame.succ_from);
                     self.direct
-                        .push_row(&mut self.pending_stubs, frame.stubs_from);
+                        .push_row(&mut self.pending_refs, frame.stubs_from);
                 }
                 if let Some(&Frame { slot: parent, .. }) = self.frames.last() {
                     let pi = parent as usize;
@@ -342,12 +401,35 @@ impl SccEngine {
         }
     }
 
+    /// Index the stub table (ascending `RefId` = bit order, so decoding a
+    /// bitset emits the sorted stub lists the reference summarizer
+    /// produces) and number each component's direct references against
+    /// it. Rows stay ascending: the numbering is monotone.
+    fn number_stubs(&mut self, tables: &RemotingTables) {
+        self.stub_ids.clear();
+        self.stub_ids.extend(tables.stubs().map(|s| s.ref_id));
+        self.stub_ids.sort_unstable();
+        self.direct_bits.clear();
+        for c in 0..self.direct.end.len() {
+            for r in self.direct.row(c) {
+                if let Ok(bit) = self.stub_ids.binary_search(r) {
+                    self.direct_bits.items.push(bit as u32);
+                }
+            }
+            self.direct_bits
+                .end
+                .push(self.direct_bits.items.len() as u32);
+        }
+    }
+
     /// Forward reachability from local roots over the condensation, plus
     /// the `Local.Reach` stub bits (stubs held directly by root-reachable
     /// objects). Descending emission order visits predecessors first.
     fn mark_root_components(&mut self, roots: impl Iterator<Item = Slot>) {
         let num = self.succ.end.len();
+        self.comp_root.clear();
         self.comp_root.resize(num, false);
+        self.root_stub_bits.clear();
         // A freed slot leaves the root set, so every root has a component.
         for slot in roots {
             self.comp_root[self.comp_of[slot as usize] as usize] = true;
@@ -359,7 +441,7 @@ impl SccEngine {
             for &cw in self.succ.row(c) {
                 self.comp_root[cw as usize] = true;
             }
-            for &bit in self.direct.row(c) {
+            for &bit in self.direct_bits.row(c) {
                 self.root_stub_bits.insert(bit as usize);
             }
         }
@@ -383,7 +465,7 @@ impl SccEngine {
         let mut inherited = 0usize;
         let mut unioned = 0usize;
         for c in 0..num {
-            let (succ, direct) = (self.succ.row(c), self.direct.row(c));
+            let (succ, direct) = (self.succ.row(c), self.direct_bits.row(c));
             debug_assert!(
                 succ.iter().all(|&cw| (cw as usize) < c),
                 "tarjan emission order violated"
@@ -429,16 +511,16 @@ impl SccEngine {
         taken_at: SimTime,
     ) -> SummarizedGraph {
         let mut scions: FxHashMap<RefId, ScionSummary> = FxHashMap::default();
-        let mut scions_to: FxHashMap<RefId, Vec<RefId>> = FxHashMap::default();
+        // Keyed by stub bit.
+        let mut scions_to: FxHashMap<usize, Vec<RefId>> = FxHashMap::default();
         for scion in tables.scions() {
             let slot = scion.target.slot;
             let (stubs_from, target_locally_reachable) = if heap.get_slot(slot).is_some() {
                 let c = self.comp_of[slot as usize] as usize;
                 let mut from = Vec::new();
                 for bit in self.pool[self.reach_of[c] as usize].iter() {
-                    let r = self.stub_ids[bit];
-                    from.push(r);
-                    scions_to.entry(r).or_default().push(scion.ref_id);
+                    from.push(self.stub_ids[bit]);
+                    scions_to.entry(bit).or_default().push(scion.ref_id);
                 }
                 (from, self.comp_root[c])
             } else {
@@ -465,14 +547,14 @@ impl SccEngine {
         // root-reachable object holds it; the bit universe is the stub
         // table, so no existence filtering is needed.
         for bit in self.root_stub_bits.iter() {
-            scions_to.entry(self.stub_ids[bit]).or_default();
+            scions_to.entry(bit).or_default();
         }
         let mut stubs: FxHashMap<RefId, StubSummary> = FxHashMap::default();
-        for (ref_id, mut to) in scions_to {
+        for (bit, mut to) in scions_to {
+            let ref_id = self.stub_ids[bit];
             let stub = tables.stub(ref_id).expect("bit universe is the stub table");
             to.sort_unstable();
             to.dedup();
-            let bit = self.stub_bit[&ref_id] as usize;
             stubs.insert(
                 ref_id,
                 StubSummary {
@@ -688,6 +770,38 @@ mod tests {
         ));
         assert!(second.scion(RefId(1)).unwrap().target_locally_reachable);
         assert!(second.stub(RefId(2)).unwrap().local_reach);
+    }
+
+    #[test]
+    fn collect_frees_the_unvisited_and_seals_for_the_snapshot() {
+        let (mut heap, tables) = fixture();
+        let a = heap.id_of_slot(0).unwrap();
+        let orphan = heap.alloc(1);
+        heap.add_ref(orphan, HeapRef::Remote(RefId(4))).unwrap();
+        heap.add_ref(orphan, HeapRef::Local(a.slot)).unwrap();
+        let mut engine = SccEngine::new();
+        let swept = engine.collect(&mut heap, &tables.scion_target_slots());
+        assert_eq!(swept.freed, &[orphan]);
+        assert_eq!(swept.live_stubs, &[RefId(2), RefId(3)]);
+        engine.summarize(&heap, &tables, 1, SimTime(0));
+        assert!(engine.last_dispatch().reused, "no write since the sweep");
+        assert_matches_reference(&heap, &tables);
+        engine.summarize(&heap, &tables, 2, SimTime(0));
+        assert!(engine.last_dispatch().reused, "a snapshot seals too");
+        heap.remove_root(heap.id_of_slot(2).unwrap()).unwrap();
+        let s = engine.summarize(&heap, &tables, 3, SimTime(0));
+        assert!(!engine.last_dispatch().reused, "a write forces the walk");
+        assert!(s.stub(RefId(3)).is_none(), "c is no longer a root");
+    }
+
+    #[test]
+    fn a_clone_never_reuses_the_original_condensation() {
+        let (heap, tables) = fixture();
+        let mut engine = SccEngine::new();
+        engine.summarize(&heap, &tables, 1, SimTime(0));
+        let twin = heap.clone();
+        engine.summarize(&twin, &tables, 2, SimTime(0));
+        assert!(!engine.last_dispatch().reused);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!
 //! [`SccEngine`] produces that graph on every snapshot: a single-pass
 //! SCC-condensation engine that computes it in O(V + E) graph work (see
-//! [`engine`]). [`summarize`], the paper's per-scion breadth-first
+//! [`engine`]). Its Tarjan pass is also the local collector's mark, so a
+//! snapshot of a heap not written since the last collection reads no heap
+//! field. [`summarize`], the paper's per-scion breadth-first
 //! formulation, is the test oracle the engine is held to exactly.
 
 pub mod capture;
@@ -29,5 +31,5 @@ pub mod summary;
 
 pub use capture::{capture, SnapObject, SnapshotData};
 pub use codec::{CodecError, CompactCodec, SnapshotCodec, VerboseCodec};
-pub use engine::{DispatchStats, SccEngine, SummarizePath};
+pub use engine::{Collected, DispatchStats, SccEngine, SummarizePath};
 pub use summary::{summaries_equivalent, summarize, ScionSummary, StubSummary, SummarizedGraph};

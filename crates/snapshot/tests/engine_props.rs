@@ -2,9 +2,10 @@
 //! the oracle — [`summarize`], the paper's per-scion breadth-first
 //! formulation — on arbitrary static worlds and across arbitrary mutation
 //! sequences (edge edits, root flips, local collections, stub/scion churn,
-//! scion re-incarnation, invocations). Equality is *exact* (same maps, same
-//! sorted vectors, same incarnation and `local_reach` bits), not just
-//! semantic equivalence.
+//! scion re-incarnation, invocations), and when a snapshot reuses the
+//! condensation the engine's own collection left (table-only edits since).
+//! Equality is *exact* (same maps, same sorted vectors, same incarnation and
+//! `local_reach` bits), not just semantic equivalence.
 
 use acdgc_heap::{lgc, Heap, HeapRef};
 use acdgc_model::{ObjId, ProcId, RefId, SimTime};
@@ -118,7 +119,7 @@ fn apply(world: &mut World, op: (u8, usize, usize)) {
         4 => {
             // Local collection: frees slots and kills orphaned stubs.
             let targets = world.tables.scion_target_slots();
-            let mark = lgc::collect(&mut world.heap, &targets).mark;
+            let (mark, _) = lgc::collect(&mut world.heap, &targets);
             let dead = mark.dead_stubs_among(world.tables.stubs().map(|s| s.ref_id));
             world.tables.remove_dead_stubs(&dead);
         }
@@ -191,6 +192,92 @@ fn exact(
 fn check(world: &World, engine: &mut SccEngine, version: u64) -> Result<(), TestCaseError> {
     let t = SimTime(world.clock);
     exact(engine, &world.heap, &world.tables, version, t)
+}
+
+/// One edit that leaves the heap alone, as the drains between a round's
+/// collection and its snapshot make: a scion deleted (a `NewSetStubs` or a
+/// cycle verdict), a scion added on a surviving object (an export), an
+/// invocation counter bumped on either side, a stub removed (the monitor
+/// pass) or put back for a reference a field still holds.
+fn table_edit(world: &mut World, removed: &mut Vec<RefId>, op: (u8, usize, usize)) {
+    let (kind, a, b) = op;
+    let now = SimTime(world.clock);
+    world.clock += 1;
+    let scions: Vec<RefId> = world.tables.scions().map(|s| s.ref_id).collect();
+    let stubs: Vec<RefId> = world.tables.stubs().map(|s| s.ref_id).collect();
+    match kind % 6 {
+        0 if !scions.is_empty() => {
+            world.tables.remove_scion(scions[a % scions.len()]);
+        }
+        1 => {
+            let heap = &world.heap;
+            let live: Vec<ObjId> = heap
+                .iter()
+                .filter_map(|(slot, _)| heap.id_of_slot(slot))
+                .collect();
+            if live.is_empty() {
+                return;
+            }
+            let target = live[a % live.len()];
+            let from = ProcId(1 + (b % 3) as u16);
+            if world.tables.scion_for_source(from, target).is_none() {
+                world
+                    .tables
+                    .add_scion(RefId(world.next_ref), target, from, now);
+                world.next_ref += 1;
+            }
+        }
+        2 if !scions.is_empty() => {
+            let r = scions[a % scions.len()];
+            world.tables.record_receive_through_scion(r, now).unwrap();
+        }
+        3 if !stubs.is_empty() => {
+            world
+                .tables
+                .record_send_through_stub(stubs[a % stubs.len()])
+                .unwrap();
+        }
+        4 if !stubs.is_empty() => {
+            let r = stubs[a % stubs.len()];
+            world.tables.remove_stub(r);
+            removed.push(r);
+        }
+        5 if !removed.is_empty() => {
+            let r = removed.swap_remove(a % removed.len());
+            let target = ObjId::new(ProcId(1 + (b % 3) as u16), r.0 as u32, 0);
+            world.tables.add_stub(r, target, now);
+        }
+        _ => {}
+    }
+}
+
+/// One heap write through each `&mut` method of `Heap` in turn.
+fn heap_edit(heap: &mut Heap, which: usize, a: usize) {
+    let occupied: Vec<ObjId> = heap
+        .iter()
+        .filter_map(|(slot, _)| heap.id_of_slot(slot))
+        .collect();
+    let Some(&obj) = occupied.get(a % occupied.len().max(1)) else {
+        heap.alloc(1);
+        return;
+    };
+    match which % 6 {
+        0 => {
+            heap.alloc(1);
+        }
+        1 => heap.add_root(obj).unwrap(),
+        2 => {
+            heap.remove_root(obj).unwrap();
+        }
+        3 => heap.add_ref(obj, HeapRef::Local(obj.slot)).unwrap(),
+        4 => match heap.get(obj).unwrap().refs.first() {
+            Some(&field) => heap.remove_ref(obj, field).unwrap(),
+            None => heap.add_ref(obj, HeapRef::Remote(RefId(1))).unwrap(),
+        },
+        _ => {
+            heap.get_mut(obj).unwrap().payload_words += 1;
+        }
+    }
 }
 
 /// Allocate an object holding a fresh stub `r`.
@@ -391,6 +478,51 @@ proptest! {
             }
         }
         exact(&mut SccEngine::new(), &heap, &tables, 1, SimTime(0))?;
+    }
+
+    /// The reuse: the engine's own collection condenses from roots ∪
+    /// scion targets and sweeps; table-only edits follow; the snapshot
+    /// then skips the heap walk yet equals a fresh engine's output and the
+    /// oracle's. One heap write afterwards forces the full pass.
+    #[test]
+    fn snapshot_reuses_the_collection_across_table_edits(
+        recipe in world_recipe(),
+        edits in prop::collection::vec((0u8..6, 0usize..64, 0usize..64), 0..12),
+        write in (0usize..6, 0usize..64),
+    ) {
+        let mut world = build(&recipe);
+        let mut engine = SccEngine::new();
+        let targets = world.tables.scion_target_slots();
+        let (freed, live_stubs) = {
+            let swept = engine.collect(&mut world.heap, &targets);
+            (swept.freed.to_vec(), swept.live_stubs.to_vec())
+        };
+        // The breadth-first mark frees and keeps exactly the same.
+        let mut twin = build(&recipe);
+        let (mark, swept) = lgc::collect(&mut twin.heap, &targets);
+        prop_assert_eq!(&freed, &swept.freed);
+        let mut expected_stubs: Vec<RefId> = mark.live_stubs.into_iter().collect();
+        expected_stubs.sort_unstable();
+        prop_assert_eq!(&live_stubs, &expected_stubs);
+
+        let dead = world.tables.stubs().map(|s| s.ref_id)
+            .filter(|r| live_stubs.binary_search(r).is_err())
+            .collect::<Vec<_>>();
+        let mut removed = world.tables.remove_dead_stubs(&dead)
+            .into_iter().map(|s| s.ref_id).collect::<Vec<_>>();
+        for (version, &op) in edits.iter().enumerate() {
+            table_edit(&mut world, &mut removed, op);
+            let fresh = SccEngine::new().summarize(&world.heap, &world.tables, 1, SimTime(0));
+            let reused = engine.summarize(&world.heap, &world.tables, 1, SimTime(0));
+            prop_assert!(engine.last_dispatch().reused, "edit {} walked the heap", version);
+            prop_assert_eq!(&reused.scions, &fresh.scions);
+            prop_assert_eq!(&reused.stubs, &fresh.stubs);
+            check(&world, &mut engine, version as u64)?;
+            prop_assert!(engine.last_dispatch().reused);
+        }
+        heap_edit(&mut world.heap, write.0, write.1);
+        check(&world, &mut engine, 99)?;
+        prop_assert!(!engine.last_dispatch().reused, "a heap write must force the full pass");
     }
 
     /// Clean re-summarizations (no mutator events between snapshots) keep

@@ -39,6 +39,18 @@ if grep -rnE '(^|[^.[:alnum:]_])summarize\(|acdgc_snapshot::(summary::)?summariz
     exit 1
 fi
 
+echo "==> one-heap-walk gate (a collection marks with the summarizer's Tarjan pass)"
+# A process's LGC marks with SccEngine::collect, and a snapshot of a heap
+# not written since reuses that condensation. A breadth-first mark (or a
+# collection built on one) in a runtime crate would bring back a second
+# walk over the same heap every round; acdgc_heap::lgc keeps it for the
+# oracle, the Hughes baseline and the benchmark's layer probes.
+if grep -rnE 'lgc::(collect|collect_into|mark)\b' \
+    crates/sim/src crates/core/src crates/remoting/src; then
+    echo "a breadth-first mark in a runtime crate" >&2
+    exit 1
+fi
+
 echo "==> no-thread-per-phase gate (collector phases run on the persistent pool)"
 # gc_round fans three phases out per round through the vendored rayon
 # stand-in, whose workers start once per process and then sleep between

@@ -67,8 +67,8 @@ fn dependency_is_recorded_and_blocks_detection() {
     // Closing the ring at P2: the dependency is unresolved, no cycle; and
     // no derivation adds information, so the walk dies.
     match cdm.matching(true) {
-        MatchResult::Pending { unresolved, .. } => {
-            assert!(unresolved.contains(&fig.r_wx));
+        MatchResult::Pending => {
+            assert!(cdm.residue().unresolved.contains(&fig.r_wx));
         }
         other => panic!("expected pending, got {other:?}"),
     }

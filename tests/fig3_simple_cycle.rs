@@ -4,7 +4,7 @@
 //! Term mapping (one incoming reference per object, see DESIGN.md):
 //! `F_P2 ≙ r_bf`, `Q_P4 ≙ r_jq`, `O_P3 ≙ r_so`, `D_P1 ≙ r_kd`.
 
-use acdgc::dcda::{self, Cdm, MatchResult, Outcome, TerminateReason};
+use acdgc::dcda::{self, Cdm, MatchResult, Outcome, Residue, TerminateReason};
 use acdgc::model::{DetectionId, GcConfig, NetConfig, ProcId, RefId, SimDuration};
 use acdgc::sim::{scenarios, System};
 
@@ -52,10 +52,11 @@ fn algebra_trace_matches_paper_steps_1_through_26() {
 
     // Steps 5-7 at P4: matching(Alg_1) has no intersection; no cycle.
     match alg1.matching(true) {
-        MatchResult::Pending {
-            unresolved,
-            wavefront,
-        } => {
+        MatchResult::Pending => {
+            let Residue {
+                unresolved,
+                wavefront,
+            } = alg1.residue();
             assert_eq!(unresolved, vec![fig.r_bf], "step 6: {{F}} unresolved");
             assert_eq!(wavefront, vec![fig.r_jq]);
         }
@@ -78,10 +79,11 @@ fn algebra_trace_matches_paper_steps_1_through_26() {
 
     // Steps 12-14 at P3: Matching(Alg_2) => {{F} -> {O}}.
     match alg2.matching(true) {
-        MatchResult::Pending {
-            unresolved,
-            wavefront,
-        } => {
+        MatchResult::Pending => {
+            let Residue {
+                unresolved,
+                wavefront,
+            } = alg2.residue();
             assert_eq!(unresolved, vec![fig.r_bf], "step 13: dependency on F");
             assert_eq!(wavefront, vec![fig.r_so], "step 13: wavefront at O");
         }
@@ -100,10 +102,11 @@ fn algebra_trace_matches_paper_steps_1_through_26() {
 
     // Steps 18-20 at P1: Matching(Alg_3) => {{F} -> {D}}.
     match alg3.matching(true) {
-        MatchResult::Pending {
-            unresolved,
-            wavefront,
-        } => {
+        MatchResult::Pending => {
+            let Residue {
+                unresolved,
+                wavefront,
+            } = alg3.residue();
             assert_eq!(unresolved, vec![fig.r_bf]);
             assert_eq!(wavefront, vec![fig.r_kd]);
         }

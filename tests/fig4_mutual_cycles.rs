@@ -5,7 +5,7 @@
 //! Term mapping: `F ≙ r_df`, `V ≙ r_fv`, `K ≙ r_fk`, `T ≙ r_wt`,
 //! `D ≙ r_td`, `ZB ≙ r_kzb`, `Y ≙ r_zby`.
 
-use acdgc::dcda::{self, Cdm, MatchResult, OutboundCdm, Outcome, Walk};
+use acdgc::dcda::{self, Cdm, MatchResult, OutboundCdm, Outcome, Residue, Walk};
 use acdgc::model::{DetectionId, GcConfig, NetConfig, ProcId, RefId, SimDuration};
 use acdgc::sim::{scenarios, System};
 
@@ -126,10 +126,11 @@ fn algebra_trace_matches_section_3_1() {
     // Steps 9-11 at P2: Matching(Alg_4a) => {{Y} -> {}}: the left cycle
     // has been traversed but an unresolved dependency on Y_P5 remains.
     match alg4a.matching(true) {
-        MatchResult::Pending {
-            unresolved,
-            wavefront,
-        } => {
+        MatchResult::Pending => {
+            let Residue {
+                unresolved,
+                wavefront,
+            } = alg4a.residue();
             assert_eq!(unresolved, vec![fig.r_zby], "step 10: {{Y_P5}} remains");
             assert!(wavefront.is_empty(), "step 10: target side fully matched");
         }
@@ -152,10 +153,11 @@ fn algebra_trace_matches_section_3_1() {
 
     // Steps 16-18 at P3: Matching => {{Y} -> {K}}.
     match alg5aa.matching(true) {
-        MatchResult::Pending {
-            unresolved,
-            wavefront,
-        } => {
+        MatchResult::Pending => {
+            let Residue {
+                unresolved,
+                wavefront,
+            } = alg5aa.residue();
             assert_eq!(unresolved, vec![fig.r_zby], "step 17");
             assert_eq!(wavefront, vec![fig.r_fk], "step 17");
         }
@@ -174,10 +176,11 @@ fn algebra_trace_matches_section_3_1() {
 
     // Steps 21-24 at P6: Matching => {{Y} -> {ZB}}; forward to P5 along Y.
     match alg6aa.matching(true) {
-        MatchResult::Pending {
-            unresolved,
-            wavefront,
-        } => {
+        MatchResult::Pending => {
+            let Residue {
+                unresolved,
+                wavefront,
+            } = alg6aa.residue();
             assert_eq!(unresolved, vec![fig.r_zby], "step 21");
             assert_eq!(wavefront, vec![fig.r_kzb], "step 21");
         }

@@ -182,6 +182,42 @@ fn parallel_phases_are_observationally_identical() {
 }
 
 #[test]
+fn round_snapshots_reuse_the_collection_mark() {
+    // Between a round's LGC and its snapshot only collector messages are
+    // drained and the monitor runs; none of them writes a heap, so every
+    // snapshot must reuse the condensation its process's LGC marked with.
+    // A mutator edit in between makes that process's snapshot walk again.
+    for n in [4u16, 16] {
+        let mut sys = System::new(n as usize, GcConfig::manual(), NetConfig::default(), 74);
+        let procs: Vec<ProcId> = (0..n).map(ProcId).collect();
+        let live = scenarios::ring(&mut sys, &procs, 3, true);
+        let _dead = scenarios::ring(&mut sys, &procs, 3, false);
+        sys.drain_network();
+        for round in 0..6 {
+            sys.gc_round();
+            for &p in &procs {
+                let reused = sys.proc(p).engine.last_dispatch().reused;
+                assert!(
+                    reused,
+                    "{n} processes, round {round}: {p:?} walked its heap"
+                );
+            }
+        }
+        assert!(sys.metrics.cycles_detected >= 1, "the dead ring was found");
+        assert_eq!(sys.total_live_objects(), n as usize * 3 + 1);
+
+        let (edited, quiet) = (procs[0], procs[1]);
+        sys.run_lgc(edited);
+        sys.add_local_ref(live.heads[0], live.heads[0]).unwrap();
+        sys.take_snapshot(edited);
+        assert!(!sys.proc(edited).engine.last_dispatch().reused);
+        sys.take_snapshot(quiet);
+        assert!(sys.proc(quiet).engine.last_dispatch().reused);
+        assert_eq!(sys.metrics.safety_violations(), 0);
+    }
+}
+
+#[test]
 fn sampling_leaves_the_metrics_ledgers_bit_identical() {
     // Telemetry sampling is read-only observation: with the same seed and
     // workload, runs with sampling on and off must agree on every counter,
