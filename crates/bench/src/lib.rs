@@ -13,7 +13,9 @@ use acdgc_remoting::RemotingTables;
 use acdgc_sim::{scenarios, InvokeSpec, System};
 
 /// A system tuned for measurement: manual GC phases, instant reliable
-/// network, oracle checks off (they are O(heap) per reclamation).
+/// network, oracle checks off: each audit is one pass over every live
+/// object of every heap, before each collection, which a timed loop
+/// should not pay.
 fn bench_system(procs: usize, seed: u64) -> System {
     let mut sys = System::new(procs, GcConfig::manual(), NetConfig::instant(), seed);
     sys.check_safety = false;

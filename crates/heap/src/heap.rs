@@ -189,11 +189,15 @@ impl Heap {
 
     /// Current `ObjId` for an occupied slot, if any.
     pub fn id_of_slot(&self, slot: Slot) -> Option<ObjId> {
+        self.occupant(slot).map(|(id, _)| id)
+    }
+
+    /// Current `ObjId` and record of an occupied slot, from one read of
+    /// its entry.
+    pub fn occupant(&self, slot: Slot) -> Option<(ObjId, &ObjectRecord)> {
         let entry = self.slots.get(slot as usize)?;
-        entry
-            .record
-            .as_ref()
-            .map(|_| ObjId::new(self.proc, slot, entry.generation))
+        let record = entry.record.as_ref()?;
+        Some((ObjId::new(self.proc, slot, entry.generation), record))
     }
 
     // --- roots -----------------------------------------------------------

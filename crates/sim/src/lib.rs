@@ -44,7 +44,7 @@ pub mod workload;
 
 pub use messages::{InvokeSpec, SysMessage};
 pub use metrics::Metrics;
-pub use oracle::{global_live, global_live_procs, live_count_by_proc, MutOp, ShadowGraph};
+pub use oracle::{global_live, global_live_procs, live_count_by_proc, LiveSet, MutOp, ShadowGraph};
 pub use process::Process;
 pub use step::{Credit, Effect, GcMsg, Step};
 pub use system::System;

@@ -16,75 +16,220 @@
 //! scion pins, not by the oracle; an object kept only by an in-flight
 //! message is oracle-dead but never reclaimed, which is the conservative
 //! direction.
+//!
+//! The live set is a [`LiveSet`]: one `u64` mark per process and slot,
+//! holding the number of the pass that reached the slot and the
+//! generation the pass saw there, beside one reused work stack. A new
+//! pass bumps the number, so nothing is cleared or reallocated between
+//! passes (the marks only grow with the heaps), and a stale [`ObjId`]
+//! reads as dead because its generation no longer matches. The set is
+//! exactly the allocated part of what [`ShadowGraph::live`] computes from
+//! the same heaps (the shadow graph follows a stub to its target without
+//! asking whether the target still exists), the independent reference
+//! `tests/oracle_props.rs` holds it to.
 
 use crate::process::Process;
 use crate::system::System;
-use acdgc_model::{ObjId, ProcId, RefId};
+use acdgc_heap::HeapRef;
+use acdgc_model::{ObjId, ProcId, RefId, Slot};
 use rustc_hash::{FxHashMap, FxHashSet};
 
+/// The objects one oracle pass found reachable from any local root.
+///
+/// Reusable: [`LiveSet::compute`] overwrites the previous answer without
+/// clearing anything, so a driver that audits often keeps one and
+/// recomputes it in place.
+#[derive(Clone, Debug, Default)]
+pub struct LiveSet {
+    /// Number of the latest pass; 0 before the first, so zeroed marks
+    /// never read as reached.
+    pass: u32,
+    /// `marks[p][slot]` is `pass << 32 | generation` for the slots pass
+    /// `pass` found live; anything else is left over from an earlier pass.
+    marks: Vec<Vec<u64>>,
+    /// Live objects per process.
+    counts: Vec<usize>,
+    /// Reached `(process index, slot)`s whose fields are not yet read.
+    stack: Vec<(usize, Slot)>,
+}
+
+impl LiveSet {
+    /// An empty set with no marks allocated.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Recompute the set over `procs`, where `procs[i]` is `ProcId(i)`.
+    pub fn compute(&mut self, procs: &[Process]) {
+        self.pass = match self.pass.checked_add(1) {
+            Some(pass) => pass,
+            None => {
+                // Every stored stamp is now ambiguous; start over once
+                // every 2^32 passes.
+                self.marks.iter_mut().for_each(|m| m.fill(0));
+                1
+            }
+        };
+        let pass = self.pass;
+        let stamp = u64::from(pass) << 32;
+        let reached = |mark: u64| (mark >> 32) as u32 == pass;
+        self.marks.resize_with(procs.len(), Vec::new);
+        self.counts.clear();
+        self.counts.resize(procs.len(), 0);
+        let LiveSet {
+            marks,
+            counts,
+            stack,
+            ..
+        } = self;
+        for (marks, proc) in marks.iter_mut().zip(procs) {
+            let slots = proc.heap.slot_upper_bound();
+            if marks.len() < slots {
+                marks.resize(slots, 0);
+            }
+        }
+        let reach = |marks: &mut [Vec<u64>], stack: &mut Vec<_>, p: usize, slot: Slot| {
+            if let Some(mark) = marks[p].get_mut(slot as usize) {
+                if !reached(*mark) {
+                    *mark = stamp;
+                    stack.push((p, slot));
+                }
+            }
+        };
+        for (p, proc) in procs.iter().enumerate() {
+            for slot in proc.heap.roots() {
+                reach(marks, stack, p, slot);
+            }
+        }
+        // A slot is marked when first reached and stamped with its
+        // generation when its fields are read, so each slot entry is read
+        // once. Fields are pushed in reverse: a chain is walked in slot
+        // order.
+        while let Some((p, slot)) = stack.pop() {
+            let proc = &procs[p];
+            let Some((id, record)) = proc.heap.occupant(slot) else {
+                // A field naming a free slot: nothing lives there.
+                marks[p][slot as usize] = 0;
+                continue;
+            };
+            marks[p][slot as usize] = stamp | u64::from(id.generation);
+            counts[p] += 1;
+            for field in record.refs.iter().rev() {
+                match *field {
+                    HeapRef::Local(next) => reach(marks, stack, p, next),
+                    HeapRef::Remote(ref_id) => {
+                        let Some(stub) = proc.tables.stub(ref_id) else {
+                            continue;
+                        };
+                        // A stale target (its slot freed, perhaps
+                        // reused) is dead; the stub reaches nothing.
+                        let target = stub.target;
+                        let q = target.proc.index();
+                        if procs[q].heap.contains(target) {
+                            reach(marks, stack, q, target.slot);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether the last pass found `id` live. A stale id (its slot freed,
+    /// perhaps reused) is not.
+    pub fn contains(&self, id: &ObjId) -> bool {
+        let mark = u64::from(self.pass) << 32 | u64::from(id.generation);
+        self.marks
+            .get(id.proc.index())
+            .and_then(|marks| marks.get(id.slot as usize))
+            == Some(&mark)
+    }
+
+    /// Number of live objects at process `p`.
+    fn count(&self, p: ProcId) -> usize {
+        self.counts.get(p.index()).copied().unwrap_or(0)
+    }
+
+    /// Number of live objects.
+    pub fn len(&self) -> usize {
+        self.counts.iter().sum()
+    }
+
+    /// Whether nothing is live.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every live object, by process, then slot.
+    pub fn iter(&self) -> impl Iterator<Item = ObjId> + '_ {
+        (0..self.marks.len()).flat_map(move |p| {
+            self.slots(p)
+                .map(move |(slot, generation)| ObjId::new(ProcId(p as u16), slot, generation))
+        })
+    }
+
+    /// The live slots of process `p`, with their generations. The scan
+    /// stops at the last one.
+    fn slots(&self, p: usize) -> impl Iterator<Item = (Slot, u32)> + '_ {
+        let pass = self.pass;
+        let marks = self.marks.get(p).map_or(&[][..], Vec::as_slice);
+        marks
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &m)| (m >> 32) as u32 == pass)
+            .take(self.count(ProcId(p as u16)))
+            .map(|(slot, &m)| (slot as Slot, m as u32))
+    }
+}
+
 /// All objects reachable from any local root, across processes.
-pub fn global_live(system: &System) -> FxHashSet<ObjId> {
+pub fn global_live(system: &System) -> LiveSet {
     global_live_procs(system.procs())
 }
 
 /// [`global_live`] over a bare process slice, for runtimes that do not
 /// wrap their processes in a [`System`] (the threaded runtime hands the
 /// oracle its final unwrapped processes). `procs[i]` must be `ProcId(i)`.
-pub fn global_live_procs(procs: &[Process]) -> FxHashSet<ObjId> {
-    let mut live: FxHashSet<ObjId> = FxHashSet::default();
-    let mut queue: Vec<ObjId> = Vec::new();
-    for proc in procs {
-        for slot in proc.heap.roots() {
-            if let Some(id) = proc.heap.id_of_slot(slot) {
-                if live.insert(id) {
-                    queue.push(id);
-                }
-            }
-        }
-    }
-    while let Some(id) = queue.pop() {
-        let proc = &procs[id.proc.index()];
-        let Ok(record) = proc.heap.get(id) else {
-            continue;
-        };
-        for slot in record.local_refs() {
-            if let Some(next) = proc.heap.id_of_slot(slot) {
-                if live.insert(next) {
-                    queue.push(next);
-                }
-            }
-        }
-        for ref_id in record.remote_refs() {
-            if let Some(stub) = proc.tables.stub(ref_id) {
-                let target = stub.target;
-                if procs[target.proc.index()].heap.contains(target) && live.insert(target) {
-                    queue.push(target);
-                }
-            }
-        }
-    }
+pub fn global_live_procs(procs: &[Process]) -> LiveSet {
+    let mut live = LiveSet::new();
+    live.compute(procs);
     live
 }
 
-/// Is the remote reference `r`, held from `holder_proc`, still live —
-/// i.e. does any oracle-live object of that process still hold it? A
-/// scion may be deleted exactly when this is false (the reference itself
-/// is garbage), even if the *target* object remains live through other
-/// paths (its own roots or other references).
-pub fn ref_is_live(
-    system: &System,
-    holder_proc: ProcId,
-    r: acdgc_model::RefId,
-    live: &FxHashSet<ObjId>,
-) -> bool {
-    let proc = system.proc(holder_proc);
-    proc.heap.iter().any(|(slot, rec)| {
-        rec.remote_refs().any(|held| held == r)
-            && proc
-                .heap
-                .id_of_slot(slot)
-                .is_some_and(|id| live.contains(&id))
-    })
+/// How many of `refs` — remote references, each with the process holding
+/// it — are still live: some object of `live` at the holder still holds
+/// the reference. A scion may be deleted exactly when its reference is
+/// not live, even if the *target* object remains live through other
+/// paths (its own roots or other references). One pass over each
+/// holder's live objects answers all of that holder's references; a
+/// reference listed twice counts twice.
+pub fn live_ref_count(procs: &[Process], live: &LiveSet, refs: &[(RefId, ProcId)]) -> usize {
+    let mut count = 0;
+    for (i, &(_, holder)) in refs.iter().enumerate() {
+        // The first of a holder's references answers for all of them; a
+        // holder with nothing live holds nothing.
+        if refs[..i].iter().any(|&(_, h)| h == holder) || live.count(holder) == 0 {
+            continue;
+        }
+        let mut unheld: Vec<RefId> = refs
+            .iter()
+            .filter(|&&(_, h)| h == holder)
+            .map(|&(r, _)| r)
+            .collect();
+        let asked = unheld.len();
+        let heap = &procs[holder.index()].heap;
+        for (slot, _) in live.slots(holder.index()) {
+            if unheld.is_empty() {
+                break;
+            }
+            if let Some(record) = heap.get_slot(slot) {
+                for held in record.remote_refs() {
+                    unheld.retain(|&r| r != held);
+                }
+            }
+        }
+        count += asked - unheld.len();
+    }
+    count
 }
 
 /// One graph edit performed by a concurrent mutator, recorded while the
@@ -247,14 +392,9 @@ impl ShadowGraph {
 /// Oracle-live object counts per process (completeness assertions).
 pub fn live_count_by_proc(system: &System) -> Vec<(ProcId, usize)> {
     let live = global_live(system);
-    let mut counts = vec![0usize; system.num_procs()];
-    for id in &live {
-        counts[id.proc.index()] += 1;
-    }
-    counts
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| (ProcId(i as u16), c))
+    (0..system.num_procs())
+        .map(|i| ProcId(i as u16))
+        .map(|p| (p, live.count(p)))
         .collect()
 }
 
@@ -322,7 +462,7 @@ mod tests {
         sys.add_local_ref(b, c).unwrap();
         sys.add_root(a).unwrap();
         let shadow = ShadowGraph::shadow_of(sys.procs());
-        assert_eq!(shadow.live(), global_live(&sys));
+        assert_eq!(shadow.live(), global_live(&sys).iter().collect());
     }
 
     #[test]
@@ -359,6 +499,64 @@ mod tests {
         // Re-adding the remote edge (re-export) revives b.
         shadow.apply_log(&[MutOp::AddRemoteRef(a, r, b)]);
         assert!(shadow.live().contains(&b));
+    }
+
+    #[test]
+    fn a_stale_id_reads_dead_after_its_slot_is_reused() {
+        let mut sys = system(1);
+        let p = ProcId(0);
+        let old = sys.alloc(p, 1);
+        sys.run_lgc(p);
+        let new = sys.alloc(p, 1);
+        assert_eq!((old.slot, old.generation + 1), (new.slot, new.generation));
+        sys.add_root(new).unwrap();
+        let live = global_live(&sys);
+        assert!(live.contains(&new) && !live.contains(&old));
+        assert_eq!(live.iter().collect::<Vec<_>>(), vec![new]);
+    }
+
+    #[test]
+    fn a_reused_set_forgets_the_previous_pass() {
+        let mut sys = system(2);
+        let a = sys.alloc(ProcId(0), 1);
+        let b = sys.alloc(ProcId(1), 1);
+        sys.create_remote_ref(a, b).unwrap();
+        sys.add_root(a).unwrap();
+        let mut live = LiveSet::new();
+        assert!(live.is_empty() && !live.contains(&a));
+        live.compute(sys.procs());
+        assert_eq!(live.len(), 2);
+        sys.remove_root(a).unwrap();
+        live.compute(sys.procs());
+        assert!(live.is_empty() && !live.contains(&a) && !live.contains(&b));
+        assert_eq!(live.iter().count(), 0);
+        // The pass number wraps: the marks are cleared once, not misread.
+        sys.add_root(b).unwrap();
+        live.pass = u32::MAX;
+        live.compute(sys.procs());
+        assert_eq!(live.pass, 1);
+        assert!(live.contains(&b) && !live.contains(&a));
+        assert_eq!(live.len(), 1);
+    }
+
+    #[test]
+    fn one_pass_per_holder_counts_each_live_reference() {
+        let mut sys = system(3);
+        let [a, b, c, d, e] = [0, 1, 1, 2, 2].map(|p| sys.alloc(ProcId(p), 1));
+        let ab = sys.create_remote_ref(a, b).unwrap();
+        let cd = sys.create_remote_ref(c, d).unwrap();
+        let be = sys.create_remote_ref(b, e).unwrap();
+        sys.add_root(a).unwrap();
+        let live = global_live(&sys);
+        let (p0, p1) = (ProcId(0), ProcId(1));
+        // `c` is garbage, so its reference is not live; a duplicate
+        // query counts twice.
+        let refs = [(ab, p0), (cd, p1), (be, p1), (ab, p0)];
+        assert_eq!(live_ref_count(sys.procs(), &live, &refs), 3);
+        assert_eq!(live_ref_count(sys.procs(), &live, &[(ab, p1)]), 0);
+        // Each answer comes from its own holder's objects.
+        assert_eq!(live_ref_count(sys.procs(), &live, &[(be, p0), (be, p1)]), 1);
+        assert_eq!(live_ref_count(sys.procs(), &live, &[]), 0);
     }
 
     #[test]

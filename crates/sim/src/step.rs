@@ -15,12 +15,12 @@
 //! message travels; a test can hold, reorder, drop or replay it.
 
 use crate::metrics::Metrics;
+use crate::oracle::LiveSet;
 use crate::process::Process;
 use acdgc_dcda::{Cdm, Outcome, TerminateReason, FULL_CREDIT};
-use acdgc_model::{DetectionId, GcConfig, IntegrationMode, ObjId, ProcId, RefId, SimTime};
+use acdgc_model::{DetectionId, GcConfig, IntegrationMode, ProcId, RefId, SimTime};
 use acdgc_obs::{DropReason, Event, Phase, TermReason};
 use acdgc_remoting::{apply_new_set_stubs, build_new_set_stubs, NewSetStubs};
-use rustc_hash::FxHashSet;
 
 /// A dying derivation's credit on its way back to the detection's
 /// initiator (Dijkstra–Scholten weight throwing). `clean` is true only
@@ -187,7 +187,7 @@ impl Process {
         cfg: &GcConfig,
         num_procs: usize,
         now: SimTime,
-        oracle_live: Option<&FxHashSet<ObjId>>,
+        oracle_live: Option<&LiveSet>,
     ) -> LgcWork {
         let rejudged_scions = self.tables.sweep_deferred_nss().len() as u64;
         let targets = self.tables.scion_target_slots();

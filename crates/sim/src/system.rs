@@ -2,7 +2,7 @@
 
 use crate::messages::{InvokeSpec, SysMessage};
 use crate::metrics::Metrics;
-use crate::oracle;
+use crate::oracle::{self, LiveSet};
 use crate::process::Process;
 use crate::step::{DeletedScions, Effect, LgcWork, Step};
 use acdgc_heap::HeapRef;
@@ -13,7 +13,6 @@ use acdgc_net::{Envelope, MessageClass, NetStats, Network};
 use acdgc_obs::{Sample, Sampler, Trace};
 use acdgc_remoting::{ExportedRef, InvokePayload, ReplyPayload};
 use rayon::prelude::*;
-use rustc_hash::FxHashSet;
 
 /// A complete simulated distributed system: N processes, one network, one
 /// clock, one metrics ledger.
@@ -24,8 +23,13 @@ pub struct System {
     clock: SimTime,
     ids: IdAllocator,
     /// Verify every reclamation against the global reachability oracle.
-    /// On by default; benches switch it off (it is O(heap) per LGC).
+    /// On by default. Each audit recomputes `live` in place: one pass
+    /// over every live object of every heap, before each collection and
+    /// after each step that deletes a scion. The timed benchmark
+    /// repetitions switch it off; tests keep it on.
     pub check_safety: bool,
+    /// The oracle's reusable live set, recomputed before every audit.
+    live: LiveSet,
     /// The merged protocol-counter ledger for the whole system.
     pub metrics: Metrics,
     /// Time-series telemetry (`GcConfig::sampling`): one global + one
@@ -62,6 +66,7 @@ impl System {
             clock: SimTime::ZERO,
             ids: IdAllocator::new(),
             check_safety: true,
+            live: LiveSet::new(),
             metrics: Metrics::default(),
             sampler,
             rounds: 0,
@@ -468,10 +473,9 @@ impl System {
 
     /// Run one local collection at `p` and publish its `NewSetStubs`.
     pub fn run_lgc(&mut self, p: ProcId) {
-        let oracle_live = self.check_safety.then(|| oracle::global_live(&*self));
+        let live = self.refresh_live().then_some(&self.live);
         let num_procs = self.procs.len();
-        let work =
-            self.procs[p.index()].lgc_step(&self.cfg, num_procs, self.clock, oracle_live.as_ref());
+        let work = self.procs[p.index()].lgc_step(&self.cfg, num_procs, self.clock, live);
         self.lgc_apply(p, work);
     }
 
@@ -490,11 +494,10 @@ impl System {
     /// across the per-process collections.
     pub fn lgc_all(&mut self) {
         let now = self.clock;
-        let oracle_live = self.check_safety.then(|| oracle::global_live(&*self));
+        let live = self.refresh_live().then_some(&self.live);
         let num_procs = self.procs.len();
         let works: Vec<LgcWork> = {
             let cfg = &self.cfg;
-            let live = oracle_live.as_ref();
             fan_out(&mut self.procs, |proc| {
                 proc.lgc_step(cfg, num_procs, now, live)
             })
@@ -605,23 +608,28 @@ impl System {
         }
     }
 
+    /// Recompute the oracle's live set when audits are on; returns
+    /// whether they are.
+    fn refresh_live(&mut self) -> bool {
+        if self.check_safety {
+            self.live.compute(&self.procs);
+        }
+        self.check_safety
+    }
+
     /// Oracle audit of the scions a step just deleted at `p` on a cycle
     /// verdict. A deletion is unsafe iff the *reference* is still live:
     /// some oracle-live object at the holding process still holds it. (The
     /// target being live through other paths does not make deleting a dead
     /// reference's scion unsafe.) The oracle reads heaps and stubs only,
     /// so judging after the deletions sees what judging before any of them
-    /// would, and one live set serves them all.
+    /// would, and one live set, with one pass per holder, serves them all.
     fn audit_scion_deletes(&mut self, p: ProcId, deleted: DeletedScions) {
-        if !self.check_safety || deleted.is_empty() {
+        if deleted.is_empty() || !self.refresh_live() {
             return;
         }
-        let live = oracle::global_live(&*self);
-        for (scion, holder) in deleted {
-            if oracle::ref_is_live(&*self, holder, scion, &live) {
-                self.bump(p, |m| m.unsafe_scion_deletes += 1);
-            }
-        }
+        let unsafe_deletes = oracle::live_ref_count(&self.procs, &self.live, &deleted) as u64;
+        self.bump(p, |m| m.unsafe_scion_deletes += unsafe_deletes);
     }
 
     fn dispatch_invoke(
@@ -882,8 +890,8 @@ impl System {
         Ok(())
     }
 
-    /// The set of globally reachable objects (oracle).
-    pub fn oracle_live(&self) -> FxHashSet<ObjId> {
+    /// The set of globally reachable objects (oracle), freshly computed.
+    pub fn oracle_live(&self) -> LiveSet {
         oracle::global_live(self)
     }
 

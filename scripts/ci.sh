@@ -75,6 +75,15 @@ if grep -nE 'thread::(spawn|scope)|available_parallelism' crates/sim/src/system.
     exit 1
 fi
 
+echo "==> oracle-on gate (tests audit every collection against the oracle)"
+# The oracle's live set is one dense pass per audit over marks it never
+# clears, cheap enough for every test: a test that switches it off would
+# let an unsafe reclamation pass unseen.
+if grep -rnE 'check_safety *= *false' tests/; then
+    echo "a test switches the safety oracle off" >&2
+    exit 1
+fi
+
 echo "==> build (release)"
 cargo build --release --offline --workspace
 

@@ -39,7 +39,6 @@ fn both_modes_reach_the_same_final_state() {
 fn weakref_mode_lags_by_up_to_one_monitor_period() {
     let measure = |mode: IntegrationMode| -> u64 {
         let mut sys = system(mode, 71);
-        sys.check_safety = false;
         let a = sys.alloc(ProcId(0), 1);
         sys.add_root(a).unwrap();
         let b = sys.alloc(ProcId(1), 1);

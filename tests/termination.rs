@@ -13,7 +13,6 @@ use acdgc::sim::System;
 /// other process (pairs shared per process-target). Maximal density.
 fn complete_clump(procs: usize, objs: usize, seed: u64) -> System {
     let mut sys = System::new(procs, GcConfig::manual(), NetConfig::instant(), seed);
-    sys.check_safety = false; // oracle is O(n) per reclamation; keep the test fast
     let all: Vec<ObjId> = (0..procs)
         .flat_map(|p| {
             (0..objs)
@@ -109,7 +108,6 @@ fn hop_cap_is_a_hard_backstop() {
     cfg.max_hops = 16;
     cfg.detection_budget = 1_000_000;
     let mut sys = System::new(2, cfg, NetConfig::instant(), 84);
-    sys.check_safety = false;
     let a = sys.alloc(ProcId(0), 1);
     let b = sys.alloc(ProcId(1), 1);
     sys.create_remote_ref(a, b).unwrap();
